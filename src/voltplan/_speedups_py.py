@@ -1,9 +1,7 @@
-"""Pure-Python flow kernels.
+"""Flow kernels in pure Python.
 
-Mirror of the compiled module in _speedups.pyx: identical algorithms and
-tie-breaking so both produce bit-identical results. Graphs arrive as flat
-arc arrays (tails, heads, caps, costs); arcs are stored with paired reverse
-edges (edge 2i forward, 2i+1 backward).
+Graphs arrive as flat arc arrays (tails, heads, caps, costs); arcs are
+stored with paired reverse edges (edge 2i forward, 2i+1 backward).
 
 INF is a large integer sentinel, never float.
 """

@@ -39,6 +39,9 @@ from .shifters import (
 )
 from .voltage import VoltageAssignment, assign_voltages, build_timing_graph
 
+# the anneal stops once the temperature falls below this fraction of t0
+T_STOP_RATIO = 1e-7
+
 
 @dataclass
 class AnnealConfig:
@@ -52,8 +55,6 @@ class AnnealConfig:
     overhead_at_top_level: bool = True
     exact_limit: int = 16
     max_levels: int = 400
-    t_stop_ratio: float = 1e-7
-    rotate: bool = False  # reserved; module rotation stays off
     observer: object = None  # callable(floorplan, assignment, phi) per candidate
 
 
@@ -285,7 +286,7 @@ def anneal(netlist: Netlist, spec: ShifterSpec, config: AnnealConfig, seed: int)
                     best_expr = expr
         temp *= config.alpha
         idle_levels = idle_levels + 1 if accepted_here == 0 else 0
-        if idle_levels >= 2 or temp < t0 * config.t_stop_ratio:
+        if idle_levels >= 2 or temp < t0 * T_STOP_RATIO:
             break
 
     if not ev.feasible_seen:

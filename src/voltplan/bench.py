@@ -68,6 +68,36 @@ def parse_nets(text, known_names) -> list[tuple[str, list[str]]]:
     return out
 
 
+def _int(parts, i, lineno) -> int:
+    """parts[i] as an int; a missing or non-integer token is a ParseError."""
+    if i >= len(parts):
+        raise ParseError(f"{parts[0]}: value missing", lineno)
+    try:
+        return int(parts[i])
+    except ValueError:
+        raise ParseError(f"{parts[0]}: expected an integer, got {parts[i]!r}", lineno) from None
+
+
+def _ratio(parts, i, lineno) -> Fraction:
+    """parts[i] as a '<num>:<den>' ratio with a nonzero denominator."""
+    token = parts[i] if i < len(parts) else ""
+    num, _, den = token.partition(":")
+    try:
+        return Fraction(int(num), int(den))
+    except (ValueError, ZeroDivisionError):
+        raise ParseError(
+            f"{parts[0]}: expected a ratio '<num>:<den>', got {token!r}", lineno
+        ) from None
+
+
+def _triples(parts, start, lineno):
+    """parts[start:] as (level, delay, power) integer triples."""
+    vals = [_int(parts, i, lineno) for i in range(start, len(parts))]
+    if len(vals) % 3 != 0 or not vals:
+        raise ParseError(f"{parts[0]}: (level, delay, power) triples expected", lineno)
+    return tuple(zip(vals[0::3], vals[1::3], vals[2::3]))
+
+
 def parse_spec(text):
     """Parse a spec file; returns (curves by name, ShifterSpec, t_cycle, k)."""
     k = None
@@ -78,32 +108,19 @@ def parse_spec(text):
         parts = line.split()
         kind = parts[0]
         if kind == "k":
-            k = int(parts[1])
+            k = _int(parts, 1, lineno)
         elif kind == "tcycle":
-            t_cycle = int(parts[1])
+            t_cycle = _int(parts, 1, lineno)
         elif kind == "curve":
+            pts = _triples(parts, 2, lineno)
             name = parts[1]
-            vals = parts[2:]
-            if len(vals) % 3 != 0 or not vals:
-                raise ParseError(f"curve {name}: triples expected", lineno)
-            pts = []
-            for i in range(0, len(vals), 3):
-                pts.append((int(vals[i]), int(vals[i + 1]), int(vals[i + 2])))
             if name in curves:
                 raise DuplicateName(f"duplicate curve for {name!r}", lineno)
-            curves[name] = DPCurve(points=tuple(pts))
+            curves[name] = DPCurve(points=pts)
         elif kind == "shifter":
-            area = int(parts[1])
-            mnum, mden = parts[2].split(":")
-            vals = parts[3:]
-            if len(vals) % 3 != 0 or not vals:
-                raise ParseError("shifter: triples expected", lineno)
-            overhead = []
-            for i in range(0, len(vals), 3):
-                overhead.append((int(vals[i]), int(vals[i + 1]), int(vals[i + 2])))
-            shifter = derive_shifter_spec(
-                area, Fraction(int(mnum), int(mden)), overhead
-            )
+            area = _int(parts, 1, lineno)
+            ratio = _ratio(parts, 2, lineno)
+            shifter = derive_shifter_spec(area, ratio, _triples(parts, 3, lineno))
         else:
             raise ParseError(f"unknown record {kind!r}", lineno)
     if k is None or t_cycle is None or shifter is None:
@@ -231,7 +248,12 @@ def convert_gsrc_blocks(text) -> str:
             ys = [int(y) for _, y in verts]
             out.append(f"{parts[0]} {max(xs) - min(xs)} {max(ys) - min(ys)}")
         elif len(parts) >= 3 and parts[1] == "softrectangular":
-            area = int(float(parts[2]))
+            try:
+                area = int(float(parts[2]))
+            except (ValueError, OverflowError):
+                raise ParseError(f"bad area in {line!r}", lineno) from None
+            if area < 0:
+                raise ParseError(f"negative area in {line!r}", lineno)
             side = max(1, round(area**0.5))
             out.append(f"{parts[0]} {side} {max(1, area // side)}")
         # headers, UCSC/UCLA banners, terminal lines: skipped
@@ -248,12 +270,12 @@ def convert_gsrc_nets(text, known_names) -> str:
     groups = []
     pending = None
     expect = 0
-    for _lineno, line in _content_lines(text):
+    for lineno, line in _content_lines(text):
         parts = line.split()
         if parts[0] == "NetDegree":
             if pending:
                 groups.append(pending)
-            expect = int(parts[-1])
+            expect = _int(parts, len(parts) - 1, lineno)
             pending = []
         elif pending is not None and expect > 0:
             if parts[0] in known:

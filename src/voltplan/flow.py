@@ -6,51 +6,26 @@ shortest augmenting paths with node potentials; negative-cost arcs in
 circulation mode are first saturated, which leaves a nonnegative-cost
 residual and turns the problem into shipping the resulting node excesses.
 
-A compiled kernel is used when available; set VOLTPLAN_PURE=1 to force the
-pure-Python twin. Both produce identical results.
+The kernels live in _speedups_py and are always called through that module
+attribute, so a caller can wrap them there. They run on Python ints, so
+every solve stays exact at any magnitude.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
-from enum import Enum
 
 from . import _speedups_py
 from .errors import InfeasibleLowerBounds, NegativeResidualCycle
 
-try:
-    from . import _speedups  # compiled extension, optional
-except ImportError:  # pragma: no cover
-    _speedups = None
+_speedups = None  # no second kernel; perfbench/tracer.py skips this slot
 
 INF = _speedups_py.INF
 
-# Beyond these magnitudes the compiled int64 kernel could overflow; the
-# pure kernel on Python ints stays exact at any size.
-_I64_SAFE = 1 << 60
-
-
-def _kernel(caps, costs):
-    if _speedups is None or os.environ.get("VOLTPLAN_PURE"):
-        return _speedups_py
-    hi = max((abs(c) for c in caps), default=0) + max(
-        (abs(c) for c in costs), default=0
-    )
-    total = sum(abs(c) for c in caps if c < INF)
-    if hi > _I64_SAFE or total > _I64_SAFE:
-        return _speedups_py
-    return _speedups
-
 
 def kernel_name() -> str:
-    """Which kernel a typical small solve would use ('compiled' or 'pure')."""
-    return "pure" if _kernel([1], [1]) is _speedups_py else "compiled"
-
-
-class Status(Enum):
-    OPTIMAL = "optimal"
-    INFEASIBLE = "infeasible"
+    """Name of the flow kernel, reported in benchmark records."""
+    return "pure"
 
 
 @dataclass(frozen=True)
@@ -94,8 +69,6 @@ def network(n_nodes, arcs) -> FlowNetwork:
 class FlowResult:
     flow: tuple[int, ...]
     objective: int
-    potentials: tuple[int | None, ...]
-    status: Status
     value: int | None = None
 
 
@@ -148,9 +121,8 @@ def _normalize_lowers(net: FlowNetwork):
 def solve_min_cost_circulation(net: FlowNetwork) -> FlowResult:
     """Minimum-cost feasible circulation; raises InfeasibleLowerBounds.
 
-    The residual network of the returned flow contains no negative cycle,
-    and FlowResult.potentials certify it (reduced costs nonnegative on all
-    residual arcs).
+    The residual network of the returned flow contains no negative cycle;
+    certify_optimal checks that independently.
     """
     net.validate()
     pieces, excess, base_cost, base = _normalize_lowers(net)
@@ -191,8 +163,7 @@ def solve_min_cost_circulation(net: FlowNetwork) -> FlowResult:
             caps.append(-excess[v])
             costs.append(0)
 
-    kern = _kernel(caps, costs)
-    value, kflows, _ = kern.mcmf(n + 2, tails, heads, caps, costs, s_node, t_node, supply)
+    value, kflows, _ = _speedups_py.mcmf(n + 2, tails, heads, caps, costs, s_node, t_node, supply)
     if value != supply:
         raise InfeasibleLowerBounds(
             f"lower bounds unsatisfiable: shipped {value} of {supply}"
@@ -207,13 +178,7 @@ def solve_min_cost_circulation(net: FlowNetwork) -> FlowResult:
         flows[idx] += sign * used
     objective = sum(a.cost * f for a, f in zip(net.arcs, flows))
 
-    return FlowResult(
-        flow=tuple(flows),
-        objective=objective,
-        potentials=(None,) * net.n_nodes,
-        status=Status.OPTIMAL,
-        value=None,
-    )
+    return FlowResult(flow=tuple(flows), objective=objective)
 
 
 def solve_min_cost_max_flow(net: FlowNetwork, s: int, t: int) -> FlowResult:
@@ -225,16 +190,9 @@ def solve_min_cost_max_flow(net: FlowNetwork, s: int, t: int) -> FlowResult:
     heads = [a.head for a in net.arcs]
     caps = [a.upper for a in net.arcs]
     costs = [a.cost for a in net.arcs]
-    kern = _kernel(caps, costs)
-    value, flows, _ = kern.mcmf(net.n_nodes, tails, heads, caps, costs, s, t, INF)
+    value, flows, _ = _speedups_py.mcmf(net.n_nodes, tails, heads, caps, costs, s, t, INF)
     objective = sum(a.cost * f for a, f in zip(net.arcs, flows))
-    return FlowResult(
-        flow=tuple(flows),
-        objective=objective,
-        potentials=(None,) * net.n_nodes,
-        status=Status.OPTIMAL,
-        value=value,
-    )
+    return FlowResult(flow=tuple(flows), objective=objective, value=value)
 
 
 def certify_optimal(net: FlowNetwork, result: FlowResult) -> tuple[int, ...]:
@@ -251,8 +209,7 @@ def certify_optimal(net: FlowNetwork, result: FlowResult) -> tuple[int, ...]:
     costs = [a.cost for a in net.arcs] + [0] * net.n_nodes
     lowers = [a.lower for a in net.arcs] + [0] * net.n_nodes
     fl = list(result.flow) + [0] * net.n_nodes
-    kern = _kernel(caps, costs)
-    dist, neg = kern.shortest_paths(n, tails, heads, caps, costs, fl, lowers, virt)
+    dist, neg = _speedups_py.shortest_paths(n, tails, heads, caps, costs, fl, lowers, virt)
     if neg:
         raise NegativeResidualCycle("flow is not optimal: negative residual cycle")
     return tuple(dist[: net.n_nodes])
@@ -270,8 +227,7 @@ def residual_shortest_paths(net: FlowNetwork, result: FlowResult, src: int):
     caps = [a.upper for a in net.arcs]
     costs = [a.cost for a in net.arcs]
     lowers = [a.lower for a in net.arcs]
-    kern = _kernel(caps, costs)
-    dist, neg = kern.shortest_paths(
+    dist, neg = _speedups_py.shortest_paths(
         net.n_nodes, tails, heads, caps, costs, list(result.flow), lowers, src
     )
     if neg:

@@ -232,23 +232,29 @@ class Netlist:
         raise KeyError(name)
 
 
-def _assert_acyclic(m, nets):
+def topological_order(m, edges) -> list[int]:
+    """FIFO Kahn order of modules 0..m-1 under edges (src, dst, ...): sources
+    in index order, then each module's successors in edge order.
+
+    Raises CyclicNetlist when the edges close a cycle.
+    """
     indeg = [0] * m
     adj = [[] for _ in range(m)]
-    for src, dst in nets:
-        adj[src].append(dst)
-        indeg[dst] += 1
-    queue = [i for i in range(m) if indeg[i] == 0]
-    seen = 0
-    while queue:
-        v = queue.pop()
-        seen += 1
+    for edge in edges:
+        adj[edge[0]].append(edge[1])
+        indeg[edge[1]] += 1
+    order = [i for i in range(m) if indeg[i] == 0]
+    head = 0
+    while head < len(order):
+        v = order[head]
+        head += 1
         for w in adj[v]:
             indeg[w] -= 1
             if indeg[w] == 0:
-                queue.append(w)
-    if seen != m:
-        raise CyclicNetlist("netlist graph contains a cycle")
+                order.append(w)
+    if len(order) != m:
+        raise CyclicNetlist("module graph contains a cycle")
+    return order
 
 
 def build_netlist(modules, net_name_pairs, t_cycle: int, k: int) -> Netlist:
@@ -271,5 +277,5 @@ def build_netlist(modules, net_name_pairs, t_cycle: int, k: int) -> Netlist:
         if dst not in index:
             raise CyclicNetlist(f"net references unknown module {dst!r}")
         nets.append((index[src], index[dst]))
-    _assert_acyclic(len(modules), nets)
+    topological_order(len(modules), nets)
     return Netlist(modules=modules, nets=tuple(nets), t_cycle=t_cycle, k=k)

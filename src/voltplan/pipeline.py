@@ -13,20 +13,20 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from fractions import Fraction
 from pathlib import Path
 
 from .anneal import AnnealConfig, AnnealResult, anneal
 from .bench import parse_blocks, parse_nets, parse_spec
 from .errors import ParseError, TimingInfeasible
-from .floorplan import PhiWeights
 from .model import DPCurve, ModuleBlock, ShifterSpec, build_netlist, decompose_multipin
 from .render import emit_svg
 from .report import ReportRow, emit_report
 
 
-@dataclass
-class RunConfig:
+@dataclass(kw_only=True)
+class RunConfig(AnnealConfig):
+    """Input files, seed and output directory, plus every annealer setting."""
+
     blocks_path: str
     nets_path: str
     spec_path: str
@@ -35,17 +35,6 @@ class RunConfig:
     dataset: str = ""
     k: int | None = None  # None: use the spec file's k; smaller k truncates
     t_cycle: int | None = None  # override the spec file's budget
-    weights: PhiWeights | None = None
-    alpha: float = 0.9
-    beta: int = 10
-    accept_target: float = 0.9
-    ls_every: int = 5
-    kappa: Fraction = Fraction(0)
-    window: int | None = None
-    overhead_at_top_level: bool = True
-    exact_limit: int = 16
-    max_levels: int = 400
-    observer: object = None
 
 
 def load_instance(config: RunConfig):
@@ -109,21 +98,8 @@ def run_pipeline(config: RunConfig):
     """Execute a full run; returns (ReportRow, AnnealResult) and writes artifacts."""
     started = time.perf_counter()
     netlist, spec, k = load_instance(config)
-    acfg = AnnealConfig(
-        alpha=config.alpha,
-        beta=config.beta,
-        accept_target=config.accept_target,
-        ls_every=config.ls_every,
-        kappa=config.kappa,
-        window=config.window,
-        weights=config.weights,
-        overhead_at_top_level=config.overhead_at_top_level,
-        exact_limit=config.exact_limit,
-        max_levels=config.max_levels,
-        observer=config.observer,
-    )
     try:
-        result = anneal(netlist, spec, acfg, config.seed)
+        result = anneal(netlist, spec, config, config.seed)
     except TimingInfeasible as exc:
         names = [
             netlist.modules[i].name

@@ -13,7 +13,7 @@ set and is placed on the source module's boundary.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .flow import network, solve_min_cost_max_flow
@@ -111,15 +111,29 @@ def feasible(shifter: Shifter, room: Room, floorplan, spec, window: int) -> bool
     return rx0 <= x1 and x0 <= rx1 and ry0 <= y1 and y0 <= ry1
 
 
+def _center2_of_rect(rect) -> tuple[int, int]:
+    x, y, w, h = rect
+    return (2 * x + w, 2 * y + h)
+
+
+def _route2(floorplan, src, dst, via=None) -> tuple[int, int]:
+    """Doubled-coordinate Manhattan lengths between the centers of modules
+    src and dst: (direct length, detour of routing through the doubled point
+    `via`, 0 without one)."""
+    ax, ay = module_center2(floorplan.rooms[src])
+    bx, by = module_center2(floorplan.rooms[dst])
+    direct = abs(ax - bx) + abs(ay - by)
+    if via is None:
+        return direct, 0
+    cx, cy = via
+    return direct, abs(ax - cx) + abs(ay - cy) + abs(cx - bx) + abs(cy - by) - direct
+
+
 def assign_cost(shifter: Shifter, room: Room, floorplan) -> int:
     """Manhattan detour of routing the net through the room center
     (doubled coordinates, always nonnegative)."""
-    ax, ay = module_center2(floorplan.rooms[shifter.source])
-    bx, by = module_center2(floorplan.rooms[shifter.sink])
-    cx, cy = 2 * room.x + room.w, 2 * room.y + room.h
-    direct = abs(ax - bx) + abs(ay - by)
-    via = abs(ax - cx) + abs(ay - cy) + abs(cx - bx) + abs(cy - by)
-    return via - direct
+    center2 = (2 * room.x + room.w, 2 * room.y + room.h)
+    return _route2(floorplan, shifter.source, shifter.sink, center2)[1]
 
 
 def default_window(floorplan: Floorplan) -> int:
@@ -248,45 +262,26 @@ def els_place(shifter: Shifter, floorplan) -> tuple[int, int, int, int]:
     return (px // 2, py // 2, 0, 0)
 
 
-def _center2_of_rect(rect) -> tuple[int, int]:
-    x, y, w, h = rect
-    return (2 * x + w, 2 * y + h)
-
-
 def compute_ilo(shifters, placements, floorplan, nets) -> Fraction:
     """Interconnect length overhead: detour through each shifter position as
     a percentage of the total direct length over all nets."""
-    denom2 = 0
-    for src, dst in nets:
-        ax, ay = module_center2(floorplan.rooms[src])
-        bx, by = module_center2(floorplan.rooms[dst])
-        denom2 += abs(ax - bx) + abs(ay - by)
+    denom2 = sum(_route2(floorplan, src, dst)[0] for src, dst in nets)
     if denom2 == 0:
         return Fraction(0)
-    num2 = 0
-    for shifter in shifters:
-        rect = placements[shifter.id]
-        cx, cy = _center2_of_rect(rect)
-        ax, ay = module_center2(floorplan.rooms[shifter.source])
-        bx, by = module_center2(floorplan.rooms[shifter.sink])
-        direct = abs(ax - bx) + abs(ay - by)
-        via = abs(ax - cx) + abs(ay - cy) + abs(cx - bx) + abs(cy - by)
-        num2 += via - direct
+    num2 = sum(
+        _route2(floorplan, s.source, s.sink, _center2_of_rect(placements[s.id]))[1]
+        for s in shifters
+    )
     return Fraction(num2, denom2) * 100
 
 
 def wirelength_with_shifters(floorplan, nets, shifters, placements) -> int:
     """Total wirelength when shifted nets route through their shifter."""
+    via = {s.net_index: _center2_of_rect(placements[s.id]) for s in shifters}
     total2 = 0
-    shifted = {s.net_index: s for s in shifters}
     for idx, (src, dst) in enumerate(nets):
-        ax, ay = module_center2(floorplan.rooms[src])
-        bx, by = module_center2(floorplan.rooms[dst])
-        if idx in shifted:
-            cx, cy = _center2_of_rect(placements[shifted[idx].id])
-            total2 += abs(ax - cx) + abs(ay - cy) + abs(cx - bx) + abs(cy - by)
-        else:
-            total2 += abs(ax - bx) + abs(ay - by)
+        direct, detour = _route2(floorplan, src, dst, via.get(idx))
+        total2 += direct + detour
     return total2 // 2
 
 
@@ -329,12 +324,5 @@ def assign_shifters(shifters, floorplan, spec, window=None, nets=None) -> Shifte
     els = []
     for shifter in sorted(unassigned, key=lambda s: s.id):
         els.append((shifter, els_place(shifter, floorplan)))
-    placements = {}
-    for shifter, _room, rect in assigned:
-        placements[shifter.id] = rect
-    for shifter, rect in els:
-        placements[shifter.id] = rect
-    ilo = compute_ilo(shifters, placements, floorplan, nets)
-    return ShifterAssignment(
-        assigned=tuple(assigned), els=tuple(els), ilo_percent=ilo
-    )
+    sa = ShifterAssignment(assigned=tuple(assigned), els=tuple(els), ilo_percent=Fraction(0))
+    return replace(sa, ilo_percent=compute_ilo(shifters, sa.placements(), floorplan, nets))

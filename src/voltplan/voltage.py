@@ -16,15 +16,15 @@ instances up to `exact_limit` modules.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import ceil, lcm
 
 import numpy as np
 
-from .errors import CyclicNetlist, TimingInfeasible, TooLarge
+from .errors import TimingInfeasible, TooLarge, VoltplanError
 from .flow import FlowNetwork, network, residual_shortest_paths, solve_min_cost_circulation
-from .model import DPCurve, Netlist
+from .model import DPCurve, Netlist, topological_order
 
 
 @dataclass(frozen=True)
@@ -35,6 +35,9 @@ class TimingGraph:
     edge per net (output of the source to input of the sink, fixed delay),
     and zero-delay hookups from s to every primary input and from every
     primary output to t. The cycle-time bound is kept as a constraint edge.
+
+    The topological order of the modules and each module's fan-in are
+    derived once at construction; a cyclic wire set raises CyclicNetlist.
     """
 
     m: int
@@ -42,9 +45,22 @@ class TimingGraph:
     sources: tuple[int, ...]  # modules with no fan-in
     sinks: tuple[int, ...]  # modules with no fan-out
     t_cycle: int
+    order: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    # per module: (src module, wire delay) of each incoming wire, in wire order
+    preds: tuple[tuple[tuple[int, int], ...], ...] = field(
+        init=False, repr=False, compare=False
+    )
 
     S = 0
     T = 1
+
+    def __post_init__(self):
+        order = topological_order(self.m, self.wires)
+        preds = [[] for _ in range(self.m)]
+        for src, dst, w in self.wires:
+            preds[dst].append((src, w))
+        object.__setattr__(self, "order", tuple(order))
+        object.__setattr__(self, "preds", tuple(map(tuple, preds)))
 
     @property
     def n_nodes(self) -> int:
@@ -73,24 +89,6 @@ def build_timing_graph(netlist: Netlist, wire_delays) -> TimingGraph:
         wires.append((src, dst, d))
         has_out[src] = True
         has_in[dst] = True
-    # netlist construction already rejects cycles; re-check cheaply in case
-    # the caller built the graph by hand
-    indeg = [0] * m
-    adj = [[] for _ in range(m)]
-    for src, dst, _ in wires:
-        adj[src].append(dst)
-        indeg[dst] += 1
-    order = [i for i in range(m) if indeg[i] == 0]
-    head = 0
-    while head < len(order):
-        v = order[head]
-        head += 1
-        for w in adj[v]:
-            indeg[w] -= 1
-            if indeg[w] == 0:
-                order.append(w)
-    if len(order) != m:
-        raise CyclicNetlist("timing graph would contain a cycle")
     return TimingGraph(
         m=m,
         wires=tuple(wires),
@@ -98,24 +96,6 @@ def build_timing_graph(netlist: Netlist, wire_delays) -> TimingGraph:
         sinks=tuple(i for i in range(m) if not has_out[i]),
         t_cycle=netlist.t_cycle,
     )
-
-
-def _topo_modules(tg: TimingGraph):
-    indeg = [0] * tg.m
-    adj = [[] for _ in range(tg.m)]
-    for src, dst, _ in tg.wires:
-        adj[src].append(dst)
-        indeg[dst] += 1
-    order = [i for i in range(tg.m) if indeg[i] == 0]
-    head = 0
-    while head < len(order):
-        v = order[head]
-        head += 1
-        for w in adj[v]:
-            indeg[w] -= 1
-            if indeg[w] == 0:
-                order.append(w)
-    return order
 
 
 def compute_breakpoints(curve: DPCurve) -> list[Fraction]:
@@ -197,13 +177,10 @@ def longest_path_delay(tg: TimingGraph, curves, assignment) -> int:
 
 def longest_path_for(tg: TimingGraph, delays) -> tuple[int, list[int]]:
     """Longest path given per-module integer delays; returns (length, module path)."""
-    order = _topo_modules(tg)
-    preds = [[] for _ in range(tg.m)]
-    for src, dst, w in tg.wires:
-        preds[dst].append((src, w))
+    preds = tg.preds
     arr_in = [0] * tg.m
     best_pred = [-1] * tg.m
-    for i in order:
+    for i in tg.order:
         best = 0
         bp = -1
         for src, w in preds[i]:
@@ -267,7 +244,8 @@ def assign_voltages(
     for i, curve in enumerate(curves):
         din = dist[tg.node_in(i)]
         dout = dist[tg.node_out(i)]
-        assert din is not None and dout is not None
+        if din is None or dout is None:
+            raise VoltplanError(f"module {i} unreachable in the residual network")
         drop = din - dout
         q = 1
         while q < curve.k and curve.delay(q + 1) <= drop:
@@ -286,7 +264,11 @@ def assign_voltages(
     arrival = tuple(-(dist[v] if dist[v] is not None else 0) for v in range(tg.n_nodes))
     if not _arrivals_consistent(tg, curves, levels, arrival):
         arrival = _earliest_arrivals(tg, _delays_for(curves, levels))
-    assert longest_path_for(tg, _delays_for(curves, levels))[0] <= tg.t_cycle
+    finish = longest_path_for(tg, _delays_for(curves, levels))[0]
+    if finish > tg.t_cycle:
+        raise VoltplanError(
+            f"recovered levels finish at {finish}, past the cycle time {tg.t_cycle}"
+        )
     return VoltageAssignment(level=tuple(levels), total_power=power, arrival=arrival)
 
 
@@ -301,14 +283,10 @@ def _arrivals_consistent(tg, curves, levels, arrival):
 
 
 def _earliest_arrivals(tg, delays):
-    order = _topo_modules(tg)
-    preds = [[] for _ in range(tg.m)]
-    for src, dst, w in tg.wires:
-        preds[dst].append((src, w))
     arr = [0] * tg.n_nodes
-    for i in order:
+    for i in tg.order:
         ai = 0
-        for src, w in preds[i]:
+        for src, w in tg.preds[i]:
             ai = max(ai, arr[tg.node_out(src)] + w)
         arr[tg.node_in(i)] = ai
         arr[tg.node_out(i)] = ai + delays[i]
@@ -325,7 +303,7 @@ def _branch_and_bound(tg, curves, inc_levels, inc_power, search_cap):
     cheap-first so good incumbents arrive early. Returns (levels, power) or
     None if no improvement was found within the node budget.
     """
-    order = _topo_modules(tg)
+    order = tg.order
     m = tg.m
     min_power_suffix = [0] * (m + 1)
     for j in range(m - 1, -1, -1):
@@ -405,14 +383,10 @@ def brute_force_assign(tg: TimingGraph, curves, *, bound: int = 8) -> VoltageAss
         delays.append(dl[level_of[i]])
         powers += pw[level_of[i]]
 
-    order = _topo_modules(tg)
-    preds = [[] for _ in range(m)]
-    for src, dst, w in tg.wires:
-        preds[dst].append((src, w))
     arr_in = [None] * m
-    for i in order:
+    for i in tg.order:
         ai = np.zeros(total, dtype=np.int64)
-        for src, w in preds[i]:
+        for src, w in tg.preds[i]:
             np.maximum(ai, arr_in[src] + delays[src] + w, out=ai)
         arr_in[i] = ai
     finish = np.zeros(total, dtype=np.int64)

@@ -245,6 +245,60 @@ class TestCli:
         ])
         assert rc == 2
 
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "k x",
+            "k",
+            "tcycle 1.5",
+            "curve sb0 1 2 x",
+            "curve",
+            "shifter 4 2 1 1 1 2 2 0",
+            "shifter 4 2:0 1 1 1 2 2 0",
+            "shifter 4 a:1 1 1 1 2 2 0",
+            "shifter x 2:1 1 1 1 2 2 0",
+            "shifter 4",
+        ],
+    )
+    def test_bad_spec_token_exit_2(self, tmp_path, capsys, line):
+        spec = self._gen(tmp_path)
+        lines = spec.read_text().splitlines()
+        kind = line.split()[0]
+        at = next(i for i, text in enumerate(lines) if text.split()[0] == kind)
+        lines[at] = line
+        spec.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        rc = main([
+            "run", "--blocks", str(DATA / "n10.blocks"),
+            "--nets", str(DATA / "n10.nets"), "--spec", str(spec),
+            "--seed", "5", "--out", str(tmp_path / "r"),
+        ])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith(f"error: line {at + 1}: ")
+
+    @pytest.mark.parametrize(
+        "blocks, nets",
+        [
+            ("sb0 softrectangular x 1 1\n", ""),
+            ("sb0 softrectangular -4 1 1\n", ""),
+            ("sb0 softrectangular 4 1 1\n", "NetDegree : x\nsb0 B\n"),
+        ],
+    )
+    def test_bad_gsrc_token_exit_2(self, tmp_path, capsys, blocks, nets):
+        (tmp_path / "g.blocks").write_text(blocks)
+        (tmp_path / "g.nets").write_text(nets)
+        rc = main([
+            "convert-gsrc", "--blocks", str(tmp_path / "g.blocks"),
+            "--nets", str(tmp_path / "g.nets"),
+            "--out-blocks", str(tmp_path / "o.blocks"), "--out-nets", str(tmp_path / "o.nets"),
+        ])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("error: line 1: ")
+
     def test_timing_infeasible_exit_3(self, tmp_path, capsys):
         spec = self._gen(tmp_path)
         rc = main([

@@ -6,7 +6,6 @@ import pytest
 from voltplan.errors import InfeasibleLowerBounds, NegativeResidualCycle
 from voltplan.flow import (
     FlowResult,
-    Status,
     certify_optimal,
     dump_network,
     network,
@@ -157,10 +156,7 @@ class TestMaxFlow:
 class TestResidualShortestPaths:
     def test_plain_shortest_paths_on_empty_flow(self):
         net = network(3, [(0, 1, 4, 0, 2), (1, 2, 1, 0, 2), (0, 2, 9, 0, 2)])
-        res = FlowResult(
-            flow=(0, 0, 0), objective=0,
-            potentials=(None,) * 3, status=Status.OPTIMAL,
-        )
+        res = FlowResult(flow=(0, 0, 0), objective=0)
         dist = residual_shortest_paths(net, res, 0)
         assert dist == [0, 4, 5]
 
@@ -178,17 +174,13 @@ class TestResidualShortestPaths:
 
     def test_unreachable_flagged(self):
         net = network(3, [(0, 1, 1, 0, 1)])
-        res = FlowResult(
-            flow=(0,), objective=0, potentials=(None,) * 3, status=Status.OPTIMAL
-        )
+        res = FlowResult(flow=(0,), objective=0)
         dist = residual_shortest_paths(net, res, 0)
         assert dist[2] is None
 
     def test_nonoptimal_flow_detected(self):
         net = network(3, [(0, 1, -5, 0, 2), (1, 2, 1, 0, 2), (2, 0, 1, 0, 2)])
-        bad = FlowResult(
-            flow=(0, 0, 0), objective=0, potentials=(None,) * 3, status=Status.OPTIMAL
-        )
+        bad = FlowResult(flow=(0, 0, 0), objective=0)
         with pytest.raises(NegativeResidualCycle):
             residual_shortest_paths(net, bad, 0)
 

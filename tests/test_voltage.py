@@ -3,7 +3,14 @@ from fractions import Fraction
 
 import pytest
 
-from voltplan.errors import CyclicNetlist, TimingInfeasible, TooLarge
+from voltplan import voltage
+from voltplan.errors import (
+    CyclicNetlist,
+    TimingInfeasible,
+    TooLarge,
+    ValidationError,
+    VoltplanError,
+)
 from voltplan.model import DPCurve, ModuleBlock, build_netlist
 from voltplan.voltage import (
     TimingGraph,
@@ -60,7 +67,6 @@ class TestTimingGraph:
         assert tg.sinks == (3,)
 
     def test_cycle_rejected(self):
-        tg_kwargs = dict(m=2, wires=((0, 1, 0), (1, 0, 0)), sources=(), sinks=(), t_cycle=5)
         with pytest.raises(CyclicNetlist):
             # hand-built cyclic wire set
             class FakeNetlist:
@@ -69,7 +75,18 @@ class TestTimingGraph:
                 t_cycle = 5
 
             build_timing_graph(FakeNetlist(), [0, 0])
-        del tg_kwargs
+
+    def test_hand_built_cycle_rejected(self):
+        with pytest.raises(CyclicNetlist):
+            TimingGraph(m=2, wires=((0, 1, 0), (1, 0, 0)), sources=(), sinks=(), t_cycle=5)
+
+    def test_order_is_fifo_and_preds_follow_wire_order(self):
+        tg = TimingGraph(
+            m=4, wires=((2, 1, 7), (0, 1, 3), (2, 3, 0)), sources=(0, 2), sinks=(1, 3),
+            t_cycle=9,
+        )
+        assert tg.order == (0, 2, 1, 3)
+        assert tg.preds == ((), ((2, 7), (0, 3)), (), ((2, 0),))
 
 
 class TestBreakpoints:
@@ -281,3 +298,35 @@ class TestBruteForce:
                 if longest_path_for(tg, [c.delay(q) for c, q in zip(curves, levels)])[0] <= tg.t_cycle:
                     power = sum(c.power(q) for c, q in zip(curves, levels))
                     assert want.total_power <= power
+
+
+class TestInternalErrors:
+    """Broken solver output raises a VoltplanError that is neither a user
+    error nor a timing verdict, also under python -O."""
+
+    def _chain(self):
+        # two modules in a chain; t_cycle 2 forces both to their fastest level
+        c = curve((1, 1, 10), (2, 3, 4))
+        return build_timing_graph(netlist_of([c, c], [(0, 1)], 2), [0]), [c, c]
+
+    def _check(self, info):
+        assert not isinstance(info.value, (ValidationError, TimingInfeasible))
+
+    def test_unreachable_node(self, monkeypatch):
+        tg, curves = self._chain()
+        monkeypatch.setattr(
+            voltage, "residual_shortest_paths", lambda net, res, src: [None] * tg.n_nodes
+        )
+        with pytest.raises(VoltplanError) as info:
+            assign_voltages(tg, curves)
+        self._check(info)
+
+    def test_recovered_levels_miss_cycle_time(self, monkeypatch):
+        tg, curves = self._chain()
+        # a huge potential drop across every module rounds it to its slowest
+        # level: input nodes are even, output nodes odd
+        drops = [0 if v % 2 == 0 else -10**6 for v in range(tg.n_nodes)]
+        monkeypatch.setattr(voltage, "residual_shortest_paths", lambda net, res, src: drops)
+        with pytest.raises(VoltplanError) as info:
+            assign_voltages(tg, curves)
+        self._check(info)
