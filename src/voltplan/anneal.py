@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import TimingInfeasible
+from .errors import TimingInfeasible, ValidationError
 from .floorplan import (
     Floorplan,
     PhiWeights,
@@ -56,6 +56,14 @@ class AnnealConfig:
     exact_limit: int = 16
     max_levels: int = 400
     observer: object = None  # callable(floorplan, assignment, phi) per candidate
+
+    def __post_init__(self):
+        if self.ls_every < 1:
+            raise ValidationError(f"ls_every must be at least 1, got {self.ls_every}")
+        if not 0 < self.accept_target < 1:
+            raise ValidationError(f"accept_target must lie in (0, 1), got {self.accept_target}")
+        if self.kappa < 0:
+            raise ValidationError(f"kappa must be nonnegative, got {self.kappa}")
 
 
 @dataclass(frozen=True)
@@ -105,6 +113,7 @@ class _Evaluator:
 
     def __init__(self, netlist, curves, config):
         self.netlist = netlist
+        self.dims = [(mod.width, mod.height) for mod in netlist.modules]
         self.curves = curves
         self.config = config
         self.cache = {}
@@ -128,7 +137,7 @@ class _Evaluator:
     def evaluate(self, expr, weights, stale_unplaced):
         """Return (phi, floorplan, assignment) or (None, floorplan, None)
         when the candidate has no feasible voltage assignment."""
-        floorplan = pack(expr, self.netlist.modules)
+        floorplan = pack(expr, self.dims)
         self.evaluations += 1
         try:
             assignment = self.voltage_for(floorplan)
@@ -139,7 +148,7 @@ class _Evaluator:
             floorplan.area,
             hpwl(floorplan, self.netlist.nets),
             assignment.total_power,
-            voltage_islands(floorplan, assignment),
+            voltage_islands(floorplan, assignment.level),
             stale_unplaced,
             weights,
         )
@@ -162,12 +171,12 @@ def _default_weights(area, wl, power, islands, m) -> PhiWeights:
 
 
 def _full_metrics(netlist, spec, floorplan, assignment, weights, window):
-    shifters = required_shifters(netlist.nets, assignment)
+    shifters = required_shifters(netlist.nets, assignment.level)
     sa = assign_shifters(shifters, floorplan, spec, window=window, nets=netlist.nets)
     placements = sa.placements()
     wl = hpwl(floorplan, netlist.nets)
     wl_ls = wirelength_with_shifters(floorplan, netlist.nets, shifters, placements)
-    islands = voltage_islands(floorplan, assignment)
+    islands = voltage_islands(floorplan, assignment.level)
     phi = cost_phi(
         floorplan.area, wl_ls, assignment.total_power, islands, len(sa.els), weights
     )
@@ -194,7 +203,7 @@ def anneal(netlist: Netlist, spec: ShifterSpec, config: AnnealConfig, seed: int)
     m = netlist.m
     expr = initial_expr(m)
 
-    fp0 = pack(expr, netlist.modules)
+    fp0 = pack(expr, ev.dims)
     try:
         asg0 = ev.voltage_for(fp0)
     except TimingInfeasible:
@@ -209,7 +218,7 @@ def anneal(netlist: Netlist, spec: ShifterSpec, config: AnnealConfig, seed: int)
     weights = config.weights
     stale_unplaced = 0
     if asg0 is not None:
-        shifters0 = required_shifters(netlist.nets, asg0)
+        shifters0 = required_shifters(netlist.nets, asg0.level)
         sa0 = assign_shifters(shifters0, fp0, spec, window=window, nets=netlist.nets)
         stale_unplaced = len(sa0.els)
         if weights is None:
@@ -217,7 +226,7 @@ def anneal(netlist: Netlist, spec: ShifterSpec, config: AnnealConfig, seed: int)
                 fp0.area,
                 hpwl(fp0, netlist.nets),
                 asg0.total_power,
-                voltage_islands(fp0, asg0),
+                voltage_islands(fp0, asg0.level),
                 m,
             )
     elif weights is None:
@@ -276,7 +285,7 @@ def anneal(netlist: Netlist, spec: ShifterSpec, config: AnnealConfig, seed: int)
                 accepted_here += 1
                 accepted_total += 1
                 if accepted_total % config.ls_every == 0:
-                    shifters = required_shifters(netlist.nets, cand_asg)
+                    shifters = required_shifters(netlist.nets, cand_asg.level)
                     sa = assign_shifters(
                         shifters, cand_fp, spec, window=window, nets=netlist.nets
                     )
@@ -292,7 +301,7 @@ def anneal(netlist: Netlist, spec: ShifterSpec, config: AnnealConfig, seed: int)
     if not ev.feasible_seen:
         raise TimingInfeasible("no candidate admitted a feasible assignment")
 
-    final_fp = pack(best_expr, netlist.modules)
+    final_fp = pack(best_expr, ev.dims)
     final_asg = ev.voltage_for(final_fp, exact=True)
     sa, metrics = _full_metrics(netlist, spec, final_fp, final_asg, weights, window)
     return AnnealResult(

@@ -15,17 +15,20 @@ from fractions import Fraction
 from pathlib import Path
 
 from .bench import convert_gsrc_blocks, convert_gsrc_nets, gen_spec, parse_blocks, parse_nets
-from .errors import TimingInfeasible, ValidationError, VoltplanError
-from .pipeline import RunConfig, run_pipeline
+from .errors import TimingInfeasible, VoltplanError
+from .pipeline import RunConfig, parse_floorplan, parse_shifters, run_pipeline
 from .render import render_svg
-from .report import emit_report, pretty_report, parse_report, ReportRow
+from .report import emit_report, pretty_report, parse_report
 
 
 def _frac(text: str) -> Fraction:
-    if "/" in text:
-        num, den = text.split("/", 1)
+    if "/" not in text:
+        return Fraction(text)
+    num, den = text.split("/", 1)
+    try:
         return Fraction(int(num), int(den))
-    return Fraction(text)
+    except ZeroDivisionError:
+        raise argparse.ArgumentTypeError(f"zero denominator in {text!r}") from None
 
 
 def _add_gen_spec(sub):
@@ -122,22 +125,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    rows = []
-    for path in args.csvs:
-        parsed = parse_report(Path(path).read_text())
-        for fields in parsed[1:]:  # skip header
-            rows.append(
-                ReportRow(
-                    dataset=fields[0],
-                    k=int(fields[1]),
-                    power_cost=int(fields[2]),
-                    wirelength_with_ls=int(fields[3]),
-                    ls_number=int(fields[4]),
-                    ilo_percent=Fraction(fields[5]),
-                    white_space_percent=Fraction(fields[6]),
-                    runtime_seconds=float(fields[7]),
-                )
-            )
+    rows = [row for path in args.csvs for row in parse_report(Path(path).read_text())]
     text = emit_report(rows)
     if args.out:
         Path(args.out).write_text(text)
@@ -147,28 +135,9 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_render(args) -> int:
-    rooms = []
-    modules = []
-    max_x = max_y = 0
-    for line in Path(args.floorplan).read_text().splitlines():
-        if not line.strip():
-            continue
-        f = line.split()
-        x, y, w, h = int(f[1]), int(f[2]), int(f[3]), int(f[4])
-        rx, ry, rw, rh = int(f[5]), int(f[6]), int(f[7]), int(f[8])
-        level = int(f[9])
-        rooms.append((rx, ry, rw, rh))
-        modules.append((x, y, w, h, level))
-        max_x = max(max_x, rx + rw)
-        max_y = max(max_y, ry + rh)
-    shifters = []
-    if args.shifters and Path(args.shifters).exists():
-        for line in Path(args.shifters).read_text().splitlines():
-            if not line.strip():
-                continue
-            f = line.split()
-            shifters.append((int(f[3]), int(f[4]), int(f[5]), int(f[6])))
-    Path(args.out).write_text(render_svg(max_x, max_y, rooms, modules, shifters))
+    floorplan, levels = parse_floorplan(Path(args.floorplan).read_text())
+    shifters = parse_shifters(Path(args.shifters).read_text()) if args.shifters else {}
+    Path(args.out).write_text(render_svg(floorplan, levels, shifters))
     print(f"wrote {args.out}")
     return 0
 
@@ -209,7 +178,7 @@ def main(argv=None) -> int:
         print(f"timing infeasible: {exc}" + (f" (critical path: {path})" if path else ""),
               file=sys.stderr)
         return 3
-    except (ValidationError, VoltplanError, OSError) as exc:
+    except (VoltplanError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -100,17 +100,11 @@ class Floorplan:
         return self.chip_w * self.chip_h
 
 
-def pack(expr: SlicingExpr, modules) -> Floorplan:
+def pack(expr: SlicingExpr, dims) -> Floorplan:
     """Pack modules into rooms according to the slicing expression.
 
-    modules: sequence with .width/.height (or (w, h) pairs).
+    dims: one (w, h) pair per module.
     """
-    dims = []
-    for mod in modules:
-        if hasattr(mod, "width"):
-            dims.append((mod.width, mod.height))
-        else:
-            dims.append(tuple(mod))
     check_expr(expr, len(dims))
 
     # bottom-up sizes; tree nodes as (op, left, right, w, h) tuples
@@ -186,9 +180,9 @@ def _rooms_adjacent(a: Room, b: Room) -> bool:
     return False
 
 
-def voltage_islands(floorplan: Floorplan, assignment) -> int:
-    """Connected components of same-level room adjacency (power regions)."""
-    levels = assignment.level if hasattr(assignment, "level") else tuple(assignment)
+def voltage_islands(floorplan: Floorplan, levels) -> int:
+    """Connected components of same-level room adjacency (power regions);
+    levels holds one voltage level per room."""
     m = len(floorplan.rooms)
     parent = list(range(m))
 

@@ -4,9 +4,11 @@ A run parses blocks/nets/spec files, anneals, re-runs both assignment
 phases on the final floorplan and writes four artifacts into the output
 directory: report.csv, floorplan.txt, shifters.txt and layout.svg.
 
-Serialization formats (one record per line):
+Serialization formats (one record per line), each written by a
+serialize_* function and read back by its parse_* counterpart:
   floorplan: <module> <x> <y> <w> <h> <room_x> <room_y> <room_w> <room_h> <level>
   shifters:  <shifter_id> <net_src> <net_sink> <x> <y> <w> <h> <room|els>
+The report is written and read by report.emit_report / report.parse_report.
 """
 
 from __future__ import annotations
@@ -18,8 +20,9 @@ from pathlib import Path
 from .anneal import AnnealConfig, AnnealResult, anneal
 from .bench import parse_blocks, parse_nets, parse_spec
 from .errors import ParseError, TimingInfeasible
+from .floorplan import Floorplan, Room
 from .model import DPCurve, ModuleBlock, ShifterSpec, build_netlist, decompose_multipin
-from .render import emit_svg
+from .render import render_svg
 from .report import ReportRow, emit_report
 
 
@@ -46,6 +49,9 @@ def load_instance(config: RunConfig):
         raise ParseError(f"k={k} not in 1..{k_file} (spec file levels)")
     if config.t_cycle is not None:
         t_cycle = config.t_cycle
+    unknown = sorted(curves.keys() - {b[0] for b in blocks})
+    if unknown:
+        raise ParseError(f"spec file has a curve for unknown block {unknown[0]!r}")
     modules = []
     for name, w, h in blocks:
         if name not in curves:
@@ -94,6 +100,60 @@ def serialize_shifters(netlist, result: AnnealResult) -> str:
     return "\n".join(lines) + "\n" if lines else ""
 
 
+def _records(text, n_fields):
+    """(line number, tokens) per non-blank line of an artifact."""
+    for lineno, line in enumerate(text.splitlines(), 1):
+        tokens = line.split()
+        if not tokens:
+            continue
+        if len(tokens) != n_fields:
+            raise ParseError(f"expected {n_fields} fields, got {line!r}", lineno)
+        yield lineno, tokens
+
+
+def _naturals(tokens, lineno) -> list[int]:
+    try:
+        values = [int(t) for t in tokens]
+    except ValueError:
+        raise ParseError(f"expected integers, got {' '.join(tokens)!r}", lineno) from None
+    if min(values) < 0:
+        raise ParseError(f"negative value in {' '.join(tokens)!r}", lineno)
+    return values
+
+
+def parse_floorplan(text) -> tuple[Floorplan, tuple[int, ...]]:
+    """Read serialize_floorplan's output back: (floorplan, level per room)."""
+    rooms = []
+    levels = []
+    for lineno, tokens in _records(text, 10):
+        x, y, w, h, rx, ry, rw, rh, level = _naturals(tokens[1:], lineno)
+        if (x, y) != (rx, ry):
+            raise ParseError(
+                f"module at ({x}, {y}) is not at its room origin ({rx}, {ry})", lineno
+            )
+        rooms.append(Room(x=rx, y=ry, w=rw, h=rh, module_w=w, module_h=h))
+        levels.append(level)
+    if not rooms:
+        raise ParseError("floorplan has no modules", 1)
+    chip_w = max(r.x + r.w for r in rooms)
+    chip_h = max(r.y + r.h for r in rooms)
+    return Floorplan(chip_w=chip_w, chip_h=chip_h, rooms=tuple(rooms)), tuple(levels)
+
+
+def parse_shifters(text) -> dict[int, tuple[int, int, int, int]]:
+    """Read serialize_shifters's output back: shifter id -> (x, y, w, h),
+    as ShifterAssignment.placements() gives it."""
+    rects = {}
+    for lineno, tokens in _records(text, 8):
+        if tokens[7] not in ("room", "els"):
+            raise ParseError(f"status must be 'room' or 'els', got {tokens[7]!r}", lineno)
+        sid, x, y, w, h = _naturals([tokens[0], *tokens[3:7]], lineno)
+        if sid in rects:
+            raise ParseError(f"duplicate shifter id {sid}", lineno)
+        rects[sid] = (x, y, w, h)
+    return rects
+
+
 def run_pipeline(config: RunConfig):
     """Execute a full run; returns (ReportRow, AnnealResult) and writes artifacts."""
     started = time.perf_counter()
@@ -127,6 +187,6 @@ def run_pipeline(config: RunConfig):
     (out / "floorplan.txt").write_text(serialize_floorplan(netlist, result))
     (out / "shifters.txt").write_text(serialize_shifters(netlist, result))
     (out / "layout.svg").write_text(
-        emit_svg(result.floorplan, result.voltage, result.shifters)
+        render_svg(result.floorplan, result.voltage.level, result.shifters.placements())
     )
     return row, result

@@ -28,46 +28,34 @@ def _rect(x, y, w, h, chip_h, style) -> str:
     )
 
 
-def render_svg(chip_w, chip_h, rooms, modules, shifters) -> str:
-    """Low-level renderer over bare rectangles.
+def render_svg(floorplan, levels, shifter_rects) -> str:
+    """Render a packed floorplan, its voltage levels and placed shifters.
 
-    rooms: (x, y, w, h); modules: (x, y, w, h, level); shifters: (x, y, w, h).
-    Shifters with zero size (bookkeeping fallback spots) are drawn 1x1.
+    levels: one voltage level per room; shifter_rects: shifter id ->
+    (x, y, w, h), drawn in id order. Shifters with zero size (bookkeeping
+    fallback spots) are drawn 1x1.
     """
+    chip_w, chip_h = floorplan.chip_w, floorplan.chip_h
     parts = [
         '<svg xmlns="http://www.w3.org/2000/svg" '
         f'viewBox="0 0 {chip_w} {chip_h}" width="{chip_w}" height="{chip_h}">'
     ]
-    for x, y, w, h in rooms:
+    for r in floorplan.rooms:
         parts.append(
-            _rect(x, y, w, h, chip_h, 'fill="none" stroke="#555" stroke-width="0.3"')
+            _rect(r.x, r.y, r.w, r.h, chip_h, 'fill="none" stroke="#555" stroke-width="0.3"')
         )
-    for x, y, w, h, level in modules:
+    for r, level in zip(floorplan.rooms, levels):
         color = PALETTE[(level - 1) % len(PALETTE)]
         parts.append(
             _rect(
-                x, y, w, h, chip_h,
+                r.x, r.y, r.module_w, r.module_h, chip_h,
                 f'fill="{color}" stroke="#000" stroke-width="0.2"',
             )
         )
-    for x, y, w, h in shifters:
+    for sid in sorted(shifter_rects):
+        x, y, w, h = shifter_rects[sid]
         if w == 0 or h == 0:
             w = h = 1
         parts.append(_rect(x, y, w, h, chip_h, f'fill="{SHIFTER_FILL}"'))
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
-
-
-def emit_svg(floorplan, assignment, shifter_assignment) -> str:
-    """Render a packed floorplan, its voltage levels and placed shifters."""
-    rooms = [(r.x, r.y, r.w, r.h) for r in floorplan.rooms]
-    modules = [
-        (r.x, r.y, r.module_w, r.module_h, assignment.level[i])
-        for i, r in enumerate(floorplan.rooms)
-    ]
-    rects = []
-    if shifter_assignment is not None:
-        placements = shifter_assignment.placements()
-        for sid in sorted(placements):
-            rects.append(placements[sid])
-    return render_svg(floorplan.chip_w, floorplan.chip_h, rooms, modules, rects)

@@ -8,8 +8,11 @@ reproducible byte for byte (runtime excluded from any comparison).
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
+
+from .errors import ParseError
 
 COLUMNS = (
     "dataset",
@@ -66,9 +69,9 @@ def _avg_row(rows) -> tuple:
     return (
         "Avg",
         "-",
-        str(round(sum(r.power_cost for r in rows) / n)),
-        str(round(sum(r.wirelength_with_ls for r in rows) / n)),
-        str(round(sum(r.ls_number for r in rows) / n)),
+        str(round(Fraction(sum(r.power_cost for r in rows), n))),
+        str(round(Fraction(sum(r.wirelength_with_ls for r in rows), n))),
+        str(round(Fraction(sum(r.ls_number for r in rows), n))),
         format_fixed(sum((r.ilo_percent for r in rows), Fraction(0)) / n),
         format_fixed(sum((r.white_space_percent for r in rows), Fraction(0)) / n),
         f"{sum(r.runtime_seconds for r in rows) / n:.2f}",
@@ -97,7 +100,38 @@ def pretty_report(rows) -> str:
     return "\n".join(out) + "\n"
 
 
-def parse_report(text) -> list[list[str]]:
-    """Rows of an emitted report, header included, Avg row excluded."""
-    lines = [l for l in text.splitlines() if l.strip()]
-    return [line.split(",") for line in lines if not line.startswith("Avg")]
+_FIXED = re.compile(r"-?[0-9]+(\.[0-9]+)?")
+
+
+def _fixed(text) -> Fraction:
+    if not _FIXED.fullmatch(text):
+        raise ValueError(text)
+    return Fraction(text)
+
+
+def parse_report(text) -> list[ReportRow]:
+    """Read emit_report's output back: the header must match COLUMNS, the
+    trailing averages row is skipped. Field errors raise ParseError."""
+    lines = [(n, line) for n, line in enumerate(text.splitlines(), 1) if line.strip()]
+    if not lines or tuple(lines[0][1].split(",")) != COLUMNS:
+        raise ParseError(f"expected header {','.join(COLUMNS)!r}", lines[0][0] if lines else 1)
+    body = lines[1:]
+    if body and body[-1][1].startswith("Avg,-,"):
+        body.pop()
+    if not body:
+        raise ParseError("report has no rows", lines[-1][0] + 1)
+    rows = []
+    for lineno, line in body:
+        fields = line.split(",")
+        if len(fields) != len(COLUMNS):
+            raise ParseError(f"expected {len(COLUMNS)} fields, got {line!r}", lineno)
+        try:
+            rows.append(ReportRow(
+                fields[0],
+                *(int(f) for f in fields[1:5]),
+                *(_fixed(f) for f in fields[5:7]),
+                float(fields[7]),
+            ))
+        except ValueError:
+            raise ParseError(f"bad number in {line!r}", lineno) from None
+    return rows

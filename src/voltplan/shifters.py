@@ -30,9 +30,9 @@ class Shifter:
     driver_level: int
 
 
-def required_shifters(nets, assignment) -> list[Shifter]:
-    """One shifter per net whose source sits at a lower voltage than its sink."""
-    levels = assignment.level if hasattr(assignment, "level") else tuple(assignment)
+def required_shifters(nets, levels) -> list[Shifter]:
+    """One shifter per net whose source sits at a lower voltage than its sink;
+    levels holds one voltage level per module."""
     out = []
     for idx, (src, dst) in enumerate(nets):
         if levels[src] > levels[dst]:
@@ -65,13 +65,7 @@ def _capacity_and_merge(room: Room, spec: ShifterSpec):
     if not _fits(p2[2], p2[3], spec.width, spec.height):
         a2 = 0
     a = spec.area
-    if a1 % a > a2 % a:
-        a1 += a3
-        merge_into_p1 = True
-    else:
-        a2 += a3
-        merge_into_p1 = False
-    return a1 // a + a2 // a, merge_into_p1
+    return numls_from_areas(a1, a2, a3, a), a1 % a > a2 % a
 
 
 def num_ls(room: Room, spec: ShifterSpec) -> int:
@@ -100,15 +94,20 @@ def _bbox_with_window(floorplan, shifter: Shifter, window2: int):
     )
 
 
-def feasible(shifter: Shifter, room: Room, floorplan, spec, window: int) -> bool:
-    """Room can host the shifter: capacity >= 1 and the room lies within the
-    source-sink bounding box expanded by `window` on all sides."""
-    if num_ls(room, spec) < 1:
-        return False
-    x0, y0, x1, y1 = _bbox_with_window(floorplan, shifter, 2 * window)
+def _in_window(bbox2, room: Room) -> bool:
+    """Room overlaps a doubled-coordinate box from _bbox_with_window."""
+    x0, y0, x1, y1 = bbox2
     rx0, ry0 = 2 * room.x, 2 * room.y
     rx1, ry1 = 2 * (room.x + room.w), 2 * (room.y + room.h)
     return rx0 <= x1 and x0 <= rx1 and ry0 <= y1 and y0 <= ry1
+
+
+def feasible(shifter: Shifter, room: Room, floorplan, spec, window: int) -> bool:
+    """Room can host the shifter: capacity >= 1 and the room lies within the
+    source-sink bounding box expanded by `window` on all sides."""
+    return num_ls(room, spec) >= 1 and _in_window(
+        _bbox_with_window(floorplan, shifter, 2 * window), room
+    )
 
 
 def _center2_of_rect(rect) -> tuple[int, int]:
@@ -184,17 +183,17 @@ def build_assignment_network(shifters, floorplan, spec, window):
     pair_arcs = {}
     for j, shifter in enumerate(shifters):
         arcs.append((s_node, ls_base + j, 0, 0, 1, ("src", shifter.id)))
+    caps = [num_ls(room, spec) for room in floorplan.rooms]
     for j, shifter in enumerate(shifters):
-        for r in range(m):
-            room = floorplan.rooms[r]
-            if feasible(shifter, room, floorplan, spec, window):
+        bbox2 = _bbox_with_window(floorplan, shifter, 2 * window)
+        for r, room in enumerate(floorplan.rooms):
+            if caps[r] >= 1 and _in_window(bbox2, room):
                 pair_arcs[(j, r)] = len(arcs)
                 cost = assign_cost(shifter, room, floorplan)
                 arcs.append(
                     (ls_base + j, room_base + r, cost, 0, 1, ("ls", shifter.id, r))
                 )
-    for r in range(m):
-        cap = num_ls(floorplan.rooms[r], spec)
+    for r, cap in enumerate(caps):
         if cap > 0:
             arcs.append((room_base + r, t_node, 0, 0, cap, ("room", r)))
     net = network(2 + n_ls + m, arcs)

@@ -15,8 +15,9 @@ from voltplan.bench import (
 from voltplan.cli import main
 from voltplan.errors import DuplicateName, ParseError, UnknownBlock
 from voltplan.model import modify_dp_curve, validate_dp_curve
-from voltplan.render import emit_svg, render_svg
-from voltplan.report import ReportRow, emit_report, format_fixed
+from voltplan.floorplan import Floorplan, Room
+from voltplan.render import render_svg
+from voltplan.report import ReportRow, emit_report, format_fixed, parse_report
 
 from conftest import DATA
 
@@ -106,6 +107,16 @@ class TestReport:
         ]
         assert emit_report(rows) == (DATA / "report_golden.csv").read_text()
 
+    def test_golden_round_trip(self):
+        golden = (DATA / "report_golden.csv").read_text()
+        rows = parse_report(golden)
+        assert [r.dataset for r in rows] == ["n10", "demo"]
+        assert emit_report(rows) == golden
+
+    def test_only_trailing_avg_row_skipped(self):
+        row = ReportRow("Avgfoo", 2, 10, 20, 1, Fraction(1), Fraction(2), 3.0)
+        assert parse_report(emit_report([row])) == [row]
+
     def test_single_row_avg_equals_row(self):
         row = ReportRow("x", 2, 10, 20, 1, Fraction(1), Fraction(2), 3.0)
         lines = emit_report([row]).splitlines()
@@ -141,14 +152,14 @@ class TestSvg:
 
         nl = tiny_netlist(m=1)
         res = anneal(nl, tiny_shifter(), AnnealConfig(), seed=1)
-        svg = emit_svg(res.floorplan, res.voltage, res.shifters)
+        svg = render_svg(res.floorplan, res.voltage.level, res.shifters.placements())
         root = ET.fromstring(svg)
         rects = root.findall("{http://www.w3.org/2000/svg}rect")
         assert len(rects) == 2
 
     def test_element_count_and_viewbox(self, tmp_path):
         nl, res = self._result(tmp_path)
-        svg = emit_svg(res.floorplan, res.voltage, res.shifters)
+        svg = render_svg(res.floorplan, res.voltage.level, res.shifters.placements())
         root = ET.fromstring(svg)
         rects = root.findall("{http://www.w3.org/2000/svg}rect")
         m = nl.m
@@ -156,9 +167,8 @@ class TestSvg:
         assert root.get("viewBox") == f"0 0 {res.floorplan.chip_w} {res.floorplan.chip_h}"
 
     def test_same_level_same_fill(self):
-        rooms = [(0, 0, 2, 2), (2, 0, 2, 2)]
-        modules = [(0, 0, 2, 2, 3), (2, 0, 2, 2, 3)]
-        svg = render_svg(4, 2, rooms, modules, [])
+        rooms = (Room(0, 0, 2, 2, 2, 2), Room(2, 0, 2, 2, 2, 2))
+        svg = render_svg(Floorplan(chip_w=4, chip_h=2, rooms=rooms), (3, 3), {})
         root = ET.fromstring(svg)
         rects = root.findall("{http://www.w3.org/2000/svg}rect")
         fills = [r.get("fill") for r in rects[2:]]
@@ -299,6 +309,51 @@ class TestCli:
         assert err.count("\n") == 1
         assert err.startswith("error: line 1: ")
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--kappa", "1/0"),
+            ("--timing-slack", "1/0"),
+            ("--kappa", "-1"),
+            ("--ls-every", "0"),
+            ("--accept-target", "1"),
+        ],
+    )
+    def test_bad_numeric_flag_exit_2(self, tmp_path, capsys, flag, value):
+        if flag == "--timing-slack":
+            argv = ["gen-spec", "--blocks", str(DATA / "n10.blocks"),
+                    "--nets", str(DATA / "n10.nets"), "--seed", "1",
+                    "-o", str(tmp_path / "s.spec")]
+        else:
+            argv = ["run", "--blocks", str(DATA / "n10.blocks"),
+                    "--nets", str(DATA / "n10.nets"), "--spec", str(self._gen(tmp_path)),
+                    "--seed", "5", "--out", str(tmp_path / "r"), "--max-levels", "25"]
+        capsys.readouterr()
+        try:
+            rc = main(argv + [flag, value])
+        except SystemExit as exc:  # argparse rejects the value
+            rc = exc.code
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert "error: " in err.splitlines()[-1]
+
+    def test_unknown_block_curve_exit_2(self, tmp_path, capsys):
+        spec = self._gen(tmp_path)
+        curve = next(line for line in spec.read_text().splitlines() if line.startswith("curve "))
+        with spec.open("a") as f:
+            f.write(curve.replace("curve sb0 ", "curve zz ", 1) + "\n")
+        capsys.readouterr()
+        rc = main([
+            "run", "--blocks", str(DATA / "n10.blocks"),
+            "--nets", str(DATA / "n10.nets"), "--spec", str(spec),
+            "--seed", "5", "--out", str(tmp_path / "r"), "--max-levels", "25",
+        ])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "'zz'" in err
+
     def test_timing_infeasible_exit_3(self, tmp_path, capsys):
         spec = self._gen(tmp_path)
         rc = main([
@@ -313,7 +368,7 @@ class TestCli:
 
     def test_emitted_floorplan_reparses_valid(self, tmp_path):
         from test_floorplan import check_tiling
-        from voltplan.floorplan import Floorplan, Room
+        from voltplan.pipeline import parse_floorplan
 
         spec = self._gen(tmp_path)
         out = tmp_path / "runfp"
@@ -323,13 +378,5 @@ class TestCli:
             "--seed", "6", "--out", str(out), "--max-levels", "25",
         ])
         assert rc == 0
-        rooms = []
-        for line in (out / "floorplan.txt").read_text().splitlines():
-            f = line.split()
-            rooms.append(
-                Room(x=int(f[5]), y=int(f[6]), w=int(f[7]), h=int(f[8]),
-                     module_w=int(f[3]), module_h=int(f[4]))
-            )
-        chip_w = max(r.x + r.w for r in rooms)
-        chip_h = max(r.y + r.h for r in rooms)
-        check_tiling(Floorplan(chip_w=chip_w, chip_h=chip_h, rooms=tuple(rooms)))
+        floorplan, _levels = parse_floorplan((out / "floorplan.txt").read_text())
+        check_tiling(floorplan)
