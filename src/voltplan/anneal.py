@@ -2,11 +2,12 @@
 
 Every candidate floorplan is packed and costed with the weighted sum of
 area, wirelength, power, voltage-island count and unplaced-shifter count.
-Voltage assignment runs on every candidate (cached per wire-delay vector,
-so with the default zero wire-delay factor it solves once); the shifter
-flow refreshes every `ls_every` accepted moves and on the final result,
-with the stale unplaced count carried in between. Fully deterministic for
-a given seed.
+Voltage assignment runs on every candidate, cached per wire-delay vector:
+the timing graph is built and solved only on a cache miss, so with the
+default zero wire-delay factor both happen once per anneal (plus once for
+the exact solve of the final floorplan). The shifter flow refreshes every
+`ls_every` accepted moves and on the final result, with the stale unplaced
+count carried in between. Fully deterministic for a given seed.
 """
 
 from __future__ import annotations
@@ -122,12 +123,13 @@ class _Evaluator:
 
     def voltage_for(self, floorplan, exact=False):
         delays = _wire_delays(self.netlist, floorplan, self.config.kappa)
-        tg = build_timing_graph(self.netlist, delays)
         if exact:
+            tg = build_timing_graph(self.netlist, delays)
             return assign_voltages(tg, self.curves, exact_limit=self.config.exact_limit)
         hit = self.cache.get(delays)
         if hit is not None:
             return hit
+        tg = build_timing_graph(self.netlist, delays)
         assignment = assign_voltages(tg, self.curves, exact_limit=0)
         if len(self.cache) > 4096:
             self.cache.clear()

@@ -4,7 +4,8 @@ Verbs: gen-spec (seeded curve/shifter/budget generation), run (full
 pipeline), report (merge run rows into one CSV with an averages line),
 render (re-draw the SVG from serialized artifacts).
 
-Exit codes: 0 success, 2 parse or validation error, 3 timing infeasible.
+Exit codes: 0 success, 2 parse or validation error (a file that is not
+UTF-8 text included), 3 timing infeasible, 4 solver-internal error.
 """
 
 from __future__ import annotations
@@ -15,8 +16,8 @@ from fractions import Fraction
 from pathlib import Path
 
 from .bench import convert_gsrc_blocks, convert_gsrc_nets, gen_spec, parse_blocks, parse_nets
-from .errors import TimingInfeasible, VoltplanError
-from .pipeline import RunConfig, parse_floorplan, parse_shifters, run_pipeline
+from .errors import SolverError, TimingInfeasible, VoltplanError
+from .pipeline import RunConfig, parse_floorplan, parse_shifters, read_input, run_pipeline
 from .render import render_svg
 from .report import emit_report, pretty_report, parse_report
 
@@ -85,8 +86,8 @@ def _add_convert(sub):
 
 
 def _cmd_gen_spec(args) -> int:
-    blocks = parse_blocks(Path(args.blocks).read_text())
-    nets = parse_nets(Path(args.nets).read_text(), [b[0] for b in blocks])
+    blocks = parse_blocks(read_input(args.blocks))
+    nets = parse_nets(read_input(args.nets), [b[0] for b in blocks])
     text = gen_spec(
         args.seed,
         blocks,
@@ -125,7 +126,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    rows = [row for path in args.csvs for row in parse_report(Path(path).read_text())]
+    rows = [row for path in args.csvs for row in parse_report(read_input(path))]
     text = emit_report(rows)
     if args.out:
         Path(args.out).write_text(text)
@@ -135,17 +136,17 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_render(args) -> int:
-    floorplan, levels = parse_floorplan(Path(args.floorplan).read_text())
-    shifters = parse_shifters(Path(args.shifters).read_text()) if args.shifters else {}
+    floorplan, levels = parse_floorplan(read_input(args.floorplan))
+    shifters = parse_shifters(read_input(args.shifters)) if args.shifters else {}
     Path(args.out).write_text(render_svg(floorplan, levels, shifters))
     print(f"wrote {args.out}")
     return 0
 
 
 def _cmd_convert(args) -> int:
-    blocks_text = convert_gsrc_blocks(Path(args.blocks).read_text())
+    blocks_text = convert_gsrc_blocks(read_input(args.blocks))
     names = [b[0] for b in parse_blocks(blocks_text)]
-    nets_text = convert_gsrc_nets(Path(args.nets).read_text(), names)
+    nets_text = convert_gsrc_nets(read_input(args.nets), names)
     Path(args.out_blocks).write_text(blocks_text)
     Path(args.out_nets).write_text(nets_text)
     print(f"wrote {args.out_blocks} and {args.out_nets}")
@@ -178,6 +179,9 @@ def main(argv=None) -> int:
         print(f"timing infeasible: {exc}" + (f" (critical path: {path})" if path else ""),
               file=sys.stderr)
         return 3
+    except SolverError as exc:
+        print(f"internal solver error: {exc}", file=sys.stderr)
+        return 4
     except (VoltplanError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,6 +1,8 @@
 """Exception types shared across the package.
 
-Validation failures map to CLI exit code 2, timing infeasibility to 3.
+CLI exit codes: a SolverError (a solver broke its own contract) exits 4,
+TimingInfeasible exits 3, and every other VoltplanError (validation and
+parse failures) exits 2.
 """
 
 
@@ -56,11 +58,16 @@ class UnknownBlock(ParseError):
     pass
 
 
-class InfeasibleLowerBounds(VoltplanError):
+class SolverError(VoltplanError):
+    """A solver failed internally or returned a result that breaks its own
+    contract: a fault in voltplan, not in the input."""
+
+
+class InfeasibleLowerBounds(SolverError):
     """No circulation satisfies the arc lower bounds."""
 
 
-class NegativeResidualCycle(VoltplanError):
+class NegativeResidualCycle(SolverError):
     """The flow passed in was not optimal."""
 
 
@@ -72,5 +79,5 @@ class TimingInfeasible(VoltplanError):
         self.critical_path = tuple(critical_path)
 
 
-class TooLarge(VoltplanError):
+class TooLarge(SolverError):
     """Instance exceeds the exhaustive-search size bound."""

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import MalformedExpression
 
@@ -63,12 +64,13 @@ def check_expr(expr: SlicingExpr, m: int | None = None):
         raise MalformedExpression("expression does not reduce to a single block")
 
 
-@dataclass(frozen=True)
-class Room:
+class Room(NamedTuple):
     """One tile of the floorplan: the module sits at the room origin.
 
     Whitespace splits into the right strip beside the module, the top strip
-    above it, and the corner rectangle between them.
+    above it, and the corner rectangle between them. A named tuple because
+    pack builds one per module per candidate: it is immutable like a frozen
+    dataclass and several times cheaper to build.
     """
 
     x: int
@@ -129,7 +131,7 @@ def pack(expr: SlicingExpr, dims) -> Floorplan:
     def assign(node, x, y, w, h):
         if node[0] is None:
             idx = node[5]
-            rooms[idx] = Room(x=x, y=y, w=w, h=h, module_w=node[3], module_h=node[4])
+            rooms[idx] = Room(x, y, w, h, node[3], node[4])
             return
         op, left, right = node[0], node[1], node[2]
         if op == "H":
@@ -171,34 +173,46 @@ def hpwl2_per_net(floorplan: Floorplan, nets) -> list[int]:
     return out
 
 
-def _rooms_adjacent(a: Room, b: Room) -> bool:
-    # shared boundary segment of positive length
-    if a.x + a.w == b.x or b.x + b.w == a.x:
-        return min(a.y + a.h, b.y + b.h) - max(a.y, b.y) > 0
-    if a.y + a.h == b.y or b.y + b.h == a.y:
-        return min(a.x + a.w, b.x + b.w) - max(a.x, b.x) > 0
-    return False
-
-
 def voltage_islands(floorplan: Floorplan, levels) -> int:
     """Connected components of same-level room adjacency (power regions);
-    levels holds one voltage level per room."""
-    m = len(floorplan.rooms)
-    parent = list(range(m))
+    levels holds one voltage level per room.
 
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
+    Two rooms are adjacent when they share a boundary segment of positive
+    length. Rooms are indexed by their left and bottom edge lines, so each
+    room only tests the rooms whose left (bottom) edge lies on its own right
+    (top) edge line. Holds for any set of rooms of positive size, slicing or
+    not.
+    """
+    rooms = floorplan.rooms
+    # edge line -> (level, span start, span end, room) per room on it
+    by_left = {}
+    by_bottom = {}
+    for i, (x, y, w, h, _mw, _mh) in enumerate(rooms):
+        by_left.setdefault(x, []).append((levels[i], y, y + h, i))
+        by_bottom.setdefault(y, []).append((levels[i], x, x + w, i))
+    pairs = []
+    for i, (x, y, w, h, _mw, _mh) in enumerate(rooms):
+        level = levels[i]
+        right = x + w
+        top = y + h
+        for lv, lo, hi, j in by_left.get(right, ()):
+            if lv == level and lo < top and y < hi:
+                pairs.append((i, j))
+        for lv, lo, hi, j in by_bottom.get(top, ()):
+            if lv == level and lo < right and x < hi:
+                pairs.append((i, j))
 
-    for i in range(m):
-        for j in range(i + 1, m):
-            if levels[i] == levels[j] and _rooms_adjacent(
-                floorplan.rooms[i], floorplan.rooms[j]
-            ):
-                parent[find(i)] = find(j)
-    return len({find(i) for i in range(m)})
+    parent = list(range(len(rooms)))
+    islands = len(rooms)
+    for i, j in pairs:
+        while parent[i] != i:
+            parent[i] = i = parent[parent[i]]
+        while parent[j] != j:
+            parent[j] = j = parent[parent[j]]
+        if i != j:
+            parent[i] = j
+            islands -= 1
+    return islands
 
 
 @dataclass(frozen=True)

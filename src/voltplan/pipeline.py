@@ -40,10 +40,20 @@ class RunConfig(AnnealConfig):
     t_cycle: int | None = None  # override the spec file's budget
 
 
+def read_input(path) -> str:
+    """Text of an input file; a file that is not UTF-8 raises ParseError."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(
+            f"{path}: not UTF-8 text (byte 0x{exc.object[exc.start]:02x} at offset {exc.start})"
+        ) from None
+
+
 def load_instance(config: RunConfig):
-    blocks = parse_blocks(Path(config.blocks_path).read_text())
-    raw_nets = parse_nets(Path(config.nets_path).read_text(), [b[0] for b in blocks])
-    curves, spec, t_cycle, k_file = parse_spec(Path(config.spec_path).read_text())
+    blocks = parse_blocks(read_input(config.blocks_path))
+    raw_nets = parse_nets(read_input(config.nets_path), [b[0] for b in blocks])
+    curves, spec, t_cycle, k_file = parse_spec(read_input(config.spec_path))
     k = config.k if config.k is not None else k_file
     if k < 1 or k > k_file:
         raise ParseError(f"k={k} not in 1..{k_file} (spec file levels)")

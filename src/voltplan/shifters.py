@@ -217,27 +217,25 @@ def place_in_room(room: Room, shifters, spec: ShifterSpec):
             p1,
             (p2[0], p2[1], room.w, p2[3]),  # full top strip
         ]
-    spots = []
-    for rx, ry, rw, rh in regions:
-        if rw <= 0 or rh <= 0:
-            continue
-        straight = (rw // spec.width) * (rh // spec.height)
-        rotated = (rw // spec.height) * (rh // spec.width)
-        if rotated > straight:
-            cw, ch = spec.height, spec.width
-        else:
-            cw, ch = spec.width, spec.height
-        for row in range(rh // ch):
-            for col in range(rw // cw):
-                spots.append((rx + col * cw, ry + row * ch, cw, ch))
-    placed = []
-    leftover = []
-    for i, shifter in enumerate(shifters):
-        if i < len(spots):
-            placed.append((shifter, spots[i]))
-        else:
-            leftover.append(shifter)
-    return placed, leftover
+
+    def spots():
+        for rx, ry, rw, rh in regions:
+            if rw <= 0 or rh <= 0:
+                continue
+            straight = (rw // spec.width) * (rh // spec.height)
+            rotated = (rw // spec.height) * (rh // spec.width)
+            if rotated > straight:
+                cw, ch = spec.height, spec.width
+            else:
+                cw, ch = spec.width, spec.height
+            for row in range(rh // ch):
+                for col in range(rw // cw):
+                    yield (rx + col * cw, ry + row * ch, cw, ch)
+
+    # zip stops at the last shifter, so no spot past it is generated
+    shifters = list(shifters)
+    placed = list(zip(shifters, spots()))
+    return placed, shifters[len(placed):]
 
 
 def els_place(shifter: Shifter, floorplan) -> tuple[int, int, int, int]:

@@ -22,7 +22,7 @@ from math import ceil, lcm
 
 import numpy as np
 
-from .errors import TimingInfeasible, TooLarge, VoltplanError
+from .errors import SolverError, TimingInfeasible, TooLarge
 from .flow import FlowNetwork, network, residual_shortest_paths, solve_min_cost_circulation
 from .model import DPCurve, Netlist, topological_order
 
@@ -245,7 +245,7 @@ def assign_voltages(
         din = dist[tg.node_in(i)]
         dout = dist[tg.node_out(i)]
         if din is None or dout is None:
-            raise VoltplanError(f"module {i} unreachable in the residual network")
+            raise SolverError(f"module {i} unreachable in the residual network")
         drop = din - dout
         q = 1
         while q < curve.k and curve.delay(q + 1) <= drop:
@@ -266,7 +266,7 @@ def assign_voltages(
         arrival = _earliest_arrivals(tg, _delays_for(curves, levels))
     finish = longest_path_for(tg, _delays_for(curves, levels))[0]
     if finish > tg.t_cycle:
-        raise VoltplanError(
+        raise SolverError(
             f"recovered levels finish at {finish}, past the cycle time {tg.t_cycle}"
         )
     return VoltageAssignment(level=tuple(levels), total_power=power, arrival=arrival)

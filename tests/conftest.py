@@ -1,9 +1,11 @@
 import random
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from voltplan.model import DPCurve, validate_dp_curve
+from voltplan.bench import gen_spec, parse_blocks, parse_nets, parse_spec
+from voltplan.model import DPCurve, ModuleBlock, build_netlist, decompose_multipin, validate_dp_curve
 from voltplan.voltage import TimingGraph, longest_path_for
 
 DATA = Path(__file__).parent / "data"
@@ -50,6 +52,19 @@ def random_timing_instance(rng, max_m=8, k_choices=(2, 3, 4), edge_prob=0.35):
         m=m, wires=base.wires, sources=base.sources, sinks=base.sinks, t_cycle=t_cycle
     )
     return tg, curves
+
+
+def fixture_netlist(path_blocks, path_nets, k, seed, slack=Fraction(1, 2)):
+    """A blocks/nets pair with a spec generated for k levels from seed."""
+    blocks = parse_blocks(Path(path_blocks).read_text())
+    nets = parse_nets(Path(path_nets).read_text(), [b[0] for b in blocks])
+    text = gen_spec(seed, blocks, nets, k, timing_slack=slack)
+    curves, spec, t_cycle, _ = parse_spec(text)
+    modules = [
+        ModuleBlock(name=n, width=w, height=h, curve=curves[n]) for n, w, h in blocks
+    ]
+    netlist = build_netlist(modules, decompose_multipin(nets), t_cycle, k)
+    return netlist, spec
 
 
 @pytest.fixture

@@ -7,7 +7,6 @@ import itertools
 import random
 import time
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
@@ -34,7 +33,7 @@ from voltplan.voltage import (
     longest_path_delay,
 )
 
-from conftest import DATA, random_timing_instance
+from conftest import DATA, fixture_netlist, random_timing_instance
 from test_floorplan import check_tiling, rects_disjoint
 
 
@@ -175,20 +174,8 @@ def test_criterion_4_capacity_algorithm_conformance():
     report(4, "merge fixtures exact (6v5 areas, 4v3 geometric); 10k rooms within slack bound")
 
 
-def _fixture_netlist(path_blocks, path_nets, k, seed, slack=Fraction(1, 2)):
-    blocks = parse_blocks(Path(path_blocks).read_text())
-    nets = parse_nets(Path(path_nets).read_text(), [b[0] for b in blocks])
-    text = gen_spec(seed, blocks, nets, k, timing_slack=slack)
-    curves, spec, t_cycle, _ = parse_spec(text)
-    modules = [
-        ModuleBlock(name=n, width=w, height=h, curve=curves[n]) for n, w, h in blocks
-    ]
-    netlist = build_netlist(modules, decompose_multipin(nets), t_cycle, k)
-    return netlist, spec
-
-
 def test_criterion_5_timing_safety_fuzz():
-    netlist, spec = _fixture_netlist(DATA / "n10.blocks", DATA / "n10.nets", 3, 77)
+    netlist, spec = fixture_netlist(DATA / "n10.blocks", DATA / "n10.nets", 3, 77)
     curves = modified_curves(netlist, spec)
     tg0 = build_timing_graph(netlist, [0] * len(netlist.nets))
     evaluations = [0]
@@ -241,7 +228,7 @@ def test_criterion_6_geometric_validity():
             checked_placements += 1
 
     # whole-pipeline placements on the 10-block fixture
-    netlist, spec = _fixture_netlist(DATA / "n10.blocks", DATA / "n10.nets", 4, 88)
+    netlist, spec = fixture_netlist(DATA / "n10.blocks", DATA / "n10.nets", 4, 88)
     for seed in range(6):
         res = anneal(netlist, spec, AnnealConfig(max_levels=40), seed=seed)
         rects = [rect for _, _, rect in res.shifters.assigned]
@@ -344,7 +331,7 @@ def _layered_blocks_nets(m, seed):
 
 
 def test_criterion_9_desk_scale_performance(tmp_path):
-    netlist, spec = _fixture_netlist(DATA / "n10.blocks", DATA / "n10.nets", 4, 42)
+    netlist, spec = fixture_netlist(DATA / "n10.blocks", DATA / "n10.nets", 4, 42)
     t0 = time.perf_counter()
     anneal(netlist, spec, AnnealConfig(), seed=42)
     n10_time = time.perf_counter() - t0

@@ -354,6 +354,45 @@ class TestCli:
         assert err.count("\n") == 1
         assert "'zz'" in err
 
+    @pytest.mark.parametrize("command", ["gen-spec", "run", "report", "render", "convert-gsrc"])
+    def test_non_utf8_input_exit_2(self, tmp_path, capsys, command):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"\xff\xfe" + "sb0 2 2\n".encode("utf-16-le"))
+        blocks, nets, out = DATA / "n10.blocks", DATA / "n10.nets", tmp_path / "out"
+        argv = {
+            "gen-spec": ["--blocks", bad, "--nets", nets, "--seed", 1, "-o", out],
+            "run": ["--blocks", blocks, "--nets", nets, "--spec", bad, "--seed", 1, "--out", out],
+            "report": [bad],
+            "render": ["--floorplan", bad, "-o", out],
+            "convert-gsrc": [
+                "--blocks", bad, "--nets", nets, "--out-blocks", out, "--out-nets", out,
+            ],
+        }[command]
+        rc = main([command] + [str(a) for a in argv])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith(f"error: {bad}: not UTF-8 text (byte 0xff at offset 0)")
+
+    def test_solver_failure_exit_4(self, tmp_path, capsys, monkeypatch):
+        from voltplan import voltage
+        from voltplan.errors import InfeasibleLowerBounds
+
+        def broken(net):
+            raise InfeasibleLowerBounds("no circulation meets the lower bounds")
+
+        spec = self._gen(tmp_path)
+        monkeypatch.setattr(voltage, "solve_min_cost_circulation", broken)
+        capsys.readouterr()
+        rc = main([
+            "run", "--blocks", str(DATA / "n10.blocks"),
+            "--nets", str(DATA / "n10.nets"), "--spec", str(spec),
+            "--seed", "5", "--out", str(tmp_path / "r"),
+        ])
+        assert rc == 4
+        err = capsys.readouterr().err
+        assert err == "internal solver error: no circulation meets the lower bounds\n"
+
     def test_timing_infeasible_exit_3(self, tmp_path, capsys):
         spec = self._gen(tmp_path)
         rc = main([

@@ -1,3 +1,5 @@
+import importlib
+import itertools
 import random
 from fractions import Fraction
 from itertools import accumulate
@@ -26,6 +28,8 @@ from voltplan.floorplan import (
 )
 from voltplan.model import DPCurve, ModuleBlock, build_netlist, derive_shifter_spec
 
+from conftest import DATA, fixture_netlist
+
 
 def rects_disjoint(rooms):
     for i in range(len(rooms)):
@@ -49,6 +53,13 @@ def check_tiling(fp: Floorplan):
 
 
 class TestPack:
+    def test_room_is_an_immutable_record(self):
+        room = Room(1, 2, 5, 6, 3, 4)
+        assert room == Room(x=1, y=2, w=5, h=6, module_w=3, module_h=4)
+        assert (room.x, room.y, room.w, room.h, room.module_w, room.module_h) == (1, 2, 5, 6, 3, 4)
+        with pytest.raises(AttributeError):
+            room.x = 0
+
     def test_equal_children_no_whitespace(self):
         fp = pack(make_expr([0, 1, "V"]), [(2, 2), (2, 2)])
         assert (fp.chip_w, fp.chip_h) == (4, 2)
@@ -140,7 +151,71 @@ class TestHpwl:
             assert hpwl(Floorplan(60, 60, moved), nets) == base
 
 
+def islands_pairwise(floorplan, levels):
+    """Reference island count: union-find over every same-level room pair
+    that shares a boundary segment of positive length (an O(m^2) scan)."""
+    rooms = floorplan.rooms
+    parent = list(range(len(rooms)))
+
+    def find(v):
+        while parent[v] != v:
+            v = parent[v]
+        return v
+
+    def adjacent(a, b):
+        if a.x + a.w == b.x or b.x + b.w == a.x:
+            return min(a.y + a.h, b.y + b.h) - max(a.y, b.y) > 0
+        if a.y + a.h == b.y or b.y + b.h == a.y:
+            return min(a.x + a.w, b.x + b.w) - max(a.x, b.x) > 0
+        return False
+
+    for i in range(len(rooms)):
+        for j in range(i + 1, len(rooms)):
+            if levels[i] == levels[j] and adjacent(rooms[i], rooms[j]):
+                parent[find(i)] = find(j)
+    return len({find(i) for i in range(len(rooms))})
+
+
+@st.composite
+def packed_slicing(draw):
+    """A packed random slicing floorplan and one level per room. Small dims
+    make many room edges fall on the same lines."""
+    m = draw(st.integers(1, 14))
+    dims = draw(st.lists(
+        st.tuples(st.integers(1, 5), st.integers(1, 5)), min_size=m, max_size=m
+    ))
+    levels = draw(st.lists(st.integers(1, 3), min_size=m, max_size=m))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    expr = initial_expr(m)
+    for _ in range(draw(st.integers(0, 3 * m))):
+        expr = perturb(expr, rng.randint(1, 3), rng)
+    return pack(expr, dims), levels
+
+
+# a non-slicing tiling of a 3x3 chip: four 2x1 arms around a 1x1 center;
+# arms 0-1-2-3 touch in a ring and each touches the center 4
+PINWHEEL = Floorplan(3, 3, tuple(
+    Room(x, y, w, h, w, h)
+    for x, y, w, h in ((0, 0, 2, 1), (2, 0, 1, 2), (1, 2, 2, 1), (0, 1, 1, 2), (1, 1, 1, 1))
+))
+
+
 class TestVoltageIslands:
+    @settings(max_examples=300, deadline=None)
+    @given(packed_slicing())
+    def test_matches_pairwise_scan(self, case):
+        fp, levels = case
+        assert voltage_islands(fp, levels) == islands_pairwise(fp, levels)
+
+    def test_pinwheel(self):
+        check_tiling(PINWHEEL)
+        assert voltage_islands(PINWHEEL, (1, 1, 1, 1, 1)) == 1
+        assert voltage_islands(PINWHEEL, (1, 1, 1, 1, 2)) == 2  # ring + center
+        assert voltage_islands(PINWHEEL, (1, 2, 1, 2, 3)) == 5  # 0 and 2 never touch
+        assert voltage_islands(PINWHEEL, (1, 2, 2, 1, 3)) == 3
+        for levels in itertools.product((1, 2), repeat=5):
+            assert voltage_islands(PINWHEEL, levels) == islands_pairwise(PINWHEEL, levels)
+
     def test_uniform_connected(self):
         fp = pack(make_expr([0, 1, "V", 2, "H"]), [(2, 2), (2, 2), (4, 2)])
         assert voltage_islands(fp, (1, 1, 1)) == 1
@@ -267,6 +342,32 @@ class TestAnneal:
         best = list(accumulate(phis, min))
         assert all(b1 >= b2 for b1, b2 in zip(best, best[1:]))
         assert res.metrics.phi <= phis[0] or res.metrics.phi <= best[-1] * Fraction(11, 10)
+
+    def test_timing_graph_built_only_on_cache_miss(self, monkeypatch):
+        # at kappa 0 every candidate has the same wire delays: one miss, and
+        # one more graph for the exact solve of the final floorplan
+        anneal_mod = importlib.import_module("voltplan.anneal")
+        build, solve = anneal_mod.build_timing_graph, anneal_mod.assign_voltages
+        graphs, exact = [], []
+
+        def counting_build(netlist, delays):
+            graphs.append(delays)
+            return build(netlist, delays)
+
+        def counting_solve(tg, curves, *, exact_limit):
+            if exact_limit > 0:
+                exact.append(tg)
+            return solve(tg, curves, exact_limit=exact_limit)
+
+        monkeypatch.setattr(anneal_mod, "build_timing_graph", counting_build)
+        monkeypatch.setattr(anneal_mod, "assign_voltages", counting_solve)
+        netlist, spec = fixture_netlist(DATA / "n10.blocks", DATA / "n10.nets", 3, 77)
+        evaluated = []
+        cfg = AnnealConfig(max_levels=5, observer=lambda *a: evaluated.append(a))
+        anneal(netlist, spec, cfg, seed=3)
+        assert len(evaluated) > 100
+        assert len(exact) == 1
+        assert len(graphs) == 1 + len(exact)
 
     def test_result_tiles_and_meets_timing(self):
         nl = tiny_netlist()

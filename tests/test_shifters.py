@@ -197,6 +197,29 @@ class TestPlaceInRoom:
             # never on top of the module
             assert x >= 8 or y >= 8
 
+    def test_few_shifters_in_large_whitespace(self):
+        # far more spots than shifters: the first ones in row-major order
+        # across the regions, as when every spot was listed
+        sh = [Shifter(i, i, 0, 1, 2) for i in range(5)]
+        room = Room(0, 0, 20, 16, 6, 4)
+        spec = spec_square(4)
+        assert num_ls(room, spec) == 74
+        placed, leftover = place_in_room(room, sh, spec)
+        assert [s for s, _ in placed] == sh and leftover == []
+        assert [r for _, r in placed] == [
+            (6, 0, 2, 2), (8, 0, 2, 2), (10, 0, 2, 2), (12, 0, 2, 2), (14, 0, 2, 2),
+        ]
+        # the right strip holds one 2x3 spot; the rest go to the top strip,
+        # rotated to 3x2
+        room = Room(0, 0, 9, 17, 7, 3)
+        spec = derive_shifter_spec(6, Fraction(2, 3), [(1, 0, 0)])
+        assert num_ls(room, spec) == 22
+        placed, leftover = place_in_room(room, sh[:4], spec)
+        assert [s for s, _ in placed] == sh[:4] and leftover == []
+        assert [r for _, r in placed] == [
+            (7, 0, 2, 3), (0, 3, 3, 2), (3, 3, 3, 2), (6, 3, 3, 2),
+        ]
+
     def test_no_overlaps_random(self, rng):
         for _ in range(300):
             mw, mh = rng.randint(2, 12), rng.randint(2, 12)

@@ -6,6 +6,9 @@ import pytest
 from voltplan import voltage
 from voltplan.errors import (
     CyclicNetlist,
+    InfeasibleLowerBounds,
+    NegativeResidualCycle,
+    SolverError,
     TimingInfeasible,
     TooLarge,
     ValidationError,
@@ -301,7 +304,7 @@ class TestBruteForce:
 
 
 class TestInternalErrors:
-    """Broken solver output raises a VoltplanError that is neither a user
+    """Broken solver output raises a SolverError that is neither a user
     error nor a timing verdict, also under python -O."""
 
     def _chain(self):
@@ -310,7 +313,13 @@ class TestInternalErrors:
         return build_timing_graph(netlist_of([c, c], [(0, 1)], 2), [0]), [c, c]
 
     def _check(self, info):
+        assert isinstance(info.value, SolverError)
         assert not isinstance(info.value, (ValidationError, TimingInfeasible))
+
+    def test_solver_failures_share_one_class(self):
+        for cls in (InfeasibleLowerBounds, NegativeResidualCycle, TooLarge):
+            assert issubclass(cls, SolverError)
+            assert not issubclass(cls, (ValidationError, TimingInfeasible))
 
     def test_unreachable_node(self, monkeypatch):
         tg, curves = self._chain()
