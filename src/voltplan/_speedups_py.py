@@ -1,7 +1,9 @@
 """Flow kernels in pure Python.
 
 Graphs arrive as flat arc arrays (tails, heads, caps, costs); arcs are
-stored with paired reverse edges (edge 2i forward, 2i+1 backward).
+stored with paired reverse edges (edge 2i forward, 2i+1 backward). Every
+arc carries flow in [0, cap]: there are no lower bounds. mcmf takes
+nonnegative costs only; the residual Bellman-Ford takes any costs.
 
 INF is a large integer sentinel, never float.
 """
@@ -54,17 +56,17 @@ def _bellman_ford(n, to, cap, cst, nxt, first, src):
     return dist, changed
 
 
-def shortest_paths(n, tails, heads, caps, costs, flows, lowers, src):
+def shortest_paths(n, tails, heads, caps, costs, flows, src):
     """Residual Bellman-Ford distances from src given per-arc flow.
 
-    Residual forward capacity is cap - flow, backward is flow - lower.
+    Residual forward capacity is cap - flow, backward is flow.
     Returns (dist list with INF for unreachable, neg_cycle flag).
     """
     m = len(tails)
     rt, rh, rc, rcost = [], [], [], []
     for i in range(m):
         fwd = caps[i] - flows[i]
-        bwd = flows[i] - lowers[i]
+        bwd = flows[i]
         if fwd > 0:
             rt.append(tails[i])
             rh.append(heads[i])
@@ -82,19 +84,13 @@ def shortest_paths(n, tails, heads, caps, costs, flows, lowers, src):
 def mcmf(n, tails, heads, caps, costs, s, t, limit):
     """Min-cost flow from s to t via successive shortest augmenting paths.
 
-    Pushes up to `limit` units (INF for max flow). Requires that no
-    negative-cost cycle is reachable; negative arc costs are handled by a
-    Bellman-Ford warm start for the potentials. Returns
-    (value, flows per input arc, potentials).
+    Pushes up to `limit` units (INF for max flow). Every arc cost must be
+    nonnegative, so zero potentials are a valid start for Dijkstra.
+    Returns (value, flows per input arc).
     """
     m = len(tails)
     to, cap, cst, nxt, first = _build(n, tails, heads, caps, costs)
     pot = [0] * n
-    if any(c < 0 for c in costs):
-        dist, neg = _bellman_ford(n, to, cap, cst, nxt, first, s)
-        if neg:
-            raise ValueError("negative-cost cycle reachable from source")
-        pot = dist
     value = 0
     prev = [-1] * n
     while limit > 0:
@@ -111,7 +107,7 @@ def mcmf(n, tails, heads, caps, costs, s, t, limit):
             e = first[u]
             while e != -1:
                 v = to[e]
-                if cap[e] > 0 and not done[v] and pot[v] < INF:
+                if cap[e] > 0 and not done[v]:
                     nd = d + cst[e] + pu - pot[v]
                     if nd < dist[v]:
                         dist[v] = nd
@@ -139,4 +135,4 @@ def mcmf(n, tails, heads, caps, costs, s, t, limit):
         value += bottleneck
         limit -= bottleneck
     flows = [cap[2 * i + 1] for i in range(m)]
-    return value, flows, pot
+    return value, flows

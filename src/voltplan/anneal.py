@@ -42,6 +42,10 @@ from .voltage import VoltageAssignment, assign_voltages, build_timing_graph
 
 # the anneal stops once the temperature falls below this fraction of t0
 T_STOP_RATIO = 1e-7
+# the final voltage solve searches exactly up to this many modules
+EXACT_LIMIT = 16
+# the shifter overhead applies at every level, the highest voltage included
+OVERHEAD_AT_TOP_LEVEL = True
 
 
 @dataclass
@@ -53,8 +57,6 @@ class AnnealConfig:
     kappa: Fraction = Fraction(0)  # wire delay per unit wirelength
     window: int | None = None  # shifter search window; None = auto
     weights: PhiWeights | None = None  # None = calibrated defaults
-    overhead_at_top_level: bool = True
-    exact_limit: int = 16
     max_levels: int = 400
     observer: object = None  # callable(floorplan, assignment, phi) per candidate
 
@@ -90,11 +92,8 @@ class AnnealResult:
     expr: SlicingExpr
 
 
-def modified_curves(netlist: Netlist, spec: ShifterSpec, overhead_at_top_level=True):
-    return [
-        modify_dp_curve(mod.curve, spec, overhead_at_top_level)
-        for mod in netlist.modules
-    ]
+def modified_curves(netlist: Netlist, spec: ShifterSpec):
+    return [modify_dp_curve(mod.curve, spec, OVERHEAD_AT_TOP_LEVEL) for mod in netlist.modules]
 
 
 def _wire_delays(netlist, floorplan, kappa: Fraction):
@@ -109,7 +108,7 @@ class _Evaluator:
 
     In-loop solves skip the exact refinement (round-down is always feasible
     and cheap; candidate ranking does not need the last watt); the final
-    assignment is re-solved with the configured exact_limit.
+    assignment is re-solved with exact_limit=EXACT_LIMIT.
     """
 
     def __init__(self, netlist, curves, config):
@@ -125,7 +124,7 @@ class _Evaluator:
         delays = _wire_delays(self.netlist, floorplan, self.config.kappa)
         if exact:
             tg = build_timing_graph(self.netlist, delays)
-            return assign_voltages(tg, self.curves, exact_limit=self.config.exact_limit)
+            return assign_voltages(tg, self.curves, exact_limit=EXACT_LIMIT)
         hit = self.cache.get(delays)
         if hit is not None:
             return hit
@@ -200,7 +199,7 @@ def _full_metrics(netlist, spec, floorplan, assignment, weights, window):
 def anneal(netlist: Netlist, spec: ShifterSpec, config: AnnealConfig, seed: int) -> AnnealResult:
     """Run the annealer and return the best floorplan with its assignments."""
     rng = random.Random(seed)
-    curves = modified_curves(netlist, spec, config.overhead_at_top_level)
+    curves = modified_curves(netlist, spec)
     ev = _Evaluator(netlist, curves, config)
     m = netlist.m
     expr = initial_expr(m)

@@ -19,7 +19,7 @@ import random
 import re
 from fractions import Fraction
 
-from .errors import DuplicateName, ParseError, UnknownBlock
+from .errors import DuplicateName, ParseError, UnknownBlock, ValidationError
 from .model import DPCurve, ShifterSpec, derive_shifter_spec, validate_dp_curve
 from .voltage import longest_path_for, TimingGraph
 
@@ -99,11 +99,17 @@ def _triples(parts, start, lineno):
 
 
 def parse_spec(text):
-    """Parse a spec file; returns (curves by name, ShifterSpec, t_cycle, k)."""
+    """Parse a spec file; returns (curves by name, ShifterSpec, t_cycle, k).
+
+    The records may come in any order, so curves and the shifter are checked
+    against k after the last line; an invalid one is reported at its line.
+    """
     k = None
     t_cycle = None
     curves = {}
+    curve_lines = {}
     shifter = None
+    shifter_line = None
     for lineno, line in _content_lines(text):
         parts = line.split()
         kind = parts[0]
@@ -117,18 +123,27 @@ def parse_spec(text):
             if name in curves:
                 raise DuplicateName(f"duplicate curve for {name!r}", lineno)
             curves[name] = DPCurve(points=pts)
+            curve_lines[name] = lineno
         elif kind == "shifter":
             area = _int(parts, 1, lineno)
             ratio = _ratio(parts, 2, lineno)
-            shifter = derive_shifter_spec(area, ratio, _triples(parts, 3, lineno))
+            overhead = _triples(parts, 3, lineno)
+            try:
+                shifter = derive_shifter_spec(area, ratio, overhead)
+            except ValidationError as exc:
+                raise ParseError(f"shifter: {exc}", lineno) from None
+            shifter_line = lineno
         else:
             raise ParseError(f"unknown record {kind!r}", lineno)
     if k is None or t_cycle is None or shifter is None:
         raise ParseError("spec needs k, tcycle and shifter records")
     for name, curve in curves.items():
-        validate_dp_curve(curve, k)
+        try:
+            validate_dp_curve(curve, k)
+        except ValidationError as exc:
+            raise ParseError(f"curve {name}: {exc}", curve_lines[name]) from None
     if shifter.k != k:
-        raise ParseError(f"shifter overhead has {shifter.k} levels, k={k}")
+        raise ParseError(f"shifter overhead has {shifter.k} levels, k={k}", shifter_line)
     return curves, shifter, t_cycle, k
 
 
@@ -178,7 +193,7 @@ def gen_spec(
     critical paths by `timing_slack`.
     """
     if k < 1 or k > K_CAP:
-        raise ValueError(f"k must be in 1..{K_CAP}")
+        raise ValidationError(f"k must be in 1..{K_CAP}, got {k}")
     names = [b[0] for b in blocks]
     lines = [f"k {k}"]
     curves = {}
@@ -211,15 +226,7 @@ def gen_spec(
     for source, sinks in nets:
         for sink in sinks:
             pairs.append((index[source], index[sink]))
-    has_in = {d for _, d in pairs}
-    has_out = {s for s, _ in pairs}
-    tg = TimingGraph(
-        m=len(names),
-        wires=tuple((s, d, 0) for s, d in pairs),
-        sources=tuple(i for i in range(len(names)) if i not in has_in),
-        sinks=tuple(i for i in range(len(names)) if i not in has_out),
-        t_cycle=0,
-    )
+    tg = TimingGraph(m=len(names), wires=tuple((s, d, 0) for s, d in pairs), t_cycle=0)
     curve_list = [curves[n] for n in names]
     cp_fast, _ = longest_path_for(tg, [c.delay(1) for c in curve_list])
     cp_slow, _ = longest_path_for(tg, [c.delay(c.k) for c in curve_list])

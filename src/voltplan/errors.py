@@ -2,7 +2,9 @@
 
 CLI exit codes: a SolverError (a solver broke its own contract) exits 4,
 TimingInfeasible exits 3, and every other VoltplanError (validation and
-parse failures) exits 2.
+parse failures) exits 2. Flow arcs have no lower bounds, so no flow network
+voltplan builds can be infeasible; a flow solve fails only by breaking its
+own contract.
 """
 
 
@@ -61,10 +63,6 @@ class UnknownBlock(ParseError):
 class SolverError(VoltplanError):
     """A solver failed internally or returned a result that breaks its own
     contract: a fault in voltplan, not in the input."""
-
-
-class InfeasibleLowerBounds(SolverError):
-    """No circulation satisfies the arc lower bounds."""
 
 
 class NegativeResidualCycle(SolverError):

@@ -182,7 +182,7 @@ def build_assignment_network(shifters, floorplan, spec, window):
     arcs = []
     pair_arcs = {}
     for j, shifter in enumerate(shifters):
-        arcs.append((s_node, ls_base + j, 0, 0, 1, ("src", shifter.id)))
+        arcs.append((s_node, ls_base + j, 0, 1, ("src", shifter.id)))
     caps = [num_ls(room, spec) for room in floorplan.rooms]
     for j, shifter in enumerate(shifters):
         bbox2 = _bbox_with_window(floorplan, shifter, 2 * window)
@@ -191,11 +191,11 @@ def build_assignment_network(shifters, floorplan, spec, window):
                 pair_arcs[(j, r)] = len(arcs)
                 cost = assign_cost(shifter, room, floorplan)
                 arcs.append(
-                    (ls_base + j, room_base + r, cost, 0, 1, ("ls", shifter.id, r))
+                    (ls_base + j, room_base + r, cost, 1, ("ls", shifter.id, r))
                 )
     for r, cap in enumerate(caps):
         if cap > 0:
-            arcs.append((room_base + r, t_node, 0, 0, cap, ("room", r)))
+            arcs.append((room_base + r, t_node, 0, cap, ("room", r)))
     net = network(2 + n_ls + m, arcs)
     return net, s_node, t_node, pair_arcs
 

@@ -36,15 +36,16 @@ class TimingGraph:
     and zero-delay hookups from s to every primary input and from every
     primary output to t. The cycle-time bound is kept as a constraint edge.
 
-    The topological order of the modules and each module's fan-in are
-    derived once at construction; a cyclic wire set raises CyclicNetlist.
+    The sources and sinks, the topological order of the modules and each
+    module's fan-in are derived once from the wires at construction; a
+    cyclic wire set raises CyclicNetlist.
     """
 
     m: int
     wires: tuple[tuple[int, int, int], ...]  # (src module, dst module, delay)
-    sources: tuple[int, ...]  # modules with no fan-in
-    sinks: tuple[int, ...]  # modules with no fan-out
     t_cycle: int
+    sources: tuple[int, ...] = field(init=False, repr=False, compare=False)  # no fan-in
+    sinks: tuple[int, ...] = field(init=False, repr=False, compare=False)  # no fan-out
     order: tuple[int, ...] = field(init=False, repr=False, compare=False)
     # per module: (src module, wire delay) of each incoming wire, in wire order
     preds: tuple[tuple[tuple[int, int], ...], ...] = field(
@@ -57,8 +58,12 @@ class TimingGraph:
     def __post_init__(self):
         order = topological_order(self.m, self.wires)
         preds = [[] for _ in range(self.m)]
+        has_out = [False] * self.m
         for src, dst, w in self.wires:
             preds[dst].append((src, w))
+            has_out[src] = True
+        object.__setattr__(self, "sources", tuple(i for i in range(self.m) if not preds[i]))
+        object.__setattr__(self, "sinks", tuple(i for i in range(self.m) if not has_out[i]))
         object.__setattr__(self, "order", tuple(order))
         object.__setattr__(self, "preds", tuple(map(tuple, preds)))
 
@@ -78,24 +83,13 @@ def build_timing_graph(netlist: Netlist, wire_delays) -> TimingGraph:
 
     wire_delays maps net index -> nonnegative integer delay.
     """
-    m = netlist.m
-    has_in = [False] * m
-    has_out = [False] * m
     wires = []
     for idx, (src, dst) in enumerate(netlist.nets):
         d = int(wire_delays[idx])
         if d < 0:
             raise ValueError(f"net {idx}: negative wire delay")
         wires.append((src, dst, d))
-        has_out[src] = True
-        has_in[dst] = True
-    return TimingGraph(
-        m=m,
-        wires=tuple(wires),
-        sources=tuple(i for i in range(m) if not has_in[i]),
-        sinks=tuple(i for i in range(m) if not has_out[i]),
-        t_cycle=netlist.t_cycle,
-    )
+    return TimingGraph(m=netlist.m, wires=tuple(wires), t_cycle=netlist.t_cycle)
 
 
 def compute_breakpoints(curve: DPCurve) -> list[Fraction]:
@@ -134,23 +128,23 @@ def _expanded(tg: TimingGraph, curves):
         u, v = tg.node_in(i), tg.node_out(i)
         k = curve.k
         if k == 1:
-            arcs.append((u, v, -curve.delay(1), 0, big, ("lvl", i, 1)))
+            arcs.append((u, v, -curve.delay(1), big, ("lvl", i, 1)))
             continue
         row = scaled[i]
         # slowest level first: cost -d^k cap b(k), then the slope gaps,
         # finally -d^1 with the huge remainder cap
-        arcs.append((u, v, -curve.delay(k), 0, row[k - 2], ("lvl", i, k)))
+        arcs.append((u, v, -curve.delay(k), row[k - 2], ("lvl", i, k)))
         for q in range(k - 1, 1, -1):
             cap = row[q - 2] - row[q - 1]
-            arcs.append((u, v, -curve.delay(q), 0, cap, ("lvl", i, q)))
-        arcs.append((u, v, -curve.delay(1), 0, big - row[0], ("lvl", i, 1)))
+            arcs.append((u, v, -curve.delay(q), cap, ("lvl", i, q)))
+        arcs.append((u, v, -curve.delay(1), big - row[0], ("lvl", i, 1)))
     for idx, (src, dst, d) in enumerate(tg.wires):
-        arcs.append((tg.node_out(src), tg.node_in(dst), -d, 0, big, ("wire", idx)))
+        arcs.append((tg.node_out(src), tg.node_in(dst), -d, big, ("wire", idx)))
     for i in tg.sources:
-        arcs.append((tg.S, tg.node_in(i), 0, 0, big, ("from_s", i)))
+        arcs.append((tg.S, tg.node_in(i), 0, big, ("from_s", i)))
     for i in tg.sinks:
-        arcs.append((tg.node_out(i), tg.T, 0, 0, big, ("to_t", i)))
-    arcs.append((tg.T, tg.S, tg.t_cycle, 0, big, ("cycle",)))
+        arcs.append((tg.node_out(i), tg.T, 0, big, ("to_t", i)))
+    arcs.append((tg.T, tg.S, tg.t_cycle, big, ("cycle",)))
     net = network(tg.n_nodes, arcs)
     slowest_power = sum(c.power(c.k) for c in curves)
     return net, scale, slowest_power
@@ -166,7 +160,6 @@ def build_expanded_network(tg: TimingGraph, curves) -> FlowNetwork:
 class VoltageAssignment:
     level: tuple[int, ...]
     total_power: int
-    arrival: tuple[int, ...]  # per timing-graph node
 
 
 def longest_path_delay(tg: TimingGraph, curves, assignment) -> int:
@@ -261,37 +254,12 @@ def assign_voltages(
         if better is not None:
             levels, power = better
 
-    arrival = tuple(-(dist[v] if dist[v] is not None else 0) for v in range(tg.n_nodes))
-    if not _arrivals_consistent(tg, curves, levels, arrival):
-        arrival = _earliest_arrivals(tg, _delays_for(curves, levels))
     finish = longest_path_for(tg, _delays_for(curves, levels))[0]
     if finish > tg.t_cycle:
         raise SolverError(
             f"recovered levels finish at {finish}, past the cycle time {tg.t_cycle}"
         )
-    return VoltageAssignment(level=tuple(levels), total_power=power, arrival=arrival)
-
-
-def _arrivals_consistent(tg, curves, levels, arrival):
-    for i in range(tg.m):
-        if arrival[tg.node_out(i)] - arrival[tg.node_in(i)] < curves[i].delay(levels[i]):
-            return False
-    for src, dst, w in tg.wires:
-        if arrival[tg.node_in(dst)] - arrival[tg.node_out(src)] < w:
-            return False
-    return arrival[tg.T] - arrival[tg.S] <= tg.t_cycle
-
-
-def _earliest_arrivals(tg, delays):
-    arr = [0] * tg.n_nodes
-    for i in tg.order:
-        ai = 0
-        for src, w in tg.preds[i]:
-            ai = max(ai, arr[tg.node_out(src)] + w)
-        arr[tg.node_in(i)] = ai
-        arr[tg.node_out(i)] = ai + delays[i]
-    arr[tg.T] = max((arr[tg.node_out(i)] for i in tg.sinks), default=0)
-    return tuple(arr)
+    return VoltageAssignment(level=tuple(levels), total_power=power)
 
 
 def _branch_and_bound(tg, curves, inc_levels, inc_power, search_cap):
@@ -398,6 +366,4 @@ def brute_force_assign(tg: TimingGraph, curves, *, bound: int = 8) -> VoltageAss
     masked = np.where(feasible, powers, np.iinfo(np.int64).max)
     best = int(np.argmin(masked))  # first minimum == lexicographically smallest
     levels = tuple(int(level_of[i][best]) + 1 for i in range(m))
-    power = int(powers[best])
-    arrival = _earliest_arrivals(tg, _delays_for(curves, levels))
-    return VoltageAssignment(level=levels, total_power=power, arrival=arrival)
+    return VoltageAssignment(level=levels, total_power=int(powers[best]))

@@ -36,22 +36,11 @@ def random_timing_instance(rng, max_m=8, k_choices=(2, 3, 4), edge_prob=0.35):
         for j in range(i + 1, m):
             if rng.random() < edge_prob:
                 wires.append((i, j, rng.randint(0, 4)))
-    has_in = {d for _, d, _ in wires}
-    has_out = {s for s, _, _ in wires}
-    base = TimingGraph(
-        m=m,
-        wires=tuple(wires),
-        sources=tuple(i for i in range(m) if i not in has_in),
-        sinks=tuple(i for i in range(m) if i not in has_out),
-        t_cycle=0,
-    )
+    base = TimingGraph(m=m, wires=tuple(wires), t_cycle=0)
     cp_fast, _ = longest_path_for(base, [c.delay(1) for c in curves])
     cp_slow, _ = longest_path_for(base, [c.delay(c.k) for c in curves])
     t_cycle = rng.randint(cp_fast, cp_slow + 3)
-    tg = TimingGraph(
-        m=m, wires=base.wires, sources=base.sources, sinks=base.sinks, t_cycle=t_cycle
-    )
-    return tg, curves
+    return TimingGraph(m=m, wires=base.wires, t_cycle=t_cycle), curves
 
 
 def fixture_netlist(path_blocks, path_nets, k, seed, slack=Fraction(1, 2)):

@@ -255,14 +255,14 @@ def test_criterion_7_flow_certificates_and_enumeration():
         arcs = []
         for _ in range(m):
             a, b = rng.sample(range(n), 2)
-            arcs.append((a, b, rng.randint(-5, 8), 0, rng.randint(0, 3)))
+            arcs.append((a, b, rng.randint(-5, 8), rng.randint(0, 3)))
         net = network(n, arcs)
         res = solve_min_cost_circulation(net)
         pot = certify_optimal(net, res)  # raises on any negative residual cycle
         for a, f in zip(net.arcs, res.flow):
             if f < a.upper:
                 assert a.cost + pot[a.tail] - pot[a.head] >= 0
-            if f > a.lower:
+            if f > 0:
                 assert -a.cost + pot[a.head] - pot[a.tail] >= 0
         best = None
         for combo in itertools.product(*[range(a.upper + 1) for a in net.arcs]):

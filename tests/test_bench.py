@@ -212,6 +212,26 @@ class TestGsrcConvert:
         assert text.splitlines() == ["net sb0 sb1"]
 
 
+# a spec line in place of the generated line of its kind -> the error it gives
+SPEC_ERRORS = {
+    "k x": "k: expected an integer",
+    "k": "k: value missing",
+    "tcycle 1.5": "tcycle: expected an integer",
+    "curve sb0 1 2 x": "curve: expected an integer",
+    "curve": "curve: (level, delay, power) triples expected",
+    "shifter 4 2 1 1 1 2 2 0": "shifter: expected a ratio",
+    "shifter 4 2:0 1 1 1 2 2 0": "shifter: expected a ratio",
+    "shifter 4 a:1 1 1 1 2 2 0": "shifter: expected a ratio",
+    "shifter x 2:1 1 1 1 2 2 0": "shifter: expected an integer",
+    "shifter 4": "shifter: expected a ratio",
+    # well-formed tokens, invalid record (the generated spec has k=3)
+    "curve sb0 1 5 30 2 3 20 3 8 10": "curve sb0: delay must increase from level 1 to 2",
+    "curve sb0 1 2 30 2 3 20": "curve sb0: expected 3 curve points, got 2",
+    "shifter 0 2:1 1 1 30 2 2 20 3 3 10": "shifter: shifter area must be positive",
+    "shifter 4 2:1 1 1 30 2 2 20": "shifter overhead has 2 levels, k=3",
+}
+
+
 class TestCli:
     def _gen(self, tmp_path, k=3, seed=11):
         spec = tmp_path / "fix.spec"
@@ -255,21 +275,7 @@ class TestCli:
         ])
         assert rc == 2
 
-    @pytest.mark.parametrize(
-        "line",
-        [
-            "k x",
-            "k",
-            "tcycle 1.5",
-            "curve sb0 1 2 x",
-            "curve",
-            "shifter 4 2 1 1 1 2 2 0",
-            "shifter 4 2:0 1 1 1 2 2 0",
-            "shifter 4 a:1 1 1 1 2 2 0",
-            "shifter x 2:1 1 1 1 2 2 0",
-            "shifter 4",
-        ],
-    )
+    @pytest.mark.parametrize("line", list(SPEC_ERRORS))
     def test_bad_spec_token_exit_2(self, tmp_path, capsys, line):
         spec = self._gen(tmp_path)
         lines = spec.read_text().splitlines()
@@ -286,7 +292,20 @@ class TestCli:
         assert rc == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1
-        assert err.startswith(f"error: line {at + 1}: ")
+        assert err.startswith(f"error: line {at + 1}: {SPEC_ERRORS[line]}")
+
+    @pytest.mark.parametrize("k", ["9", "0"])
+    def test_gen_spec_k_out_of_range_exit_2(self, tmp_path, capsys, k):
+        capsys.readouterr()
+        rc = main([
+            "gen-spec", "--blocks", str(DATA / "n10.blocks"),
+            "--nets", str(DATA / "n10.nets"), "--k", k,
+            "--seed", "1", "-o", str(tmp_path / "s.spec"),
+        ])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err == f"error: k must be in 1..8, got {k}\n"
+        assert not (tmp_path / "s.spec").exists()
 
     @pytest.mark.parametrize(
         "blocks, nets",
@@ -376,10 +395,10 @@ class TestCli:
 
     def test_solver_failure_exit_4(self, tmp_path, capsys, monkeypatch):
         from voltplan import voltage
-        from voltplan.errors import InfeasibleLowerBounds
+        from voltplan.errors import NegativeResidualCycle
 
         def broken(net):
-            raise InfeasibleLowerBounds("no circulation meets the lower bounds")
+            raise NegativeResidualCycle("no circulation meets the lower bounds")
 
         spec = self._gen(tmp_path)
         monkeypatch.setattr(voltage, "solve_min_cost_circulation", broken)

@@ -3,11 +3,13 @@ import random
 
 import pytest
 
-from voltplan.errors import InfeasibleLowerBounds, NegativeResidualCycle
+from voltplan import _speedups_py
+from voltplan.errors import NegativeResidualCycle, SolverError
 from voltplan.flow import (
+    Arc,
+    FlowNetwork,
     FlowResult,
     certify_optimal,
-    dump_network,
     network,
     residual_shortest_paths,
     solve_min_cost_circulation,
@@ -19,7 +21,7 @@ def enumerate_min_circulation(net):
     """Oracle: try every integer flow vector within bounds, keep the cheapest
     conserving one. Only usable on tiny networks."""
     best = None
-    ranges = [range(a.lower, a.upper + 1) for a in net.arcs]
+    ranges = [range(a.upper + 1) for a in net.arcs]
     for combo in itertools.product(*ranges):
         balance = [0] * net.n_nodes
         for a, f in zip(net.arcs, combo):
@@ -36,50 +38,56 @@ def enumerate_min_circulation(net):
 def check_circulation_invariants(net, result):
     balance = [0] * net.n_nodes
     for a, f in zip(net.arcs, result.flow):
-        assert a.lower <= f <= a.upper
+        assert 0 <= f <= a.upper
         balance[a.tail] -= f
         balance[a.head] += f
     assert all(b == 0 for b in balance)
     assert result.objective == sum(a.cost * f for a, f in zip(net.arcs, result.flow))
 
 
+class TestNetworkValidation:
+    @pytest.mark.parametrize(
+        "arc, message",
+        [
+            (Arc(0, 3, 1, 2), "node id out of range"),
+            (Arc(-1, 1, 1, 2), "node id out of range"),
+            (Arc(1, 1, 1, 2), "self loop"),
+            (Arc(0, 1, 1, -1), "negative capacity"),
+        ],
+    )
+    def test_direct_construction_validates(self, arc, message):
+        with pytest.raises(ValueError, match=message):
+            FlowNetwork(n_nodes=3, arcs=(Arc(0, 1, 0, 1), arc))
+
+
 class TestCirculation:
     def test_nonnegative_costs_zero_flow(self):
-        net = network(3, [(0, 1, 2, 0, 5), (1, 2, 1, 0, 5), (2, 0, 3, 0, 5)])
+        net = network(3, [(0, 1, 2, 5), (1, 2, 1, 5), (2, 0, 3, 5)])
         res = solve_min_cost_circulation(net)
         assert res.objective == 0
         assert all(f == 0 for f in res.flow)
 
     def test_negative_cycle_saturates(self):
-        net = network(3, [(0, 1, -5, 0, 2), (1, 2, 1, 0, 2), (2, 0, 1, 0, 2)])
+        net = network(3, [(0, 1, -5, 2), (1, 2, 1, 2), (2, 0, 1, 2)])
         res = solve_min_cost_circulation(net)
         assert res.flow == (2, 2, 2)
         assert res.objective == -6
 
     def test_mildly_negative_cycle_stays_empty(self):
-        net = network(3, [(0, 1, -1, 0, 2), (1, 2, 1, 0, 2), (2, 0, 1, 0, 2)])
+        net = network(3, [(0, 1, -1, 2), (1, 2, 1, 2), (2, 0, 1, 2)])
         res = solve_min_cost_circulation(net)
         assert res.objective == 0
 
-    def test_positive_lower_bounds_forced(self):
-        net = network(2, [(0, 1, 3, 2, 4), (1, 0, 1, 0, 9)])
-        res = solve_min_cost_circulation(net)
-        assert res.flow[0] >= 2
-        check_circulation_invariants(net, res)
-        assert res.objective == 2 * 3 + 2 * 1
+    def test_short_shipping_kernel_is_a_solver_error(self, monkeypatch):
+        real = _speedups_py.mcmf
 
-    def test_negative_lower_bound_normalized(self):
-        # one arc with lower -2: the solver may run it backwards for profit
-        net = network(2, [(0, 1, 4, -2, 3), (0, 1, -1, 0, 2)])
-        res = solve_min_cost_circulation(net)
-        check_circulation_invariants(net, res)
-        # cheapest conserving flow: push 2 on the -1 arc, -2 back on the +4 arc
-        assert res.flow == (-2, 2)
-        assert res.objective == -10
+        def short(*args):
+            value, flows = real(*args)
+            return value - 1, flows
 
-    def test_infeasible_lower_bounds(self):
-        net = network(3, [(0, 1, 1, 2, 4)])  # nothing returns to node 0
-        with pytest.raises(InfeasibleLowerBounds):
+        monkeypatch.setattr(_speedups_py, "mcmf", short)
+        net = network(3, [(0, 1, -5, 2), (1, 2, 1, 2), (2, 0, 1, 2)])
+        with pytest.raises(SolverError, match="shipped 1 of 2"):
             solve_min_cost_circulation(net)
 
     def test_matches_enumeration_on_random_small(self, rng):
@@ -89,7 +97,7 @@ class TestCirculation:
             arcs = []
             for _ in range(m):
                 a, b = rng.sample(range(n), 2)
-                arcs.append((a, b, rng.randint(-5, 6), 0, rng.randint(0, 3)))
+                arcs.append((a, b, rng.randint(-5, 6), rng.randint(0, 3)))
             net = network(n, arcs)
             res = solve_min_cost_circulation(net)
             check_circulation_invariants(net, res)
@@ -99,13 +107,13 @@ class TestCirculation:
 
 class TestMaxFlow:
     def test_single_arc(self):
-        net = network(2, [(0, 1, 2, 0, 3)])
+        net = network(2, [(0, 1, 2, 3)])
         res = solve_min_cost_max_flow(net, 0, 1)
         assert res.value == 3
         assert res.objective == 6
 
     def test_parallel_arcs_both_saturate(self):
-        net = network(2, [(0, 1, 5, 0, 1), (0, 1, 1, 0, 1)])
+        net = network(2, [(0, 1, 5, 1), (0, 1, 1, 1)])
         res = solve_min_cost_max_flow(net, 0, 1)
         assert res.value == 2
         assert res.objective == 6
@@ -113,15 +121,20 @@ class TestMaxFlow:
     def test_bipartite_assignment(self):
         # 2 shifters x 2 rooms, costs [[1,4],[2,3]], unit caps everywhere
         arcs = [
-            (0, 1, 0, 0, 1), (0, 2, 0, 0, 1),
-            (1, 3, 1, 0, 1), (1, 4, 4, 0, 1),
-            (2, 3, 2, 0, 1), (2, 4, 3, 0, 1),
-            (3, 5, 0, 0, 1), (4, 5, 0, 0, 1),
+            (0, 1, 0, 1), (0, 2, 0, 1),
+            (1, 3, 1, 1), (1, 4, 4, 1),
+            (2, 3, 2, 1), (2, 4, 3, 1),
+            (3, 5, 0, 1), (4, 5, 0, 1),
         ]
         net = network(6, arcs)
         res = solve_min_cost_max_flow(net, 0, 5)
         assert res.value == 2
         assert res.objective == 4  # matching {s1->r1, s2->r2}
+
+    def test_negative_cost_rejected(self):
+        net = network(2, [(0, 1, 2, 3), (0, 1, -1, 3)])
+        with pytest.raises(ValueError, match="nonnegative arc costs"):
+            solve_min_cost_max_flow(net, 0, 1)
 
     def test_min_cost_among_max_flows_random(self, rng):
         # oracle: enumerate all integer flows, keep max value then min cost
@@ -131,7 +144,7 @@ class TestMaxFlow:
             arcs = []
             for _ in range(m):
                 a, b = rng.sample(range(n), 2)
-                arcs.append((a, b, rng.randint(0, 6), 0, rng.randint(0, 3)))
+                arcs.append((a, b, rng.randint(0, 6), rng.randint(0, 3)))
             net = network(n, arcs)
             s, t = 0, n - 1
             best = None
@@ -155,13 +168,13 @@ class TestMaxFlow:
 
 class TestResidualShortestPaths:
     def test_plain_shortest_paths_on_empty_flow(self):
-        net = network(3, [(0, 1, 4, 0, 2), (1, 2, 1, 0, 2), (0, 2, 9, 0, 2)])
+        net = network(3, [(0, 1, 4, 2), (1, 2, 1, 2), (0, 2, 9, 2)])
         res = FlowResult(flow=(0, 0, 0), objective=0)
         dist = residual_shortest_paths(net, res, 0)
         assert dist == [0, 4, 5]
 
     def test_saturated_cycle_distances_certify(self):
-        net = network(3, [(0, 1, -5, 0, 2), (1, 2, 1, 0, 2), (2, 0, 1, 0, 2)])
+        net = network(3, [(0, 1, -5, 2), (1, 2, 1, 2), (2, 0, 1, 2)])
         res = solve_min_cost_circulation(net)
         dist = residual_shortest_paths(net, res, 0)
         # only reverse arcs remain: 0<-1 costs -1 backwards etc.
@@ -169,17 +182,17 @@ class TestResidualShortestPaths:
         for a, f in zip(net.arcs, res.flow):
             if f < a.upper and dist[a.tail] is not None:
                 assert dist[a.head] <= dist[a.tail] + a.cost
-            if f > a.lower and dist[a.head] is not None:
+            if f > 0 and dist[a.head] is not None:
                 assert dist[a.tail] <= dist[a.head] - a.cost
 
     def test_unreachable_flagged(self):
-        net = network(3, [(0, 1, 1, 0, 1)])
+        net = network(3, [(0, 1, 1, 1)])
         res = FlowResult(flow=(0,), objective=0)
         dist = residual_shortest_paths(net, res, 0)
         assert dist[2] is None
 
     def test_nonoptimal_flow_detected(self):
-        net = network(3, [(0, 1, -5, 0, 2), (1, 2, 1, 0, 2), (2, 0, 1, 0, 2)])
+        net = network(3, [(0, 1, -5, 2), (1, 2, 1, 2), (2, 0, 1, 2)])
         bad = FlowResult(flow=(0, 0, 0), objective=0)
         with pytest.raises(NegativeResidualCycle):
             residual_shortest_paths(net, bad, 0)
@@ -193,18 +206,13 @@ class TestReducedCostCertificates:
             arcs = []
             for _ in range(m):
                 a, b = rng.sample(range(n), 2)
-                arcs.append((a, b, rng.randint(-5, 8), 0, rng.randint(0, 3)))
+                arcs.append((a, b, rng.randint(-5, 8), rng.randint(0, 3)))
             net = network(n, arcs)
             res = solve_min_cost_circulation(net)
             pot = certify_optimal(net, res)
             for a, f in zip(net.arcs, res.flow):
                 if f < a.upper:
                     assert a.cost + pot[a.tail] - pot[a.head] >= 0
-                if f > a.lower:
+                if f > 0:
                     assert -a.cost + pot[a.head] - pot[a.tail] >= 0
 
-
-def test_dump_network_format():
-    net = network(3, [(0, 1, -5, 0, 2, "x y"), (1, 2, 1, 0, 2)])
-    text = dump_network(net)
-    assert text.splitlines() == ["0 1 -5 0 2 x_y", "1 2 1 0 2 -"]
