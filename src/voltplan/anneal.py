@@ -61,6 +61,12 @@ class AnnealConfig:
     observer: object = None  # callable(floorplan, assignment, phi) per candidate
 
     def __post_init__(self):
+        if not 0 < self.alpha < 1:
+            raise ValidationError(f"alpha must lie in (0, 1), got {self.alpha}")
+        if self.beta < 1:
+            raise ValidationError(f"beta must be at least 1, got {self.beta}")
+        if self.window is not None and self.window < 0:
+            raise ValidationError(f"window must be nonnegative, got {self.window}")
         if self.ls_every < 1:
             raise ValidationError(f"ls_every must be at least 1, got {self.ls_every}")
         if not 0 < self.accept_target < 1:

@@ -68,14 +68,18 @@ def parse_nets(text, known_names) -> list[tuple[str, list[str]]]:
     return out
 
 
-def _int(parts, i, lineno) -> int:
-    """parts[i] as an int; a missing or non-integer token is a ParseError."""
+def _int(parts, i, lineno, least=None) -> int:
+    """parts[i] as an int; a missing or non-integer token, or one below
+    `least`, is a ParseError."""
     if i >= len(parts):
         raise ParseError(f"{parts[0]}: value missing", lineno)
     try:
-        return int(parts[i])
+        value = int(parts[i])
     except ValueError:
         raise ParseError(f"{parts[0]}: expected an integer, got {parts[i]!r}", lineno) from None
+    if least is not None and value < least:
+        raise ParseError(f"{parts[0]}: must be at least {least}, got {value}", lineno)
+    return value
 
 
 def _ratio(parts, i, lineno) -> Fraction:
@@ -114,9 +118,9 @@ def parse_spec(text):
         parts = line.split()
         kind = parts[0]
         if kind == "k":
-            k = _int(parts, 1, lineno)
+            k = _int(parts, 1, lineno, least=1)
         elif kind == "tcycle":
-            t_cycle = _int(parts, 1, lineno)
+            t_cycle = _int(parts, 1, lineno, least=0)
         elif kind == "curve":
             pts = _triples(parts, 2, lineno)
             name = parts[1]
@@ -194,6 +198,8 @@ def gen_spec(
     """
     if k < 1 or k > K_CAP:
         raise ValidationError(f"k must be in 1..{K_CAP}, got {k}")
+    if not 0 <= timing_slack <= 1:
+        raise ValidationError(f"timing_slack must lie in [0, 1], got {timing_slack}")
     names = [b[0] for b in blocks]
     lines = [f"k {k}"]
     curves = {}

@@ -8,6 +8,12 @@ negative-cost arc is first saturated, which leaves a nonnegative-cost
 residual and turns the problem into shipping the resulting node excesses,
 so the kernel only ever sees nonnegative costs.
 
+A FlowNetwork stores its arcs as four equal-length integer columns,
+tails, heads, costs and uppers, with arc i at index i of each. Builders
+pass (tail, head, cost, upper) rows to network(), which transposes them
+once; the solvers hand the columns to the kernels as they are, and every
+flow vector is indexed by the same arc order.
+
 The kernels live in _speedups_py and are always called through that module
 attribute, so a caller can wrap them there. They run on Python ints, so
 every solve stays exact at any magnitude.
@@ -16,6 +22,7 @@ every solve stays exact at any magnitude.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 
 from . import _speedups_py
 from .errors import NegativeResidualCycle, SolverError
@@ -31,35 +38,34 @@ def kernel_name() -> str:
 
 
 @dataclass(frozen=True)
-class Arc:
-    tail: int
-    head: int
-    cost: int
-    upper: int
-    tag: object = None
-
-
-@dataclass(frozen=True)
 class FlowNetwork:
+    """Arcs as four parallel columns: arc i runs tails[i] -> heads[i] at
+    cost costs[i] with capacity uppers[i]."""
+
     n_nodes: int
-    arcs: tuple[Arc, ...]
+    tails: tuple[int, ...]
+    heads: tuple[int, ...]
+    costs: tuple[int, ...]
+    uppers: tuple[int, ...]
 
     def __post_init__(self):
-        for i, a in enumerate(self.arcs):
-            if not (0 <= a.tail < self.n_nodes and 0 <= a.head < self.n_nodes):
+        if not len(self.tails) == len(self.heads) == len(self.costs) == len(self.uppers):
+            raise ValueError("arc columns differ in length")
+        n = self.n_nodes
+        for i, (t, h, u) in enumerate(zip(self.tails, self.heads, self.uppers)):
+            if not (0 <= t < n and 0 <= h < n):
                 raise ValueError(f"arc {i}: node id out of range")
-            if a.tail == a.head:
+            if t == h:
                 raise ValueError(f"arc {i}: self loop")
-            if a.upper < 0:
-                raise ValueError(f"arc {i}: negative capacity {a.upper}")
+            if u < 0:
+                raise ValueError(f"arc {i}: negative capacity {u}")
 
 
 def network(n_nodes, arcs) -> FlowNetwork:
-    """Build a FlowNetwork from Arcs or (tail, head, cost, upper[, tag]) tuples."""
-    return FlowNetwork(
-        n_nodes=n_nodes,
-        arcs=tuple(a if isinstance(a, Arc) else Arc(*a) for a in arcs),
-    )
+    """Build a FlowNetwork from (tail, head, cost, upper) tuples; a row of
+    any other length raises ValueError."""
+    tails, heads, costs, uppers = tuple(zip(*arcs, strict=True)) or ((), (), (), ())
+    return FlowNetwork(n_nodes, tails, heads, costs, uppers)
 
 
 @dataclass(frozen=True)
@@ -67,15 +73,6 @@ class FlowResult:
     flow: tuple[int, ...]
     objective: int
     value: int | None = None
-
-
-def _arrays(net: FlowNetwork):
-    return (
-        [a.tail for a in net.arcs],
-        [a.head for a in net.arcs],
-        [a.upper for a in net.arcs],
-        [a.cost for a in net.arcs],
-    )
 
 
 def solve_min_cost_circulation(net: FlowNetwork) -> FlowResult:
@@ -91,21 +88,21 @@ def solve_min_cost_circulation(net: FlowNetwork) -> FlowResult:
     excess = [0] * n
     used = []
     tails, heads, caps, costs = [], [], [], []
-    for i, a in enumerate(net.arcs):
-        if a.upper == 0:
+    for i, (t, h, c, u) in enumerate(zip(net.tails, net.heads, net.costs, net.uppers)):
+        if u == 0:
             continue
         used.append(i)
-        if a.cost < 0:
-            excess[a.head] += a.upper
-            excess[a.tail] -= a.upper
-            tails.append(a.head)
-            heads.append(a.tail)
-            costs.append(-a.cost)
+        if c < 0:
+            excess[h] += u
+            excess[t] -= u
+            tails.append(h)
+            heads.append(t)
+            costs.append(-c)
         else:
-            tails.append(a.tail)
-            heads.append(a.head)
-            costs.append(a.cost)
-        caps.append(a.upper)
+            tails.append(t)
+            heads.append(h)
+            costs.append(c)
+        caps.append(u)
 
     s_node, t_node = n, n + 1
     supply = 0
@@ -127,21 +124,21 @@ def solve_min_cost_circulation(net: FlowNetwork) -> FlowResult:
     if value != supply:
         raise SolverError(f"circulation kernel shipped {value} of {supply}")
 
-    flows = [0] * len(net.arcs)
+    flows = [0] * len(net.tails)
     for j, i in enumerate(used):
-        a = net.arcs[i]
-        flows[i] = a.upper - kflows[j] if a.cost < 0 else kflows[j]
-    objective = sum(a.cost * f for a, f in zip(net.arcs, flows))
+        flows[i] = net.uppers[i] - kflows[j] if net.costs[i] < 0 else kflows[j]
+    objective = sum(map(mul, net.costs, flows))
     return FlowResult(flow=tuple(flows), objective=objective)
 
 
 def solve_min_cost_max_flow(net: FlowNetwork, s: int, t: int) -> FlowResult:
     """Maximum s-t flow of minimum cost; arc costs must be nonnegative."""
-    if any(a.cost < 0 for a in net.arcs):
+    if min(net.costs, default=0) < 0:
         raise ValueError("min-cost max-flow expects nonnegative arc costs")
-    tails, heads, caps, costs = _arrays(net)
-    value, flows = _speedups_py.mcmf(net.n_nodes, tails, heads, caps, costs, s, t, INF)
-    objective = sum(a.cost * f for a, f in zip(net.arcs, flows))
+    value, flows = _speedups_py.mcmf(
+        net.n_nodes, net.tails, net.heads, net.uppers, net.costs, s, t, INF
+    )
+    objective = sum(map(mul, net.costs, flows))
     return FlowResult(flow=tuple(flows), objective=objective, value=value)
 
 
@@ -152,13 +149,15 @@ def certify_optimal(net: FlowNetwork, result: FlowResult) -> tuple[int, ...]:
     proves there is no negative residual cycle, i.e. the flow is optimal.
     """
     n = net.n_nodes
-    tails, heads, caps, costs = _arrays(net)
-    tails += [n] * n
-    heads += range(n)
-    caps += [1] * n
-    costs += [0] * n
-    fl = list(result.flow) + [0] * n
-    dist, neg = _speedups_py.shortest_paths(n + 1, tails, heads, caps, costs, fl, n)
+    dist, neg = _speedups_py.shortest_paths(
+        n + 1,
+        net.tails + (n,) * n,
+        net.heads + tuple(range(n)),
+        net.uppers + (1,) * n,
+        net.costs + (0,) * n,
+        result.flow + (0,) * n,
+        n,
+    )
     if neg:
         raise NegativeResidualCycle("flow is not optimal: negative residual cycle")
     return tuple(dist[:n])
@@ -171,9 +170,8 @@ def residual_shortest_paths(net: FlowNetwork, result: FlowResult, src: int):
     positive residual capacity; unreachable nodes are None. Raises
     NegativeResidualCycle when the flow passed in was not optimal.
     """
-    tails, heads, caps, costs = _arrays(net)
     dist, neg = _speedups_py.shortest_paths(
-        net.n_nodes, tails, heads, caps, costs, list(result.flow), src
+        net.n_nodes, net.tails, net.heads, net.uppers, net.costs, result.flow, src
     )
     if neg:
         raise NegativeResidualCycle("negative residual cycle reachable from source")

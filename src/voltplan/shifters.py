@@ -179,10 +179,8 @@ def build_assignment_network(shifters, floorplan, spec, window):
     t_node = 1
     ls_base = 2
     room_base = 2 + n_ls
-    arcs = []
+    arcs = [(s_node, ls_base + j, 0, 1) for j in range(n_ls)]
     pair_arcs = {}
-    for j, shifter in enumerate(shifters):
-        arcs.append((s_node, ls_base + j, 0, 1, ("src", shifter.id)))
     caps = [num_ls(room, spec) for room in floorplan.rooms]
     for j, shifter in enumerate(shifters):
         bbox2 = _bbox_with_window(floorplan, shifter, 2 * window)
@@ -190,12 +188,10 @@ def build_assignment_network(shifters, floorplan, spec, window):
             if caps[r] >= 1 and _in_window(bbox2, room):
                 pair_arcs[(j, r)] = len(arcs)
                 cost = assign_cost(shifter, room, floorplan)
-                arcs.append(
-                    (ls_base + j, room_base + r, cost, 1, ("ls", shifter.id, r))
-                )
+                arcs.append((ls_base + j, room_base + r, cost, 1))
     for r, cap in enumerate(caps):
         if cap > 0:
-            arcs.append((room_base + r, t_node, 0, cap, ("room", r)))
+            arcs.append((room_base + r, t_node, 0, cap))
     net = network(2 + n_ls + m, arcs)
     return net, s_node, t_node, pair_arcs
 

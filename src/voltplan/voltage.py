@@ -102,8 +102,9 @@ def compute_breakpoints(curve: DPCurve) -> list[Fraction]:
     return out
 
 
-def _expanded(tg: TimingGraph, curves):
-    """Expanded network plus its capacity scale and the all-slowest power sum.
+def build_expanded_network(tg: TimingGraph, curves) -> tuple[FlowNetwork, int, int]:
+    """Circulation network whose optimum dualizes the assignment program,
+    plus its capacity scale and the all-slowest power sum.
 
     Finite capacities are the breakpoint slopes; scaling every capacity by
     the lcm of their denominators keeps them integral without touching the
@@ -128,32 +129,26 @@ def _expanded(tg: TimingGraph, curves):
         u, v = tg.node_in(i), tg.node_out(i)
         k = curve.k
         if k == 1:
-            arcs.append((u, v, -curve.delay(1), big, ("lvl", i, 1)))
+            arcs.append((u, v, -curve.delay(1), big))
             continue
         row = scaled[i]
         # slowest level first: cost -d^k cap b(k), then the slope gaps,
         # finally -d^1 with the huge remainder cap
-        arcs.append((u, v, -curve.delay(k), row[k - 2], ("lvl", i, k)))
+        arcs.append((u, v, -curve.delay(k), row[k - 2]))
         for q in range(k - 1, 1, -1):
             cap = row[q - 2] - row[q - 1]
-            arcs.append((u, v, -curve.delay(q), cap, ("lvl", i, q)))
-        arcs.append((u, v, -curve.delay(1), big - row[0], ("lvl", i, 1)))
-    for idx, (src, dst, d) in enumerate(tg.wires):
-        arcs.append((tg.node_out(src), tg.node_in(dst), -d, big, ("wire", idx)))
+            arcs.append((u, v, -curve.delay(q), cap))
+        arcs.append((u, v, -curve.delay(1), big - row[0]))
+    for src, dst, d in tg.wires:
+        arcs.append((tg.node_out(src), tg.node_in(dst), -d, big))
     for i in tg.sources:
-        arcs.append((tg.S, tg.node_in(i), 0, big, ("from_s", i)))
+        arcs.append((tg.S, tg.node_in(i), 0, big))
     for i in tg.sinks:
-        arcs.append((tg.node_out(i), tg.T, 0, big, ("to_t", i)))
-    arcs.append((tg.T, tg.S, tg.t_cycle, big, ("cycle",)))
+        arcs.append((tg.node_out(i), tg.T, 0, big))
+    arcs.append((tg.T, tg.S, tg.t_cycle, big))
     net = network(tg.n_nodes, arcs)
     slowest_power = sum(c.power(c.k) for c in curves)
     return net, scale, slowest_power
-
-
-def build_expanded_network(tg: TimingGraph, curves) -> FlowNetwork:
-    """Circulation network whose optimum dualizes the assignment program."""
-    net, _, _ = _expanded(tg, curves)
-    return net
 
 
 @dataclass(frozen=True)
@@ -162,9 +157,8 @@ class VoltageAssignment:
     total_power: int
 
 
-def longest_path_delay(tg: TimingGraph, curves, assignment) -> int:
-    """Exact longest s-to-t path under the assigned module delays."""
-    levels = assignment.level if isinstance(assignment, VoltageAssignment) else assignment
+def longest_path_delay(tg: TimingGraph, curves, levels) -> int:
+    """Exact longest s-to-t path when module i runs at levels[i]."""
     return longest_path_for(tg, _delays_for(curves, levels))[0]
 
 
@@ -230,7 +224,7 @@ def assign_voltages(
             critical_path=path,
         )
 
-    net, scale, slowest_power = _expanded(tg, curves)
+    net, scale, slowest_power = build_expanded_network(tg, curves)
     result = solve_min_cost_circulation(net)
     dist = residual_shortest_paths(net, result, tg.S)
     levels = []

@@ -11,6 +11,11 @@ from voltplan.voltage import TimingGraph, longest_path_for
 DATA = Path(__file__).parent / "data"
 
 
+def arcs_of(net):
+    """The network's arcs as (tail, head, cost, upper) rows, in arc order."""
+    return list(zip(net.tails, net.heads, net.costs, net.uppers))
+
+
 def random_curve(rng, k):
     """Random valid curve: strictly decreasing integer slopes."""
     delays = [rng.randint(1, 12)]

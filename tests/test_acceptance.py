@@ -33,7 +33,7 @@ from voltplan.voltage import (
     longest_path_delay,
 )
 
-from conftest import DATA, fixture_netlist, random_timing_instance
+from conftest import DATA, arcs_of, fixture_netlist, random_timing_instance
 from test_floorplan import check_tiling, rects_disjoint
 
 
@@ -114,9 +114,7 @@ def test_criterion_2_shifter_oracle_equivalence():
             shifters, fp, spec, window
         )
         res = solve_min_cost_max_flow(net, s_node, t_node)
-        flow_cost = sum(
-            a.cost * f for a, f in zip(net.arcs, res.flow) if a.tag[0] == "ls"
-        )
+        flow_cost = sum(net.costs[i] * res.flow[i] for i in pairs.values())
         want_count, want_cost = _enumerate_assignment(fp, spec, shifters, window)
         assert res.value == want_count
         assert flow_cost == want_cost
@@ -182,7 +180,7 @@ def test_criterion_5_timing_safety_fuzz():
 
     def observer(fp, assignment, phi):
         evaluations[0] += 1
-        assert longest_path_delay(tg0, curves, assignment) <= netlist.t_cycle
+        assert longest_path_delay(tg0, curves, assignment.level) <= netlist.t_cycle
 
     seed = 0
     while evaluations[0] < 10_000:
@@ -259,20 +257,21 @@ def test_criterion_7_flow_certificates_and_enumeration():
         net = network(n, arcs)
         res = solve_min_cost_circulation(net)
         pot = certify_optimal(net, res)  # raises on any negative residual cycle
-        for a, f in zip(net.arcs, res.flow):
-            if f < a.upper:
-                assert a.cost + pot[a.tail] - pot[a.head] >= 0
+        rows = arcs_of(net)
+        for (t, h, c, u), f in zip(rows, res.flow):
+            if f < u:
+                assert c + pot[t] - pot[h] >= 0
             if f > 0:
-                assert -a.cost + pot[a.head] - pot[a.tail] >= 0
+                assert -c + pot[h] - pot[t] >= 0
         best = None
-        for combo in itertools.product(*[range(a.upper + 1) for a in net.arcs]):
+        for combo in itertools.product(*[range(u + 1) for _, _, _, u in rows]):
             balance = [0] * n
-            for a, f in zip(net.arcs, combo):
-                balance[a.tail] -= f
-                balance[a.head] += f
+            for (t, h, _, _), f in zip(rows, combo):
+                balance[t] -= f
+                balance[h] += f
             if any(balance):
                 continue
-            cost = sum(a.cost * f for a, f in zip(net.arcs, combo))
+            cost = sum(c * f for (_, _, c, _), f in zip(rows, combo))
             best = cost if best is None else min(best, cost)
         assert res.objective == best
     report(7, "150 networks: reduced-cost certificates hold, objectives == enumeration")

@@ -216,6 +216,8 @@ class TestGsrcConvert:
 SPEC_ERRORS = {
     "k x": "k: expected an integer",
     "k": "k: value missing",
+    "k 0": "k: must be at least 1, got 0",
+    "tcycle -5": "tcycle: must be at least 0, got -5",
     "tcycle 1.5": "tcycle: expected an integer",
     "curve sb0 1 2 x": "curve: expected an integer",
     "curve": "curve: (level, delay, power) triples expected",
@@ -336,6 +338,12 @@ class TestCli:
             ("--kappa", "-1"),
             ("--ls-every", "0"),
             ("--accept-target", "1"),
+            ("--timing-slack", "-1"),
+            ("--timing-slack", "3/2"),
+            ("--window", "-50"),
+            ("--beta", "0"),
+            ("--alpha", "0"),
+            ("--alpha", "1"),
         ],
     )
     def test_bad_numeric_flag_exit_2(self, tmp_path, capsys, flag, value):

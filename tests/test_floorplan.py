@@ -378,4 +378,4 @@ class TestAnneal:
 
         tg = build_timing_graph(nl, [0] * len(nl.nets))
         curves = modified_curves(nl, tiny_shifter())
-        assert longest_path_delay(tg, curves, res.voltage) <= nl.t_cycle
+        assert longest_path_delay(tg, curves, res.voltage.level) <= nl.t_cycle

@@ -6,7 +6,6 @@ import pytest
 from voltplan import _speedups_py
 from voltplan.errors import NegativeResidualCycle, SolverError
 from voltplan.flow import (
-    Arc,
     FlowNetwork,
     FlowResult,
     certify_optimal,
@@ -16,20 +15,23 @@ from voltplan.flow import (
     solve_min_cost_max_flow,
 )
 
+from conftest import arcs_of
+
 
 def enumerate_min_circulation(net):
     """Oracle: try every integer flow vector within bounds, keep the cheapest
     conserving one. Only usable on tiny networks."""
     best = None
-    ranges = [range(a.upper + 1) for a in net.arcs]
+    arcs = arcs_of(net)
+    ranges = [range(u + 1) for _, _, _, u in arcs]
     for combo in itertools.product(*ranges):
         balance = [0] * net.n_nodes
-        for a, f in zip(net.arcs, combo):
-            balance[a.tail] -= f
-            balance[a.head] += f
+        for (t, h, _, _), f in zip(arcs, combo):
+            balance[t] -= f
+            balance[h] += f
         if any(balance):
             continue
-        cost = sum(a.cost * f for a, f in zip(net.arcs, combo))
+        cost = sum(c * f for (_, _, c, _), f in zip(arcs, combo))
         if best is None or cost < best:
             best = cost
     return best
@@ -37,27 +39,59 @@ def enumerate_min_circulation(net):
 
 def check_circulation_invariants(net, result):
     balance = [0] * net.n_nodes
-    for a, f in zip(net.arcs, result.flow):
-        assert 0 <= f <= a.upper
-        balance[a.tail] -= f
-        balance[a.head] += f
+    arcs = arcs_of(net)
+    for (t, h, _, u), f in zip(arcs, result.flow):
+        assert 0 <= f <= u
+        balance[t] -= f
+        balance[h] += f
     assert all(b == 0 for b in balance)
-    assert result.objective == sum(a.cost * f for a, f in zip(net.arcs, result.flow))
+    assert result.objective == sum(c * f for (_, _, c, _), f in zip(arcs, result.flow))
 
 
 class TestNetworkValidation:
     @pytest.mark.parametrize(
         "arc, message",
         [
-            (Arc(0, 3, 1, 2), "node id out of range"),
-            (Arc(-1, 1, 1, 2), "node id out of range"),
-            (Arc(1, 1, 1, 2), "self loop"),
-            (Arc(0, 1, 1, -1), "negative capacity"),
+            ((0, 3, 1, 2), "node id out of range"),
+            ((-1, 1, 1, 2), "node id out of range"),
+            ((1, 1, 1, 2), "self loop"),
+            ((0, 1, 1, -1), "negative capacity"),
         ],
     )
     def test_direct_construction_validates(self, arc, message):
-        with pytest.raises(ValueError, match=message):
-            FlowNetwork(n_nodes=3, arcs=(Arc(0, 1, 0, 1), arc))
+        tails, heads, costs, uppers = zip((0, 1, 0, 1), arc)
+        with pytest.raises(ValueError, match=f"arc 1: {message}"):
+            FlowNetwork(3, tails, heads, costs, uppers)
+
+    @pytest.mark.parametrize("short", ["tails", "heads", "costs", "uppers"])
+    def test_unequal_column_lengths(self, short):
+        cols = {"tails": (0, 1), "heads": (1, 2), "costs": (0, 0), "uppers": (1, 1)}
+        cols[short] = cols[short][:1]
+        with pytest.raises(ValueError, match="arc columns differ in length"):
+            FlowNetwork(3, **cols)
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [(0, 1, 0)],
+            [(0, 1, 0, 1, "x")],
+            [(0, 1, 0, 1), (1, 2, 0, 1, "x")],
+            [(0, 1, 0, 1), (1, 2, 0)],
+        ],
+    )
+    def test_rows_other_than_four_fields_rejected(self, rows):
+        with pytest.raises(ValueError):
+            network(3, rows)
+
+    def test_empty_network_solves(self):
+        net = network(3, [])
+        assert net == FlowNetwork(3, (), (), (), ())
+        circ = solve_min_cost_circulation(net)
+        assert (circ.flow, circ.objective) == ((), 0)
+        assert certify_optimal(net, circ) == (0, 0, 0)
+        flow = solve_min_cost_max_flow(net, 0, 2)
+        assert (flow.flow, flow.objective, flow.value) == ((), 0, 0)
+        assert residual_shortest_paths(net, flow, 0) == [0, None, None]
 
 
 class TestCirculation:
@@ -147,19 +181,20 @@ class TestMaxFlow:
                 arcs.append((a, b, rng.randint(0, 6), rng.randint(0, 3)))
             net = network(n, arcs)
             s, t = 0, n - 1
+            rows = arcs_of(net)
             best = None
-            for combo in itertools.product(*[range(a.upper + 1) for a in net.arcs]):
+            for combo in itertools.product(*[range(u + 1) for _, _, _, u in rows]):
                 balance = [0] * n
-                for a, f in zip(net.arcs, combo):
-                    balance[a.tail] -= f
-                    balance[a.head] += f
+                for (ta, he, _, _), f in zip(rows, combo):
+                    balance[ta] -= f
+                    balance[he] += f
                 ok = all(
                     b == 0 for v, b in enumerate(balance) if v not in (s, t)
                 ) and balance[t] >= 0
                 if not ok:
                     continue
                 value = balance[t]
-                cost = sum(a.cost * f for a, f in zip(net.arcs, combo))
+                cost = sum(c * f for (_, _, c, _), f in zip(rows, combo))
                 if best is None or (value, -cost) > (best[0], -best[1]):
                     best = (value, cost)
             res = solve_min_cost_max_flow(net, s, t)
@@ -179,11 +214,11 @@ class TestResidualShortestPaths:
         dist = residual_shortest_paths(net, res, 0)
         # only reverse arcs remain: 0<-1 costs -1 backwards etc.
         assert dist[0] == 0
-        for a, f in zip(net.arcs, res.flow):
-            if f < a.upper and dist[a.tail] is not None:
-                assert dist[a.head] <= dist[a.tail] + a.cost
-            if f > 0 and dist[a.head] is not None:
-                assert dist[a.tail] <= dist[a.head] - a.cost
+        for (t, h, c, u), f in zip(arcs_of(net), res.flow):
+            if f < u and dist[t] is not None:
+                assert dist[h] <= dist[t] + c
+            if f > 0 and dist[h] is not None:
+                assert dist[t] <= dist[h] - c
 
     def test_unreachable_flagged(self):
         net = network(3, [(0, 1, 1, 1)])
@@ -210,9 +245,9 @@ class TestReducedCostCertificates:
             net = network(n, arcs)
             res = solve_min_cost_circulation(net)
             pot = certify_optimal(net, res)
-            for a, f in zip(net.arcs, res.flow):
-                if f < a.upper:
-                    assert a.cost + pot[a.tail] - pot[a.head] >= 0
+            for (t, h, c, u), f in zip(arcs_of(net), res.flow):
+                if f < u:
+                    assert c + pot[t] - pot[h] >= 0
                 if f > 0:
-                    assert -a.cost + pot[a.head] - pot[a.tail] >= 0
+                    assert -c + pot[h] - pot[t] >= 0
 

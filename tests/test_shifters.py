@@ -19,6 +19,8 @@ from voltplan.shifters import (
     wirelength_with_shifters,
 )
 
+from conftest import arcs_of
+
 
 def spec_square(area=4, k=1):
     return derive_shifter_spec(area, Fraction(1), [(q + 1, 0, 0) for q in range(k)])
@@ -372,9 +374,11 @@ def test_assignment_network_shape():
     shifters = [Shifter(0, 0, 0, 1, 2)]
     net, s_node, t_node, pairs = build_assignment_network(shifters, fp, spec, 100)
     assert net.n_nodes == 2 + 1 + 2
-    srcs = [a for a in net.arcs if a.tail == s_node]
-    assert all(a.upper == 1 and a.cost == 0 for a in srcs)
-    sinks = [a for a in net.arcs if a.head == t_node]
-    for a in sinks:
-        room_idx = a.tag[1]
-        assert a.upper == num_ls(fp.rooms[room_idx], spec)
+    rows = arcs_of(net)
+    srcs = [(c, u) for t, _, c, u in rows if t == s_node]
+    assert all(u == 1 and c == 0 for c, u in srcs)
+    room_base = 2 + len(shifters)
+    sinks = [(t, u) for t, h, _, u in rows if h == t_node]
+    for t, u in sinks:
+        room_idx = t - room_base
+        assert u == num_ls(fp.rooms[room_idx], spec)

@@ -25,7 +25,7 @@ from voltplan.voltage import (
     longest_path_for,
 )
 
-from conftest import random_curve, random_timing_instance
+from conftest import arcs_of, random_curve, random_timing_instance
 
 
 def curve(*pts):
@@ -110,32 +110,36 @@ class TestExpandedNetwork:
     def test_spec_example_k2(self):
         nl = netlist_of([curve((1, 1, 10), (2, 3, 4))], [], 5)
         tg = build_timing_graph(nl, [])
-        net = build_expanded_network(tg, [nl.modules[0].curve])
-        by_tag = {a.tag: a for a in net.arcs}
+        net, scale, slowest_power = build_expanded_network(tg, [nl.modules[0].curve])
+        assert (scale, slowest_power) == (1, 4)
+        rows = arcs_of(net)
+        u, v = tg.node_in(0), tg.node_out(0)
         big = 3 + 1  # sum of finite caps + 1
-        slow = by_tag[("lvl", 0, 2)]
-        fast = by_tag[("lvl", 0, 1)]
-        assert (slow.cost, slow.upper) == (-3, 3)
-        assert (fast.cost, fast.upper) == (-1, big - 3)
-        assert by_tag[("cycle",)].cost == 5
-        assert by_tag[("from_s", 0)].cost == 0
-        assert by_tag[("to_t", 0)].cost == 0
+        slow, fast = [(c, up) for t, h, c, up in rows if (t, h) == (u, v)]
+        assert slow == (-3, 3)
+        assert fast == (-1, big - 3)
+        cost_of = {(t, h): c for t, h, c, _ in rows if (t, h) != (u, v)}
+        assert cost_of[(tg.T, tg.S)] == 5
+        assert cost_of[(tg.S, u)] == 0
+        assert cost_of[(v, tg.T)] == 0
 
     def test_k1_degenerate(self):
         nl = netlist_of([curve((1, 4, 7))], [], 9)
         tg = build_timing_graph(nl, [])
-        net = build_expanded_network(tg, [nl.modules[0].curve])
-        lvl = [a for a in net.arcs if a.tag and a.tag[0] == "lvl"]
+        net, _, _ = build_expanded_network(tg, [nl.modules[0].curve])
+        ends = (tg.node_in(0), tg.node_out(0))
+        lvl = [c for t, h, c, _ in arcs_of(net) if (t, h) == ends]
         assert len(lvl) == 1
-        assert lvl[0].cost == -4
+        assert lvl[0] == -4
 
     def test_parallel_caps_telescope(self, rng):
         for _ in range(30):
             tg, curves = random_timing_instance(rng, max_m=4)
-            net = build_expanded_network(tg, curves)
-            big = max(a.upper for a in net.arcs)
+            net, _, _ = build_expanded_network(tg, curves)
+            big = max(net.uppers)
             for i in range(tg.m):
-                caps = sum(a.upper for a in net.arcs if a.tag and a.tag[:2] == ("lvl", i))
+                ends = (tg.node_in(i), tg.node_out(i))
+                caps = sum(up for t, h, _, up in arcs_of(net) if (t, h) == ends)
                 assert caps == big
 
 
@@ -184,7 +188,7 @@ class TestAssign:
         for _ in range(150):
             tg, curves = random_timing_instance(rng)
             got = assign_voltages(tg, curves)
-            assert longest_path_delay(tg, curves, got) <= tg.t_cycle
+            assert longest_path_delay(tg, curves, got.level) <= tg.t_cycle
 
     def test_round_down_alone_can_miss_but_refinement_fixes(self, rng):
         # find a case where pure round-down is suboptimal; the certified
