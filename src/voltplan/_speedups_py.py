@@ -2,8 +2,10 @@
 
 Graphs arrive as flat arc arrays (tails, heads, caps, costs); arcs are
 stored with paired reverse edges (edge 2i forward, 2i+1 backward). Every
-arc carries flow in [0, cap]: there are no lower bounds. mcmf takes
-nonnegative costs only; the residual Bellman-Ford takes any costs.
+arc carries flow in [0, cap]: there are no lower bounds. mcmf starts from
+given arc flows and node potentials (zero by default) and needs every
+residual edge's reduced cost to be nonnegative under them; the residual
+Bellman-Ford takes any costs.
 
 INF is a large integer sentinel, never float.
 """
@@ -15,7 +17,9 @@ from heapq import heappop, heappush
 INF = 1 << 62
 
 
-def _build(n, tails, heads, caps, costs):
+def _build(n, tails, heads, caps, costs, flows=None):
+    """Adjacency arrays of the residual graph; each arc starts at its flow
+    (zero when flows is None)."""
     m = len(tails)
     to = [0] * (2 * m)
     cap = [0] * (2 * m)
@@ -25,10 +29,11 @@ def _build(n, tails, heads, caps, costs):
     for i in range(m):
         t, h = tails[i], heads[i]
         e = 2 * i
-        to[e], cap[e], cst[e] = h, caps[i], costs[i]
+        f = 0 if flows is None else flows[i]
+        to[e], cap[e], cst[e] = h, caps[i] - f, costs[i]
         nxt[e] = first[t]
         first[t] = e
-        to[e + 1], cap[e + 1], cst[e + 1] = t, 0, -costs[i]
+        to[e + 1], cap[e + 1], cst[e + 1] = t, f, -costs[i]
         nxt[e + 1] = first[h]
         first[h] = e + 1
     return to, cap, cst, nxt, first
@@ -81,16 +86,18 @@ def shortest_paths(n, tails, heads, caps, costs, flows, src):
     return _bellman_ford(n, to, cap, cst, nxt, first, src)
 
 
-def mcmf(n, tails, heads, caps, costs, s, t, limit):
+def mcmf(n, tails, heads, caps, costs, s, t, limit, flows=None, pot=None):
     """Min-cost flow from s to t via successive shortest augmenting paths.
 
-    Pushes up to `limit` units (INF for max flow). Every arc cost must be
-    nonnegative, so zero potentials are a valid start for Dijkstra.
-    Returns (value, flows per input arc).
+    Pushes up to `limit` units (INF for max flow) on top of the initial arc
+    flows. Every residual edge must have a nonnegative reduced cost
+    cost + pot[tail] - pot[head], so Dijkstra is valid from the first pass;
+    with zero flows and potentials (the default) that means nonnegative
+    costs. Returns (value pushed, final flows per input arc).
     """
     m = len(tails)
-    to, cap, cst, nxt, first = _build(n, tails, heads, caps, costs)
-    pot = [0] * n
+    to, cap, cst, nxt, first = _build(n, tails, heads, caps, costs, flows)
+    pot = [0] * n if pot is None else list(pot)
     value = 0
     prev = [-1] * n
     while limit > 0:

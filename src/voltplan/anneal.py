@@ -5,9 +5,13 @@ area, wirelength, power, voltage-island count and unplaced-shifter count.
 Voltage assignment runs on every candidate, cached per wire-delay vector:
 the timing graph is built and solved only on a cache miss, so with the
 default zero wire-delay factor both happen once per anneal (plus once for
-the exact solve of the final floorplan). The shifter flow refreshes every
-`ls_every` accepted moves and on the final result, with the stale unplaced
-count carried in between. Fully deterministic for a given seed.
+the exact solve of the final floorplan). Each anneal keeps one
+voltage.WarmStart across its solves: the curve part of the flow network is
+built once, and each solve re-optimizes the last solve's circulation, of
+which only the wire costs changed, instead of solving cold. The shifter
+flow refreshes every `ls_every` accepted moves and on the final result, with
+the stale unplaced count carried in between. Fully deterministic for a
+given seed.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ from .shifters import (
     required_shifters,
     wirelength_with_shifters,
 )
-from .voltage import VoltageAssignment, assign_voltages, build_timing_graph
+from .voltage import VoltageAssignment, WarmStart, assign_voltages, build_timing_graph
 
 # the anneal stops once the temperature falls below this fraction of t0
 T_STOP_RATIO = 1e-7
@@ -123,6 +127,7 @@ class _Evaluator:
         self.curves = curves
         self.config = config
         self.cache = {}
+        self.warm = WarmStart()
         self.evaluations = 0
         self.feasible_seen = False
 
@@ -130,12 +135,12 @@ class _Evaluator:
         delays = _wire_delays(self.netlist, floorplan, self.config.kappa)
         if exact:
             tg = build_timing_graph(self.netlist, delays)
-            return assign_voltages(tg, self.curves, exact_limit=EXACT_LIMIT)
+            return assign_voltages(tg, self.curves, exact_limit=EXACT_LIMIT, warm=self.warm)
         hit = self.cache.get(delays)
         if hit is not None:
             return hit
         tg = build_timing_graph(self.netlist, delays)
-        assignment = assign_voltages(tg, self.curves, exact_limit=0)
+        assignment = assign_voltages(tg, self.curves, exact_limit=0, warm=self.warm)
         if len(self.cache) > 4096:
             self.cache.clear()
         self.cache[delays] = assignment

@@ -3,10 +3,18 @@
 Provides min-cost circulation (negative arc costs allowed), min-cost max
 flow, and residual shortest-path distances. Every arc carries flow in
 [0, upper]; there are no lower bounds. The solver core is successive
-shortest augmenting paths with node potentials. In circulation mode every
-negative-cost arc is first saturated, which leaves a nonnegative-cost
-residual and turns the problem into shipping the resulting node excesses,
-so the kernel only ever sees nonnegative costs.
+shortest augmenting paths with node potentials.
+
+A circulation solve re-optimizes from a start: a flow within the bounds
+and node potentials, as left by an optimal solve of the same network under
+other costs. Every arc whose reduced cost is negative is saturated and
+every arc whose reduced cost is positive is emptied, which leaves every
+residual arc at a nonnegative reduced cost; the kernel then ships the node
+imbalances from a super-source to a super-sink, starting from those
+potentials. The cold solve is the zero start: zero flow, zero potentials,
+so exactly the negative-cost arcs are saturated. A start close to the
+optimum leaves little to ship (Ahuja, Magnanti & Orlin, Network Flows,
+1993, ch. 9).
 
 A FlowNetwork stores its arcs as four equal-length integer columns,
 tails, heads, costs and uppers, with arc i at index i of each. Builders
@@ -75,60 +83,65 @@ class FlowResult:
     value: int | None = None
 
 
-def solve_min_cost_circulation(net: FlowNetwork) -> FlowResult:
-    """Minimum-cost circulation.
+def solve_min_cost_circulation(net: FlowNetwork, start=None) -> FlowResult:
+    """Minimum-cost circulation, re-optimized from start = (flow, potentials).
 
-    The residual network of the returned flow contains no negative cycle;
-    certify_optimal checks that independently.
+    start is any per-arc flow within [0, upper] and any per-node integer
+    potentials; None means zero flow and zero potentials (the cold solve).
+    The closer start is to an optimum for these costs, the less is left to
+    ship. The residual network of the returned flow contains no negative
+    cycle; certify_optimal checks that independently.
     """
-    # Saturate every negative-cost arc: the kernel gets its reverse, with
-    # the undo amount as flow, so every kernel cost is nonnegative and the
-    # surplus/deficit ships via min-cost flow. Zero-capacity arcs are left out.
-    n = net.n_nodes
+    n, n_arcs = net.n_nodes, len(net.tails)
+    if start is None:
+        flows, pot = [0] * n_arcs, [0] * n
+    else:
+        flows, pot = list(start[0]), list(start[1])
+        if len(flows) != n_arcs or len(pot) != n:
+            raise ValueError("start flow or potentials do not match the network")
+        if not all(0 <= f <= u for f, u in zip(flows, net.uppers)):
+            raise ValueError("start flow outside the arc bounds")
+    # Saturate every arc of negative reduced cost and empty every arc of
+    # positive reduced cost: each residual arc then has a nonnegative reduced
+    # cost, and what is left is to ship the node imbalances this leaves.
     excess = [0] * n
-    used = []
-    tails, heads, caps, costs = [], [], [], []
     for i, (t, h, c, u) in enumerate(zip(net.tails, net.heads, net.costs, net.uppers)):
-        if u == 0:
-            continue
-        used.append(i)
-        if c < 0:
-            excess[h] += u
-            excess[t] -= u
-            tails.append(h)
-            heads.append(t)
-            costs.append(-c)
-        else:
-            tails.append(t)
-            heads.append(h)
-            costs.append(c)
-        caps.append(u)
+        rc = c + pot[t] - pot[h]
+        f = u if rc < 0 else 0 if rc > 0 else flows[i]
+        flows[i] = f
+        excess[h] += f
+        excess[t] -= f
 
+    # super-source and super-sink priced so their arcs keep that property
     s_node, t_node = n, n + 1
+    tails, heads = list(net.tails), list(net.heads)
+    caps, costs = list(net.uppers), list(net.costs)
     supply = 0
     for v in range(n):
         if excess[v] > 0:
             supply += excess[v]
             tails.append(s_node)
             heads.append(v)
-            caps.append(excess[v])
-            costs.append(0)
         elif excess[v] < 0:
             tails.append(v)
             heads.append(t_node)
-            caps.append(-excess[v])
-            costs.append(0)
+        else:
+            continue
+        caps.append(abs(excess[v]))
+        costs.append(0)
+        flows.append(0)
+    pot += [max(pot, default=0), min(pot, default=0)]
 
-    value, kflows = _speedups_py.mcmf(n + 2, tails, heads, caps, costs, s_node, t_node, supply)
-    # undoing every saturated arc ships the whole supply, so this never fails
+    value, kflows = _speedups_py.mcmf(
+        n + 2, tails, heads, caps, costs, s_node, t_node, supply, flows, pot
+    )
+    # returning every arc to zero flow would ship the whole supply, so this
+    # never fails
     if value != supply:
         raise SolverError(f"circulation kernel shipped {value} of {supply}")
 
-    flows = [0] * len(net.tails)
-    for j, i in enumerate(used):
-        flows[i] = net.uppers[i] - kflows[j] if net.costs[i] < 0 else kflows[j]
-    objective = sum(map(mul, net.costs, flows))
-    return FlowResult(flow=tuple(flows), objective=objective)
+    flow = tuple(kflows[:n_arcs])
+    return FlowResult(flow=flow, objective=sum(map(mul, net.costs, flow)))
 
 
 def solve_min_cost_max_flow(net: FlowNetwork, s: int, t: int) -> FlowResult:

@@ -102,14 +102,22 @@ def compute_breakpoints(curve: DPCurve) -> list[Fraction]:
     return out
 
 
-def build_expanded_network(tg: TimingGraph, curves) -> tuple[FlowNetwork, int, int]:
-    """Circulation network whose optimum dualizes the assignment program,
-    plus its capacity scale and the all-slowest power sum.
+@dataclass(frozen=True)
+class _LevelArcs:
+    """The curve-dependent part of the expanded network: every module's
+    parallel level arcs, the capacity scale, the huge capacity and the
+    all-slowest power sum."""
 
-    Finite capacities are the breakpoint slopes; scaling every capacity by
+    rows: tuple[tuple[int, int, int, int], ...]
+    scale: int
+    big: int
+    slowest_power: int
+
+
+def _level_arcs(tg: TimingGraph, curves) -> _LevelArcs:
+    """Finite capacities are the breakpoint slopes; scaling every capacity by
     the lcm of their denominators keeps them integral without touching the
-    node potentials, which are scale-invariant.
-    """
+    node potentials, which are scale-invariant."""
     breaks = [compute_breakpoints(c) for c in curves]
     scale = 1
     for bs in breaks:
@@ -139,6 +147,21 @@ def build_expanded_network(tg: TimingGraph, curves) -> tuple[FlowNetwork, int, i
             cap = row[q - 2] - row[q - 1]
             arcs.append((u, v, -curve.delay(q), cap))
         arcs.append((u, v, -curve.delay(1), big - row[0]))
+    slowest_power = sum(c.power(c.k) for c in curves)
+    return _LevelArcs(tuple(arcs), scale, big, slowest_power)
+
+
+def build_expanded_network(
+    tg: TimingGraph, curves, level_arcs: _LevelArcs | None = None
+) -> tuple[FlowNetwork, int, int]:
+    """Circulation network whose optimum dualizes the assignment program,
+    plus its capacity scale and the all-slowest power sum.
+
+    level_arcs, when given, is _level_arcs(tg, curves) computed earlier.
+    """
+    la = _level_arcs(tg, curves) if level_arcs is None else level_arcs
+    big = la.big
+    arcs = list(la.rows)
     for src, dst, d in tg.wires:
         arcs.append((tg.node_out(src), tg.node_in(dst), -d, big))
     for i in tg.sources:
@@ -146,15 +169,55 @@ def build_expanded_network(tg: TimingGraph, curves) -> tuple[FlowNetwork, int, i
     for i in tg.sinks:
         arcs.append((tg.node_out(i), tg.T, 0, big))
     arcs.append((tg.T, tg.S, tg.t_cycle, big))
-    net = network(tg.n_nodes, arcs)
-    slowest_power = sum(c.power(c.k) for c in curves)
-    return net, scale, slowest_power
+    return network(tg.n_nodes, arcs), la.scale, la.slowest_power
+
+
+class WarmStart:
+    """State shared by a sequence of assign_voltages calls on one netlist
+    and one set of curves, such as one anneal's candidates.
+
+    It keeps the curve-dependent part of the expanded network, built once,
+    and the last optimal circulation with its residual distances from s.
+    When every node was reachable those distances are valid potentials, so
+    the next solve re-optimizes from that circulation instead of solving
+    cold. Any optimal circulation gives the same residual distances, so the
+    levels do not depend on where a solve started.
+    """
+
+    def __init__(self):
+        self._curves = None
+        self._level_arcs = None
+        self._ends = None  # (tails, heads) of the network last solved
+        self.start = None  # (flow, potentials) of that solve, or None
+
+    def level_arcs(self, tg: TimingGraph, curves) -> _LevelArcs:
+        curves = tuple(curves)
+        if curves != self._curves:
+            self._curves, self._level_arcs = curves, _level_arcs(tg, curves)
+            self.start = None
+        return self._level_arcs
+
+    def start_for(self, net: FlowNetwork):
+        """The last (flow, potentials) if net has the same arcs, else None."""
+        if self._ends != (net.tails, net.heads):
+            return None
+        return self.start
+
+    def remember(self, net: FlowNetwork, flow, dist):
+        self._ends = (net.tails, net.heads)
+        self.start = None if None in dist else (flow, tuple(dist))
 
 
 @dataclass(frozen=True)
 class VoltageAssignment:
+    """Levels and their power. lower_bound is the LP relaxation bound on the
+    power of any feasible assignment; proved_optimal says the power is the
+    discrete optimum: it meets the bound, or the exact search finished."""
+
     level: tuple[int, ...]
     total_power: int
+    lower_bound: int
+    proved_optimal: bool
 
 
 def longest_path_delay(tg: TimingGraph, curves, levels) -> int:
@@ -203,6 +266,7 @@ def assign_voltages(
     *,
     exact_limit: int = 16,
     search_cap: int = 1_000_000,
+    warm: WarmStart | None = None,
 ) -> VoltageAssignment:
     """Minimum-power level assignment meeting the cycle-time bound.
 
@@ -210,7 +274,9 @@ def assign_voltages(
     paths from s -> potential drop per module -> largest level whose delay
     fits the drop. The relaxation objective gives a certified lower bound;
     when the rounded assignment misses it and the instance is small enough,
-    a branch-and-bound search finishes the job exactly.
+    a branch-and-bound search finishes the job exactly. With warm, the
+    circulation re-optimizes from the one warm kept from its last solve;
+    the result is the same as without.
     """
     curves = list(curves)
     if len(curves) != tg.m:
@@ -224,9 +290,12 @@ def assign_voltages(
             critical_path=path,
         )
 
-    net, scale, slowest_power = build_expanded_network(tg, curves)
-    result = solve_min_cost_circulation(net)
+    if warm is None:
+        warm = WarmStart()  # a fresh state solves cold
+    net, scale, slowest_power = build_expanded_network(tg, curves, warm.level_arcs(tg, curves))
+    result = solve_min_cost_circulation(net, warm.start_for(net))
     dist = residual_shortest_paths(net, result, tg.S)
+    warm.remember(net, result.flow, dist)
     levels = []
     for i, curve in enumerate(curves):
         din = dist[tg.node_in(i)]
@@ -243,17 +312,18 @@ def assign_voltages(
     # relaxation value: all-slowest power minus the circulation objective,
     # rescaled back from the capacity scaling
     bound = ceil(Fraction(slowest_power) - Fraction(result.objective, scale))
-    if power > bound and tg.m <= exact_limit:
-        better = _branch_and_bound(tg, curves, levels, power, search_cap)
-        if better is not None:
-            levels, power = better
+    proved = power <= bound
+    if not proved and tg.m <= exact_limit:
+        levels, power, proved = _branch_and_bound(tg, curves, levels, power, search_cap)
 
     finish = longest_path_for(tg, _delays_for(curves, levels))[0]
     if finish > tg.t_cycle:
         raise SolverError(
             f"recovered levels finish at {finish}, past the cycle time {tg.t_cycle}"
         )
-    return VoltageAssignment(level=tuple(levels), total_power=power)
+    return VoltageAssignment(
+        level=tuple(levels), total_power=power, lower_bound=bound, proved_optimal=proved
+    )
 
 
 def _branch_and_bound(tg, curves, inc_levels, inc_power, search_cap):
@@ -262,8 +332,10 @@ def _branch_and_bound(tg, curves, inc_levels, inc_power, search_cap):
     Modules are fixed in topological order; partial states prune on the
     optimistic finish time (remaining modules at their fastest) and on the
     optimistic power (remaining modules at their cheapest). Levels are tried
-    cheap-first so good incumbents arrive early. Returns (levels, power) or
-    None if no improvement was found within the node budget.
+    cheap-first so good incumbents arrive early. Returns (levels, power,
+    finished): the best vector found, the incumbent when nothing beat it,
+    and whether the search ended within search_cap nodes, which proves that
+    vector optimal.
     """
     order = tg.order
     m = tg.m
@@ -309,9 +381,7 @@ def _branch_and_bound(tg, curves, inc_levels, inc_power, search_cap):
         delays[i] = fastest[i]
 
     dfs(0, 0)
-    if best_power < inc_power:
-        return best_levels, best_power
-    return None
+    return best_levels, best_power, nodes <= search_cap
 
 
 def brute_force_assign(tg: TimingGraph, curves, *, bound: int = 8) -> VoltageAssignment:
@@ -360,4 +430,7 @@ def brute_force_assign(tg: TimingGraph, curves, *, bound: int = 8) -> VoltageAss
     masked = np.where(feasible, powers, np.iinfo(np.int64).max)
     best = int(np.argmin(masked))  # first minimum == lexicographically smallest
     levels = tuple(int(level_of[i][best]) + 1 for i in range(m))
-    return VoltageAssignment(level=levels, total_power=int(powers[best]))
+    power = int(powers[best])
+    return VoltageAssignment(
+        level=levels, total_power=power, lower_bound=power, proved_optimal=True
+    )

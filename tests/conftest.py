@@ -31,9 +31,9 @@ def random_curve(rng, k):
     return validate_dp_curve(curve, k)
 
 
-def random_timing_instance(rng, max_m=8, k_choices=(2, 3, 4), edge_prob=0.35):
+def random_timing_instance(rng, max_m=8, k_choices=(2, 3, 4), edge_prob=0.35, min_m=1):
     """Random DAG + curves + a cycle budget between tight and loose."""
-    m = rng.randint(1, max_m)
+    m = rng.randint(min_m, max_m)
     k = rng.choice(list(k_choices))
     curves = [random_curve(rng, k) for _ in range(m)]
     wires = []

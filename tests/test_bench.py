@@ -405,7 +405,7 @@ class TestCli:
         from voltplan import voltage
         from voltplan.errors import NegativeResidualCycle
 
-        def broken(net):
+        def broken(net, start=None):
             raise NegativeResidualCycle("no circulation meets the lower bounds")
 
         spec = self._gen(tmp_path)

@@ -354,10 +354,10 @@ class TestAnneal:
             graphs.append(delays)
             return build(netlist, delays)
 
-        def counting_solve(tg, curves, *, exact_limit):
+        def counting_solve(tg, curves, *, exact_limit, **kw):
             if exact_limit > 0:
                 exact.append(tg)
-            return solve(tg, curves, exact_limit=exact_limit)
+            return solve(tg, curves, exact_limit=exact_limit, **kw)
 
         monkeypatch.setattr(anneal_mod, "build_timing_graph", counting_build)
         monkeypatch.setattr(anneal_mod, "assign_voltages", counting_solve)

@@ -138,6 +138,67 @@ class TestCirculation:
             assert res.objective == enumerate_min_circulation(net)
             certify_optimal(net, res)  # raises if a negative residual cycle exists
 
+    def test_warm_start_optimal_for_other_costs(self, rng):
+        for _ in range(150):
+            n = rng.randint(2, 8)
+            rows = []
+            for _ in range(rng.randint(1, 16)):
+                a, b = rng.sample(range(n), 2)
+                rows.append((a, b, rng.randint(-5, 6), rng.randint(0, 3)))
+            old = network(n, rows)
+            prev = solve_min_cost_circulation(old)
+            start = (prev.flow, certify_optimal(old, prev))
+            new = network(n, [(a, b, rng.randint(-5, 6), u) for a, b, _, u in rows])
+            res = solve_min_cost_circulation(new, start)
+            check_circulation_invariants(new, res)
+            assert res.objective == solve_min_cost_circulation(new).objective
+            if len(rows) <= 7:
+                assert res.objective == enumerate_min_circulation(new)
+            certify_optimal(new, res)
+
+    def test_any_start_within_bounds_reaches_the_optimum(self, rng):
+        for _ in range(120):
+            n = rng.randint(2, 5)
+            rows = []
+            for _ in range(rng.randint(1, 7)):
+                a, b = rng.sample(range(n), 2)
+                rows.append((a, b, rng.randint(-5, 6), rng.randint(0, 3)))
+            net = network(n, rows)
+            flow = [rng.randint(0, u) for u in net.uppers]  # need not conserve
+            pot = [rng.randint(-9, 9) for _ in range(n)]
+            res = solve_min_cost_circulation(net, (flow, pot))
+            check_circulation_invariants(net, res)
+            assert res.objective == enumerate_min_circulation(net)
+
+    def test_optimal_start_ships_nothing(self, monkeypatch):
+        net = network(3, [(0, 1, -5, 2), (1, 2, 1, 2), (2, 0, 1, 2)])
+        opt = solve_min_cost_circulation(net)
+        limits = []
+        real = _speedups_py.mcmf
+
+        def recording(*args):
+            limits.append(args[7])
+            return real(*args)
+
+        monkeypatch.setattr(_speedups_py, "mcmf", recording)
+        res = solve_min_cost_circulation(net, (opt.flow, certify_optimal(net, opt)))
+        assert res == opt
+        assert limits == [0]
+
+    @pytest.mark.parametrize(
+        "start, message",
+        [
+            (((0, 0), (0, 0, 0)), "do not match"),
+            (((0, 0, 0), (0, 0)), "do not match"),
+            (((0, 3, 0), (0, 0, 0)), "outside the arc bounds"),
+            (((0, -1, 0), (0, 0, 0)), "outside the arc bounds"),
+        ],
+    )
+    def test_malformed_start_rejected(self, start, message):
+        net = network(3, [(0, 1, -5, 2), (1, 2, 1, 2), (2, 0, 1, 2)])
+        with pytest.raises(ValueError, match=message):
+            solve_min_cost_circulation(net, start)
+
 
 class TestMaxFlow:
     def test_single_arc(self):

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from operator import mul
 
 import pytest
 
@@ -13,9 +14,16 @@ from voltplan.errors import (
     ValidationError,
     VoltplanError,
 )
+from voltplan.flow import (
+    FlowResult,
+    certify_optimal,
+    residual_shortest_paths,
+    solve_min_cost_circulation,
+)
 from voltplan.model import DPCurve, ModuleBlock, build_netlist
 from voltplan.voltage import (
     TimingGraph,
+    WarmStart,
     assign_voltages,
     brute_force_assign,
     build_expanded_network,
@@ -184,6 +192,15 @@ class TestAssign:
             want = brute_force_assign(tg, curves)
             assert got.total_power == want.total_power
 
+    def test_nine_to_twelve_modules_match_exhaustive(self, rng):
+        for _ in range(40):
+            tg, curves = random_timing_instance(rng, max_m=12, k_choices=(2,), min_m=9)
+            got = assign_voltages(tg, curves)
+            want = brute_force_assign(tg, curves, bound=12)
+            assert got.total_power == want.total_power
+            assert got.proved_optimal
+            assert got.lower_bound <= want.total_power
+
     def test_always_meets_cycle_time(self, rng):
         for _ in range(150):
             tg, curves = random_timing_instance(rng)
@@ -201,8 +218,16 @@ class TestAssign:
             want = brute_force_assign(tg, curves)
             assert exact.total_power == want.total_power
             assert rounded.total_power >= want.total_power
+            assert exact.lower_bound == rounded.lower_bound <= want.total_power
+            assert exact.proved_optimal
+            assert rounded.proved_optimal == (rounded.total_power == rounded.lower_bound)
             if rounded.total_power > want.total_power:
                 found = True
+                assert not rounded.proved_optimal
+                # a search stopped by its node cap keeps the incumbent, unproved
+                capped = assign_voltages(tg, curves, search_cap=0)
+                assert capped.level == rounded.level
+                assert not capped.proved_optimal
                 break
         assert found, "expected at least one round-down miss in 300 instances"
 
@@ -223,6 +248,62 @@ class TestAssign:
                 assign_voltages(relaxed, curves).total_power
                 <= assign_voltages(tg, curves).total_power
             )
+
+
+def _layered_wires(rng, m):
+    """Each module drives up to two of the next five, as in a layered netlist."""
+    pairs = []
+    for i in range(m):
+        ahead = list(range(i + 1, min(m, i + 6)))
+        pairs += [(i, j) for j in rng.sample(ahead, min(len(ahead), rng.randint(0, 2)))]
+    return pairs
+
+
+class TestWarmStart:
+    """Warm solves carry one WarmStart through a sequence of wire-delay
+    vectors; every step must equal a fresh cold solve."""
+
+    def test_sequences_match_cold_solves(self, rng):
+        solved = infeasible = warm_used = 0
+        for _ in range(12):
+            m = rng.randint(4, 12)
+            curves = [random_curve(rng, rng.choice((2, 3, 4))) for _ in range(m)]
+            pairs = _layered_wires(rng, m)
+            base = TimingGraph(m=m, wires=tuple((a, b, 2) for a, b in pairs), t_cycle=0)
+            # tight enough that some delay vectors leave no feasible level
+            t_cycle = longest_path_for(base, [c.delay(1) for c in curves])[0] + rng.randint(0, 6)
+            warm = WarmStart()
+            for _ in range(25):
+                wires = tuple((a, b, rng.randint(0, 4)) for a, b in pairs)
+                tg = TimingGraph(m=m, wires=wires, t_cycle=t_cycle)
+                try:
+                    cold = assign_voltages(tg, curves, exact_limit=0)
+                except TimingInfeasible:
+                    before = warm.start
+                    with pytest.raises(TimingInfeasible):
+                        assign_voltages(tg, curves, exact_limit=0, warm=warm)
+                    assert warm.start is before
+                    infeasible += 1
+                    continue
+                net, _, _ = build_expanded_network(tg, curves)
+                warm_used += warm.start_for(net) is not None
+                got = assign_voltages(tg, curves, exact_limit=0, warm=warm)
+                assert got == cold
+                ref = solve_min_cost_circulation(net)
+                flow, dist = warm.start
+                assert sum(map(mul, net.costs, flow)) == ref.objective
+                assert list(dist) == residual_shortest_paths(net, ref, tg.S)
+                certify_optimal(net, FlowResult(flow=flow, objective=ref.objective))
+                solved += 1
+        assert solved >= 200 and infeasible > 0
+        assert warm_used >= solved - 12
+
+    def test_state_follows_new_curves_and_graphs(self, rng):
+        warm = WarmStart()
+        for _ in range(30):
+            tg, curves = random_timing_instance(rng)
+            got = assign_voltages(tg, curves, warm=warm)
+            assert got == assign_voltages(tg, curves)
 
 
 class TestLongestPath:
