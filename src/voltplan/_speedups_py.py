@@ -67,23 +67,7 @@ def shortest_paths(n, tails, heads, caps, costs, flows, src):
     Residual forward capacity is cap - flow, backward is flow.
     Returns (dist list with INF for unreachable, neg_cycle flag).
     """
-    m = len(tails)
-    rt, rh, rc, rcost = [], [], [], []
-    for i in range(m):
-        fwd = caps[i] - flows[i]
-        bwd = flows[i]
-        if fwd > 0:
-            rt.append(tails[i])
-            rh.append(heads[i])
-            rc.append(fwd)
-            rcost.append(costs[i])
-        if bwd > 0:
-            rt.append(heads[i])
-            rh.append(tails[i])
-            rc.append(bwd)
-            rcost.append(-costs[i])
-    to, cap, cst, nxt, first = _build(n, rt, rh, rc, rcost)
-    return _bellman_ford(n, to, cap, cst, nxt, first, src)
+    return _bellman_ford(n, *_build(n, tails, heads, caps, costs, flows), src)
 
 
 def mcmf(n, tails, heads, caps, costs, s, t, limit, flows=None, pot=None):

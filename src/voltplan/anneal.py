@@ -10,8 +10,9 @@ voltage.WarmStart across its solves: the curve part of the flow network is
 built once, and each solve re-optimizes the last solve's circulation, of
 which only the wire costs changed, instead of solving cold. The shifter
 flow refreshes every `ls_every` accepted moves and on the final result, with
-the stale unplaced count carried in between. Fully deterministic for a
-given seed.
+the stale unplaced count carried in between; a refresh feeds only that count
+to phi, and the overhead metrics are computed for the final result alone.
+Fully deterministic for a given seed.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from .floorplan import (
 from .model import Netlist, ShifterSpec, modify_dp_curve
 from .shifters import (
     assign_shifters,
+    compute_ilo,
     default_window,
     required_shifters,
     wirelength_with_shifters,
@@ -128,7 +130,6 @@ class _Evaluator:
         self.config = config
         self.cache = {}
         self.warm = WarmStart()
-        self.evaluations = 0
         self.feasible_seen = False
 
     def voltage_for(self, floorplan, exact=False):
@@ -150,7 +151,6 @@ class _Evaluator:
         """Return (phi, floorplan, assignment) or (None, floorplan, None)
         when the candidate has no feasible voltage assignment."""
         floorplan = pack(expr, self.dims)
-        self.evaluations += 1
         try:
             assignment = self.voltage_for(floorplan)
         except TimingInfeasible:
@@ -182,9 +182,14 @@ def _default_weights(area, wl, power, islands, m) -> PhiWeights:
     )
 
 
-def _full_metrics(netlist, spec, floorplan, assignment, weights, window):
+def _place_shifters(netlist, spec, floorplan, assignment, window):
+    """The shifters the levels require, and their assignment and placement."""
     shifters = required_shifters(netlist.nets, assignment.level)
-    sa = assign_shifters(shifters, floorplan, spec, window=window, nets=netlist.nets)
+    return shifters, assign_shifters(shifters, floorplan, spec, window=window)
+
+
+def _full_metrics(netlist, spec, floorplan, assignment, weights, window):
+    shifters, sa = _place_shifters(netlist, spec, floorplan, assignment, window)
     placements = sa.placements()
     wl = hpwl(floorplan, netlist.nets)
     wl_ls = wirelength_with_shifters(floorplan, netlist.nets, shifters, placements)
@@ -200,7 +205,7 @@ def _full_metrics(netlist, spec, floorplan, assignment, weights, window):
         islands=islands,
         ls_count=sa.n,
         els_count=len(sa.els),
-        ilo_percent=sa.ilo_percent,
+        ilo_percent=compute_ilo(shifters, placements, floorplan, netlist.nets),
         whitespace_percent=whitespace_percent(floorplan),
         phi=phi,
     )
@@ -230,8 +235,7 @@ def anneal(netlist: Netlist, spec: ShifterSpec, config: AnnealConfig, seed: int)
     weights = config.weights
     stale_unplaced = 0
     if asg0 is not None:
-        shifters0 = required_shifters(netlist.nets, asg0.level)
-        sa0 = assign_shifters(shifters0, fp0, spec, window=window, nets=netlist.nets)
+        _, sa0 = _place_shifters(netlist, spec, fp0, asg0, window)
         stale_unplaced = len(sa0.els)
         if weights is None:
             weights = _default_weights(
@@ -297,10 +301,7 @@ def anneal(netlist: Netlist, spec: ShifterSpec, config: AnnealConfig, seed: int)
                 accepted_here += 1
                 accepted_total += 1
                 if accepted_total % config.ls_every == 0:
-                    shifters = required_shifters(netlist.nets, cand_asg.level)
-                    sa = assign_shifters(
-                        shifters, cand_fp, spec, window=window, nets=netlist.nets
-                    )
+                    _, sa = _place_shifters(netlist, spec, cand_fp, cand_asg, window)
                     stale_unplaced = len(sa.els)
                 if best_phi is None or cur_phi < best_phi:
                     best_phi = cur_phi

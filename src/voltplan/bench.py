@@ -200,6 +200,8 @@ def gen_spec(
         raise ValidationError(f"k must be in 1..{K_CAP}, got {k}")
     if not 0 <= timing_slack <= 1:
         raise ValidationError(f"timing_slack must lie in [0, 1], got {timing_slack}")
+    if not blocks:
+        raise ValidationError("need at least one block")
     names = [b[0] for b in blocks]
     lines = [f"k {k}"]
     curves = {}
@@ -300,11 +302,17 @@ def convert_gsrc_nets(text, known_names) -> str:
     index = {n: i for i, n in enumerate(known_names)}
     adj = {i: set() for i in index.values()}
 
-    def reaches(a, b, seen):
-        if a == b:
-            return True
-        seen.add(a)
-        return any(reaches(nxt, b, seen) for nxt in adj[a] if nxt not in seen)
+    def reaches(a, b):
+        seen = {a}
+        stack = [a]
+        while stack:
+            u = stack.pop()
+            if u == b:
+                return True
+            for nxt in adj[u] - seen:
+                seen.add(nxt)
+                stack.append(nxt)
+        return False
 
     lines = []
     for pins in groups:
@@ -312,7 +320,7 @@ def convert_gsrc_nets(text, known_names) -> str:
         if len(pins) < 2:
             continue
         src, sinks = pins[0], pins[1:]
-        kept = [s for s in sinks if not reaches(index[s], index[src], set())]
+        kept = [s for s in sinks if not reaches(index[s], index[src])]
         if not kept:
             continue
         for s in kept:

@@ -155,12 +155,7 @@ def hpwl(floorplan: Floorplan, nets) -> int:
 
     Centers are tracked at double resolution; the total is floor-halved once.
     """
-    total2 = 0
-    for src, dst in nets:
-        ax, ay = module_center2(floorplan.rooms[src])
-        bx, by = module_center2(floorplan.rooms[dst])
-        total2 += abs(ax - bx) + abs(ay - by)
-    return total2 // 2
+    return sum(hpwl2_per_net(floorplan, nets)) // 2
 
 
 def hpwl2_per_net(floorplan: Floorplan, nets) -> list[int]:

@@ -14,14 +14,14 @@ The report is written and read by report.emit_report / report.parse_report.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .anneal import AnnealConfig, AnnealResult, anneal
 from .bench import parse_blocks, parse_nets, parse_spec
 from .errors import ParseError, TimingInfeasible
 from .floorplan import Floorplan, Room
-from .model import DPCurve, ModuleBlock, ShifterSpec, build_netlist, decompose_multipin
+from .model import DPCurve, ModuleBlock, build_netlist, decompose_multipin
 from .render import render_svg
 from .report import ReportRow, emit_report
 
@@ -71,13 +71,7 @@ def load_instance(config: RunConfig):
             curve = DPCurve(points=curve.points[:k])
         modules.append(ModuleBlock(name=name, width=w, height=h, curve=curve))
     if k < k_file:
-        spec = ShifterSpec(
-            area=spec.area,
-            ratio=spec.ratio,
-            width=spec.width,
-            height=spec.height,
-            overhead=spec.overhead[:k],
-        )
+        spec = replace(spec, overhead=spec.overhead[:k])
     pairs = decompose_multipin(raw_nets)
     netlist = build_netlist(modules, pairs, t_cycle, k)
     return netlist, spec, k

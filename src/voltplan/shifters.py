@@ -13,11 +13,11 @@ set and is placed on the source module's boundary.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .flow import network, solve_min_cost_max_flow
-from .floorplan import Floorplan, Room, module_center2, whitespace_parts
+from .floorplan import Floorplan, Room, hpwl2_per_net, module_center2, whitespace_parts
 from .model import ShifterSpec
 
 
@@ -83,9 +83,15 @@ def numls_from_areas(a1: int, a2: int, a3: int, a_ls: int) -> int:
     return a1 // a_ls + a2 // a_ls
 
 
-def _bbox_with_window(floorplan, shifter: Shifter, window2: int):
-    ax, ay = module_center2(floorplan.rooms[shifter.source])
-    bx, by = module_center2(floorplan.rooms[shifter.sink])
+def _ends2(floorplan, shifter: Shifter):
+    """Doubled-coordinate centers of the shifter's source and sink modules."""
+    rooms = floorplan.rooms
+    return module_center2(rooms[shifter.source]), module_center2(rooms[shifter.sink])
+
+
+def _window_box2(a, b, window2: int):
+    """Box around the doubled points a and b, grown by window2 on all sides."""
+    (ax, ay), (bx, by) = a, b
     return (
         min(ax, bx) - window2,
         min(ay, by) - window2,
@@ -94,8 +100,24 @@ def _bbox_with_window(floorplan, shifter: Shifter, window2: int):
     )
 
 
+def _detour2(a, b, via) -> int:
+    """Extra Manhattan length of routing a -> b through via (doubled points,
+    always nonnegative)."""
+    (ax, ay), (bx, by), (cx, cy) = a, b, via
+    return (
+        abs(ax - cx) + abs(ay - cy) + abs(cx - bx) + abs(cy - by)
+        - abs(ax - bx) - abs(ay - by)
+    )
+
+
+def _center2_of_rect(rect) -> tuple[int, int]:
+    """Doubled center of an (x, y, w, h) rectangle or of a room's box."""
+    x, y, w, h = rect[:4]
+    return (2 * x + w, 2 * y + h)
+
+
 def _in_window(bbox2, room: Room) -> bool:
-    """Room overlaps a doubled-coordinate box from _bbox_with_window."""
+    """Room overlaps a doubled-coordinate box from _window_box2."""
     x0, y0, x1, y1 = bbox2
     rx0, ry0 = 2 * room.x, 2 * room.y
     rx1, ry1 = 2 * (room.x + room.w), 2 * (room.y + room.h)
@@ -106,33 +128,14 @@ def feasible(shifter: Shifter, room: Room, floorplan, spec, window: int) -> bool
     """Room can host the shifter: capacity >= 1 and the room lies within the
     source-sink bounding box expanded by `window` on all sides."""
     return num_ls(room, spec) >= 1 and _in_window(
-        _bbox_with_window(floorplan, shifter, 2 * window), room
+        _window_box2(*_ends2(floorplan, shifter), 2 * window), room
     )
-
-
-def _center2_of_rect(rect) -> tuple[int, int]:
-    x, y, w, h = rect
-    return (2 * x + w, 2 * y + h)
-
-
-def _route2(floorplan, src, dst, via=None) -> tuple[int, int]:
-    """Doubled-coordinate Manhattan lengths between the centers of modules
-    src and dst: (direct length, detour of routing through the doubled point
-    `via`, 0 without one)."""
-    ax, ay = module_center2(floorplan.rooms[src])
-    bx, by = module_center2(floorplan.rooms[dst])
-    direct = abs(ax - bx) + abs(ay - by)
-    if via is None:
-        return direct, 0
-    cx, cy = via
-    return direct, abs(ax - cx) + abs(ay - cy) + abs(cx - bx) + abs(cy - by) - direct
 
 
 def assign_cost(shifter: Shifter, room: Room, floorplan) -> int:
     """Manhattan detour of routing the net through the room center
     (doubled coordinates, always nonnegative)."""
-    center2 = (2 * room.x + room.w, 2 * room.y + room.h)
-    return _route2(floorplan, shifter.source, shifter.sink, center2)[1]
+    return _detour2(*_ends2(floorplan, shifter), _center2_of_rect(room))
 
 
 def default_window(floorplan: Floorplan) -> int:
@@ -154,7 +157,6 @@ class ShifterAssignment:
 
     assigned: tuple
     els: tuple
-    ilo_percent: Fraction
 
     @property
     def n(self) -> int:
@@ -172,23 +174,28 @@ class ShifterAssignment:
 
 def build_assignment_network(shifters, floorplan, spec, window):
     """Bipartite network: s -> shifters (cap 1) -> feasible rooms (cap 1,
-    detour cost) -> t (cap = room capacity). Returns (net, s, t, arc map)."""
+    detour cost) -> t (cap = room capacity). Returns (net, s, t, arc map).
+
+    Each shifter's module centers and window box, and each room's center
+    and capacity, are taken once."""
     n_ls = len(shifters)
-    m = len(floorplan.rooms)
+    rooms = floorplan.rooms
+    m = len(rooms)
     s_node = 0
     t_node = 1
     ls_base = 2
     room_base = 2 + n_ls
     arcs = [(s_node, ls_base + j, 0, 1) for j in range(n_ls)]
     pair_arcs = {}
-    caps = [num_ls(room, spec) for room in floorplan.rooms]
+    caps = [num_ls(room, spec) for room in rooms]
+    centers = [_center2_of_rect(room) for room in rooms]
     for j, shifter in enumerate(shifters):
-        bbox2 = _bbox_with_window(floorplan, shifter, 2 * window)
-        for r, room in enumerate(floorplan.rooms):
-            if caps[r] >= 1 and _in_window(bbox2, room):
+        a, b = _ends2(floorplan, shifter)
+        box2 = _window_box2(a, b, 2 * window)
+        for r, room in enumerate(rooms):
+            if caps[r] >= 1 and _in_window(box2, room):
                 pair_arcs[(j, r)] = len(arcs)
-                cost = assign_cost(shifter, room, floorplan)
-                arcs.append((ls_base + j, room_base + r, cost, 1))
+                arcs.append((ls_base + j, room_base + r, _detour2(a, b, centers[r]), 1))
     for r, cap in enumerate(caps):
         if cap > 0:
             arcs.append((room_base + r, t_node, 0, cap))
@@ -255,42 +262,39 @@ def els_place(shifter: Shifter, floorplan) -> tuple[int, int, int, int]:
     return (px // 2, py // 2, 0, 0)
 
 
+def _detour_total2(floorplan, shifters, placements) -> int:
+    """Doubled detour summed over the shifters, each net routed through the
+    center of its shifter's rectangle."""
+    return sum(
+        _detour2(*_ends2(floorplan, s), _center2_of_rect(placements[s.id])) for s in shifters
+    )
+
+
 def compute_ilo(shifters, placements, floorplan, nets) -> Fraction:
     """Interconnect length overhead: detour through each shifter position as
     a percentage of the total direct length over all nets."""
-    denom2 = sum(_route2(floorplan, src, dst)[0] for src, dst in nets)
+    denom2 = sum(hpwl2_per_net(floorplan, nets))
     if denom2 == 0:
         return Fraction(0)
-    num2 = sum(
-        _route2(floorplan, s.source, s.sink, _center2_of_rect(placements[s.id]))[1]
-        for s in shifters
-    )
-    return Fraction(num2, denom2) * 100
+    return Fraction(_detour_total2(floorplan, shifters, placements), denom2) * 100
 
 
 def wirelength_with_shifters(floorplan, nets, shifters, placements) -> int:
-    """Total wirelength when shifted nets route through their shifter."""
-    via = {s.net_index: _center2_of_rect(placements[s.id]) for s in shifters}
-    total2 = 0
-    for idx, (src, dst) in enumerate(nets):
-        direct, detour = _route2(floorplan, src, dst, via.get(idx))
-        total2 += direct + detour
-    return total2 // 2
+    """Total wirelength when shifted nets route through their shifter (at
+    most one shifter per net, as required_shifters builds them)."""
+    return (
+        sum(hpwl2_per_net(floorplan, nets)) + _detour_total2(floorplan, shifters, placements)
+    ) // 2
 
 
-def assign_shifters(shifters, floorplan, spec, window=None, nets=None) -> ShifterAssignment:
+def assign_shifters(shifters, floorplan, spec, window=None) -> ShifterAssignment:
     """Assign each shifter a room by min-cost max-flow, realize placements
-    inside whitespace, and fall back for whatever does not fit.
-
-    nets (the full two-pin list) sets the overhead denominator; without it
-    only the shifted nets' direct lengths are counted."""
+    inside whitespace, and fall back for whatever does not fit."""
     shifters = list(shifters)
     if window is None:
         window = default_window(floorplan)
-    if nets is None:
-        nets = [(s.source, s.sink) for s in shifters]
     if not shifters:
-        return ShifterAssignment(assigned=(), els=(), ilo_percent=Fraction(0))
+        return ShifterAssignment(assigned=(), els=())
     net, s_node, t_node, pair_arcs = build_assignment_network(
         shifters, floorplan, spec, window
     )
@@ -317,5 +321,4 @@ def assign_shifters(shifters, floorplan, spec, window=None, nets=None) -> Shifte
     els = []
     for shifter in sorted(unassigned, key=lambda s: s.id):
         els.append((shifter, els_place(shifter, floorplan)))
-    sa = ShifterAssignment(assigned=tuple(assigned), els=tuple(els), ilo_percent=Fraction(0))
-    return replace(sa, ilo_percent=compute_ilo(shifters, sa.placements(), floorplan, nets))
+    return ShifterAssignment(assigned=tuple(assigned), els=tuple(els))

@@ -277,6 +277,34 @@ class TestCli:
         ])
         assert rc == 2
 
+    def test_gen_spec_no_blocks_exit_2(self, tmp_path, capsys):
+        empty = tmp_path / "empty.blocks"
+        empty.write_text("# no blocks\n")
+        capsys.readouterr()
+        rc = main([
+            "gen-spec", "--blocks", str(empty), "--nets", str(empty),
+            "--seed", "1", "-o", str(tmp_path / "s.spec"),
+        ])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: need at least one block\n"
+        assert not (tmp_path / "s.spec").exists()
+
+    def test_gsrc_long_chain_drops_back_edge(self, tmp_path, capsys):
+        n = 1000
+        blocks = "".join(f"sb{i} softrectangular 16 1 1\n" for i in range(n))
+        # sb0 -> sb1 -> ... -> sb999, then sb999 -> sb0 closes the cycle
+        nets = "".join(f"NetDegree : 2\nsb{i} B\nsb{(i + 1) % n} B\n" for i in range(n))
+        (tmp_path / "g.blocks").write_text(blocks)
+        (tmp_path / "g.nets").write_text(nets)
+        rc = main([
+            "convert-gsrc", "--blocks", str(tmp_path / "g.blocks"),
+            "--nets", str(tmp_path / "g.nets"),
+            "--out-blocks", str(tmp_path / "o.blocks"), "--out-nets", str(tmp_path / "o.nets"),
+        ])
+        assert rc == 0
+        got = (tmp_path / "o.nets").read_text().splitlines()
+        assert got == [f"net sb{i} sb{i + 1}" for i in range(n - 1)]
+
     @pytest.mark.parametrize("line", list(SPEC_ERRORS))
     def test_bad_spec_token_exit_2(self, tmp_path, capsys, line):
         spec = self._gen(tmp_path)

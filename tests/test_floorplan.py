@@ -27,6 +27,7 @@ from voltplan.floorplan import (
     whitespace_percent,
 )
 from voltplan.model import DPCurve, ModuleBlock, build_netlist, derive_shifter_spec
+from voltplan.shifters import compute_ilo, required_shifters, wirelength_with_shifters
 
 from conftest import DATA, fixture_netlist
 
@@ -368,6 +369,18 @@ class TestAnneal:
         assert len(evaluated) > 100
         assert len(exact) == 1
         assert len(graphs) == 1 + len(exact)
+
+    def test_metrics_match_final_shifter_placements(self):
+        netlist, spec = fixture_netlist(DATA / "n10.blocks", DATA / "n10.nets", 3, 77)
+        res = anneal(netlist, spec, AnnealConfig(max_levels=5), seed=3)
+        shifters = required_shifters(netlist.nets, res.voltage.level)
+        placements = res.shifters.placements()
+        assert shifters and set(placements) == {s.id for s in shifters}
+        fp, nets = res.floorplan, netlist.nets
+        assert res.metrics.ilo_percent == compute_ilo(shifters, placements, fp, nets)
+        assert res.metrics.wirelength_with_ls == wirelength_with_shifters(
+            fp, nets, shifters, placements
+        )
 
     def test_result_tiles_and_meets_timing(self):
         nl = tiny_netlist()

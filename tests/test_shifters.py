@@ -284,7 +284,7 @@ class TestAssignShifters:
         fp = pack(make_expr([0, 1, "V"]), [(2, 2), (2, 2)])
         got = assign_shifters([], fp, spec_square())
         assert got.n == 0
-        assert got.ilo_percent == 0
+        assert got.placements() == {}
 
     def test_matches_enumeration_small(self, rng):
         for _ in range(60):
