@@ -44,12 +44,16 @@ from .shifters import (
     required_shifters,
     wirelength_with_shifters,
 )
-from .voltage import VoltageAssignment, WarmStart, assign_voltages, build_timing_graph
+from .voltage import (
+    EXACT_LIMIT,
+    VoltageAssignment,
+    WarmStart,
+    assign_voltages,
+    build_timing_graph,
+)
 
 # the anneal stops once the temperature falls below this fraction of t0
 T_STOP_RATIO = 1e-7
-# the final voltage solve searches exactly up to this many modules
-EXACT_LIMIT = 16
 # the shifter overhead applies at every level, the highest voltage included
 OVERHEAD_AT_TOP_LEVEL = True
 

@@ -11,7 +11,14 @@ Rounding the drop down to the nearest delay point is not always the exact
 discrete optimum (the discrete time-cost tradeoff is NP-hard in general),
 so the relaxation value is kept as a lower bound: when the recovered power
 does not meet it, an independent branch-and-bound search closes the gap for
-instances up to `exact_limit` modules.
+instances up to `exact_limit` modules. The search fixes modules in
+topological order and tests each level in O(fan-in): all-fastest arrivals
+and all-fastest paths to t, computed once, make the arrival at the module
+plus its delay plus its path to t exactly the longest path a full
+recomputation would give. Its power floor charges each unfixed module the
+slowest level that fits the cycle time at the all-fastest arrival. Both
+bounds are exact or admissible and the search order is fixed, so it
+returns the same vector as a search that recomputes every path.
 """
 
 from __future__ import annotations
@@ -25,6 +32,9 @@ import numpy as np
 from .errors import SolverError, TimingInfeasible, TooLarge
 from .flow import FlowNetwork, network, residual_shortest_paths, solve_min_cost_circulation
 from .model import DPCurve, Netlist, topological_order
+
+# the largest module count the exact search runs on by default
+EXACT_LIMIT = 16
 
 
 @dataclass(frozen=True)
@@ -212,12 +222,14 @@ class WarmStart:
 class VoltageAssignment:
     """Levels and their power. lower_bound is the LP relaxation bound on the
     power of any feasible assignment; proved_optimal says the power is the
-    discrete optimum: it meets the bound, or the exact search finished."""
+    discrete optimum: it meets the bound, or the exact search finished.
+    search_nodes counts the branch-and-bound nodes, 0 when no search ran."""
 
     level: tuple[int, ...]
     total_power: int
     lower_bound: int
     proved_optimal: bool
+    search_nodes: int = 0
 
 
 def longest_path_delay(tg: TimingGraph, curves, levels) -> int:
@@ -264,7 +276,7 @@ def assign_voltages(
     tg: TimingGraph,
     curves,
     *,
-    exact_limit: int = 16,
+    exact_limit: int = EXACT_LIMIT,
     search_cap: int = 1_000_000,
     warm: WarmStart | None = None,
 ) -> VoltageAssignment:
@@ -313,8 +325,9 @@ def assign_voltages(
     # rescaled back from the capacity scaling
     bound = ceil(Fraction(slowest_power) - Fraction(result.objective, scale))
     proved = power <= bound
+    nodes = 0
     if not proved and tg.m <= exact_limit:
-        levels, power, proved = _branch_and_bound(tg, curves, levels, power, search_cap)
+        levels, power, proved, nodes = _branch_and_bound(tg, curves, levels, power, search_cap)
 
     finish = longest_path_for(tg, _delays_for(curves, levels))[0]
     if finish > tg.t_cycle:
@@ -322,66 +335,100 @@ def assign_voltages(
             f"recovered levels finish at {finish}, past the cycle time {tg.t_cycle}"
         )
     return VoltageAssignment(
-        level=tuple(levels), total_power=power, lower_bound=bound, proved_optimal=proved
+        level=tuple(levels),
+        total_power=power,
+        lower_bound=bound,
+        proved_optimal=proved,
+        search_nodes=nodes,
     )
 
 
 def _branch_and_bound(tg, curves, inc_levels, inc_power, search_cap):
     """Exact search over level vectors, independent of the flow recovery.
 
-    Modules are fixed in topological order; partial states prune on the
-    optimistic finish time (remaining modules at their fastest) and on the
-    optimistic power (remaining modules at their cheapest). Levels are tried
-    cheap-first so good incumbents arrive early. Returns (levels, power,
-    finished): the best vector found, the incumbent when nothing beat it,
-    and whether the search ended within search_cap nodes, which proves that
-    vector optimal.
+    Modules are fixed in topological order, each trying its levels slowest
+    (cheapest) first so good incumbents arrive early. Requires the
+    all-fastest levels to meet the cycle time, as assign_voltages checks.
+
+    The finish bound of a partial state is the longest path with the fixed
+    modules at their levels and the rest at their fastest. Its terms are
+    precomputed once: head[i], module i's all-fastest arrival, and after[i],
+    the all-fastest path from i's output to t. A path whose last fixed
+    module is u is at most arr_out[u] + after[u], a sum tested when u was
+    fixed; a path through no fixed module runs all-fastest and fits by the
+    precondition. So level q of module i fits exactly when arr_in +
+    delay(q) + after[i] <= t_cycle, an O(fan-in) test with the same answer
+    as a full longest path.
+
+    The power floor of the unfixed modules charges each the power of its
+    slowest level that fits head[i] + delay + after[i] <= t_cycle: any
+    completion's arrival at i is at least head[i], so the floor is
+    admissible and at least as tight as every module at its slowest level.
+    The search order is fixed and a subtree is cut only when no vector in
+    it can beat the incumbent, so the incumbents found, and the result, are
+    those of a search that recomputes the longest path at every node.
+
+    Returns (levels, power, finished, nodes): the best vector found, the
+    incumbent when nothing beat it, whether the search ended within
+    search_cap nodes, which proves that vector optimal, and the node count.
     """
     order = tg.order
+    preds = tg.preds
     m = tg.m
-    min_power_suffix = [0] * (m + 1)
-    for j in range(m - 1, -1, -1):
-        curve = curves[order[j]]
-        min_power_suffix[j] = min_power_suffix[j + 1] + curve.power(curve.k)
+    t_cycle = tg.t_cycle
     fastest = [c.delay(1) for c in curves]
+    head = [0] * m
+    for i in order:
+        head[i] = max((head[src] + fastest[src] + w for src, w in preds[i]), default=0)
+    after = [0] * m
+    for i in reversed(order):
+        tail = fastest[i] + after[i]
+        for src, w in preds[i]:
+            after[src] = max(after[src], w + tail)
+
+    # per module, (level, delay, power) slowest first, from the slowest
+    # level any completion can afford
+    choices = []
+    for i, c in enumerate(curves):
+        budget = t_cycle - head[i] - after[i]
+        top = 1
+        while top < c.k and c.delay(top + 1) <= budget:
+            top += 1
+        choices.append(tuple((q, c.delay(q), c.power(q)) for q in range(top, 0, -1)))
+    floor = [0] * (m + 1)
+    for j in range(m - 1, -1, -1):
+        floor[j] = floor[j + 1] + choices[order[j]][0][2]
 
     best_levels = list(inc_levels)
     best_power = inc_power
     levels = [0] * m
-    delays = list(fastest)
+    arr_out = [0] * m
     nodes = 0
-
-    def finish_bound():
-        # longest path with chosen delays for fixed modules, fastest for the rest
-        length, _ = longest_path_for(tg, delays)
-        return length
 
     def dfs(j, power_so_far):
         nonlocal nodes, best_power, best_levels
         if nodes > search_cap:
             return
         nodes += 1
-        if power_so_far + min_power_suffix[j] >= best_power:
+        if power_so_far + floor[j] >= best_power:
             return
         if j == m:
-            if finish_bound() <= tg.t_cycle:
-                best_power = power_so_far
-                best_levels = list(levels)
+            best_power = power_so_far
+            best_levels = list(levels)
             return
         i = order[j]
-        c = curves[i]
-        for q in range(c.k, 0, -1):
-            levels[i] = q
-            delays[i] = c.delay(q)
-            if finish_bound() <= tg.t_cycle:
-                dfs(j + 1, power_so_far + c.power(q))
+        arr_in = max((arr_out[src] + w for src, w in preds[i]), default=0)
+        budget = t_cycle - after[i]
+        for q, delay, power in choices[i]:
+            if arr_in + delay <= budget:
+                levels[i] = q
+                arr_out[i] = arr_in + delay
+                dfs(j + 1, power_so_far + power)
             if nodes > search_cap:
                 break
-        levels[i] = 0
-        delays[i] = fastest[i]
 
     dfs(0, 0)
-    return best_levels, best_power, nodes <= search_cap
+    return best_levels, best_power, nodes <= search_cap, nodes
 
 
 def brute_force_assign(tg: TimingGraph, curves, *, bound: int = 8) -> VoltageAssignment:

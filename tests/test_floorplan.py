@@ -370,6 +370,30 @@ class TestAnneal:
         assert len(exact) == 1
         assert len(graphs) == 1 + len(exact)
 
+    def test_final_search_does_not_recompute_longest_paths(self, monkeypatch):
+        # the exact search bounds finish times incrementally; a full longest
+        # path runs only for the all-fastest check and the final check
+        from voltplan import voltage
+        from voltplan.anneal import modified_curves
+
+        netlist, spec = fixture_netlist(DATA / "n10.blocks", DATA / "n10.nets", 4, 42)
+        res = anneal(netlist, spec, AnnealConfig(max_levels=5), seed=3)
+        # at kappa 0 every floorplan, the final one included, has zero wire delays
+        tg = voltage.build_timing_graph(netlist, [0] * len(netlist.nets))
+        longest, calls = voltage.longest_path_for, []
+
+        def counting(*args):
+            calls.append(args)
+            return longest(*args)
+
+        monkeypatch.setattr(voltage, "longest_path_for", counting)
+        got = voltage.assign_voltages(
+            tg, modified_curves(netlist, spec), exact_limit=voltage.EXACT_LIMIT
+        )
+        assert got == res.voltage
+        assert got.search_nodes > 1000
+        assert len(calls) <= 2
+
     def test_metrics_match_final_shifter_placements(self):
         netlist, spec = fixture_netlist(DATA / "n10.blocks", DATA / "n10.nets", 3, 77)
         res = anneal(netlist, spec, AnnealConfig(max_levels=5), seed=3)

@@ -327,6 +327,105 @@ class TestLongestPath:
         assert longest_path_delay(tg, [a] * 4, (1, 2, 1, 1)) == 1 + 5 + 1 + 1
 
 
+def bnb_reference(tg, curves, inc_levels, inc_power, search_cap):
+    """The exact search with a full longest-path recomputation at every node:
+    the reference the incremental voltage._branch_and_bound must match.
+    Returns (levels, power, finished, nodes)."""
+    order = tg.order
+    m = tg.m
+    min_power_suffix = [0] * (m + 1)
+    for j in range(m - 1, -1, -1):
+        curve = curves[order[j]]
+        min_power_suffix[j] = min_power_suffix[j + 1] + curve.power(curve.k)
+    fastest = [c.delay(1) for c in curves]
+
+    best_levels = list(inc_levels)
+    best_power = inc_power
+    levels = [0] * m
+    delays = list(fastest)
+    nodes = 0
+
+    def finish_bound():
+        # longest path with chosen delays for fixed modules, fastest for the rest
+        return longest_path_for(tg, delays)[0]
+
+    def dfs(j, power_so_far):
+        nonlocal nodes, best_power, best_levels
+        if nodes > search_cap:
+            return
+        nodes += 1
+        if power_so_far + min_power_suffix[j] >= best_power:
+            return
+        if j == m:
+            if finish_bound() <= tg.t_cycle:
+                best_power = power_so_far
+                best_levels = list(levels)
+            return
+        i = order[j]
+        c = curves[i]
+        for q in range(c.k, 0, -1):
+            levels[i] = q
+            delays[i] = c.delay(q)
+            if finish_bound() <= tg.t_cycle:
+                dfs(j + 1, power_so_far + c.power(q))
+            if nodes > search_cap:
+                break
+        levels[i] = 0
+        delays[i] = fastest[i]
+
+    dfs(0, 0)
+    return best_levels, best_power, nodes <= search_cap, nodes
+
+
+class TestBranchAndBound:
+    """The incremental search against the full-recompute reference, from the
+    rounded incumbent and from a beatable all-fastest one."""
+
+    @staticmethod
+    def _incumbents(tg, curves):
+        rounded = assign_voltages(tg, curves, exact_limit=0)
+        fast_power = sum(c.power(1) for c in curves) + 1
+        return [(list(rounded.level), rounded.total_power), ([1] * tg.m, fast_power)]
+
+    def test_matches_reference(self, rng):
+        # under a node cap the incremental search visits a subset of the
+        # reference's nodes in the same order, so where the reference
+        # finishes the results are identical, and elsewhere no worse
+        cap = 2000
+        identical = 0
+        for _ in range(1200):
+            tg, curves = random_timing_instance(rng, max_m=12, min_m=2)
+            finished = 0
+            for levels, power in self._incumbents(tg, curves):
+                got = voltage._branch_and_bound(tg, curves, levels, power, cap)
+                want = bnb_reference(tg, curves, levels, power, cap)
+                assert 1 <= got[3] <= want[3]
+                if want[2]:
+                    assert got[:3] == want[:3]
+                    finished += 1
+                else:
+                    assert got[1] <= want[1]
+            identical += finished == 2
+        assert identical >= 1000
+
+    def test_zero_cap_keeps_incumbent_unfinished(self, rng):
+        for _ in range(50):
+            tg, curves = random_timing_instance(rng, max_m=12, min_m=2)
+            for levels, power in self._incumbents(tg, curves):
+                got = voltage._branch_and_bound(tg, curves, levels, power, 0)
+                assert got == bnb_reference(tg, curves, levels, power, 0)
+                assert got[:3] == (levels, power, False)
+
+    def test_search_nodes_reported(self, rng):
+        for _ in range(100):
+            tg, curves = random_timing_instance(rng, max_m=8)
+            rounded = assign_voltages(tg, curves, exact_limit=0)
+            exact = assign_voltages(tg, curves)
+            assert rounded.search_nodes == 0
+            assert brute_force_assign(tg, curves).search_nodes == 0
+            assert (exact.search_nodes > 0) == (not rounded.proved_optimal)
+
+
 class TestBruteForce:
     def test_two_levels_picks_cheaper(self):
         c = curve((1, 1, 10), (2, 3, 4))
