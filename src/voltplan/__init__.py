@@ -25,7 +25,6 @@ from .voltage import (
     TimingGraph,
     VoltageAssignment,
     assign_voltages,
-    brute_force_assign,
     build_timing_graph,
 )
 
@@ -45,7 +44,6 @@ __all__ = [
     "VoltageAssignment",
     "anneal",
     "assign_voltages",
-    "brute_force_assign",
     "build_netlist",
     "build_timing_graph",
     "decompose_multipin",

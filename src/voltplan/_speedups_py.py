@@ -7,14 +7,14 @@ given arc flows and node potentials (zero by default) and needs every
 residual edge's reduced cost to be nonnegative under them; the residual
 Bellman-Ford takes any costs.
 
-INF is a large integer sentinel, never float.
+Both kernels mark "not reached yet" with an integer sentinel computed per
+call from the costs (and the potentials), strictly above every distance
+the call can produce, so a solve stays exact at any magnitude.
 """
 
 from __future__ import annotations
 
 from heapq import heappop, heappush
-
-INF = 1 << 62
 
 
 def _build(n, tails, heads, caps, costs, flows=None):
@@ -40,8 +40,14 @@ def _build(n, tails, heads, caps, costs, flows=None):
 
 
 def _bellman_ford(n, to, cap, cst, nxt, first, src):
-    """Distances from src over positive-capacity edges; (dist, has_neg_cycle)."""
-    dist = [INF] * n
+    """Distances from src over positive-capacity edges; (dist, has_neg_cycle),
+    None in dist for a node src does not reach."""
+    # The first distance a node gets is at most the cost of a simple path
+    # from src, and distances only fall; so every distance, and every
+    # relaxation into a node not reached yet, stays within the sum of the
+    # |costs|.
+    inf = 1 + sum(map(abs, cst))
+    dist = [inf] * n
     dist[src] = 0
     changed = True
     rounds = 0
@@ -50,7 +56,7 @@ def _bellman_ford(n, to, cap, cst, nxt, first, src):
         rounds += 1
         for u in range(n):
             du = dist[u]
-            if du >= INF:
+            if du == inf:
                 continue
             e = first[u]
             while e != -1:
@@ -58,14 +64,14 @@ def _bellman_ford(n, to, cap, cst, nxt, first, src):
                     dist[to[e]] = du + cst[e]
                     changed = True
                 e = nxt[e]
-    return dist, changed
+    return [None if d == inf else d for d in dist], changed
 
 
 def shortest_paths(n, tails, heads, caps, costs, flows, src):
     """Residual Bellman-Ford distances from src given per-arc flow.
 
     Residual forward capacity is cap - flow, backward is flow.
-    Returns (dist list with INF for unreachable, neg_cycle flag).
+    Returns (dist list with None for unreachable, neg_cycle flag).
     """
     return _bellman_ford(n, *_build(n, tails, heads, caps, costs, flows), src)
 
@@ -73,8 +79,8 @@ def shortest_paths(n, tails, heads, caps, costs, flows, src):
 def mcmf(n, tails, heads, caps, costs, s, t, limit, flows=None, pot=None):
     """Min-cost flow from s to t via successive shortest augmenting paths.
 
-    Pushes up to `limit` units (INF for max flow) on top of the initial arc
-    flows. Every residual edge must have a nonnegative reduced cost
+    Pushes up to `limit` units on top of the initial arc flows. Every
+    residual edge must have a nonnegative reduced cost
     cost + pot[tail] - pot[head], so Dijkstra is valid from the first pass;
     with zero flows and potentials (the default) that means nonnegative
     costs. Returns (value pushed, final flows per input arc).
@@ -82,10 +88,16 @@ def mcmf(n, tails, heads, caps, costs, s, t, limit, flows=None, pot=None):
     m = len(tails)
     to, cap, cst, nxt, first = _build(n, tails, heads, caps, costs, flows)
     pot = [0] * n if pot is None else list(pot)
+    # A tentative distance is the reduced length of a simple path, its cost
+    # (at most C, the sum of the |costs|) plus pot[s] - pot[v]. pot[s] never
+    # moves, and after the first pass every node s still reaches (that set
+    # only shrinks) has pot[v] = pot[s] + its distance from s, within C of
+    # pot[s]; so inf lies above every tentative distance of every pass.
+    inf = 1 + 2 * sum(map(abs, costs)) + max(pot, default=0) - min(pot, default=0)
     value = 0
     prev = [-1] * n
     while limit > 0:
-        dist = [INF] * n
+        dist = [inf] * n
         dist[s] = 0
         done = [False] * n
         heap = [(0, s)]
@@ -105,10 +117,10 @@ def mcmf(n, tails, heads, caps, costs, s, t, limit, flows=None, pot=None):
                         prev[v] = e
                         heappush(heap, (nd, v))
                 e = nxt[e]
-        if dist[t] >= INF:
+        if dist[t] == inf:
             break
         for v in range(n):
-            if dist[v] < INF:
+            if dist[v] < inf:
                 pot[v] += dist[v]
         bottleneck = limit
         v = t

@@ -83,6 +83,8 @@ class AnnealConfig:
             raise ValidationError(f"accept_target must lie in (0, 1), got {self.accept_target}")
         if self.kappa < 0:
             raise ValidationError(f"kappa must be nonnegative, got {self.kappa}")
+        if self.max_levels < 0:
+            raise ValidationError(f"max_levels must be nonnegative, got {self.max_levels}")
 
 
 @dataclass(frozen=True)

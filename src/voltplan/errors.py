@@ -75,7 +75,3 @@ class TimingInfeasible(VoltplanError):
     def __init__(self, message, critical_path=()):
         super().__init__(message)
         self.critical_path = tuple(critical_path)
-
-
-class TooLarge(SolverError):
-    """Instance exceeds the exhaustive-search size bound."""

@@ -37,8 +37,6 @@ from .errors import NegativeResidualCycle, SolverError
 
 _speedups = None  # no second kernel; perfbench/tracer.py skips this slot
 
-INF = _speedups_py.INF
-
 
 def kernel_name() -> str:
     """Name of the flow kernel, reported in benchmark records."""
@@ -148,8 +146,9 @@ def solve_min_cost_max_flow(net: FlowNetwork, s: int, t: int) -> FlowResult:
     """Maximum s-t flow of minimum cost; arc costs must be nonnegative."""
     if min(net.costs, default=0) < 0:
         raise ValueError("min-cost max-flow expects nonnegative arc costs")
+    # no flow exceeds the total capacity, so that limit never binds
     value, flows = _speedups_py.mcmf(
-        net.n_nodes, net.tails, net.heads, net.uppers, net.costs, s, t, INF
+        net.n_nodes, net.tails, net.heads, net.uppers, net.costs, s, t, sum(net.uppers)
     )
     objective = sum(map(mul, net.costs, flows))
     return FlowResult(flow=tuple(flows), objective=objective, value=value)
@@ -188,4 +187,4 @@ def residual_shortest_paths(net: FlowNetwork, result: FlowResult, src: int):
     )
     if neg:
         raise NegativeResidualCycle("negative residual cycle reachable from source")
-    return [d if d < INF else None for d in dist]
+    return dist

@@ -27,9 +27,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import ceil, lcm
 
-import numpy as np
-
-from .errors import SolverError, TimingInfeasible, TooLarge
+from .errors import SolverError, TimingInfeasible
 from .flow import FlowNetwork, network, residual_shortest_paths, solve_min_cost_circulation
 from .model import DPCurve, Netlist, topological_order
 
@@ -272,6 +270,14 @@ def _delays_for(curves, levels):
     return [c.delay(q) for c, q in zip(curves, levels)]
 
 
+def _slowest_fit(curve: DPCurve, budget: int) -> int:
+    """The slowest level whose delay fits budget; level 1 when none does."""
+    q = 1
+    while q < curve.k and curve.delay(q + 1) <= budget:
+        q += 1
+    return q
+
+
 def assign_voltages(
     tg: TimingGraph,
     curves,
@@ -314,11 +320,7 @@ def assign_voltages(
         dout = dist[tg.node_out(i)]
         if din is None or dout is None:
             raise SolverError(f"module {i} unreachable in the residual network")
-        drop = din - dout
-        q = 1
-        while q < curve.k and curve.delay(q + 1) <= drop:
-            q += 1
-        levels.append(q)
+        levels.append(_slowest_fit(curve, din - dout))
     power = sum(c.power(q) for c, q in zip(curves, levels))
 
     # relaxation value: all-slowest power minus the circulation objective,
@@ -390,10 +392,7 @@ def _branch_and_bound(tg, curves, inc_levels, inc_power, search_cap):
     # level any completion can afford
     choices = []
     for i, c in enumerate(curves):
-        budget = t_cycle - head[i] - after[i]
-        top = 1
-        while top < c.k and c.delay(top + 1) <= budget:
-            top += 1
+        top = _slowest_fit(c, t_cycle - head[i] - after[i])
         choices.append(tuple((q, c.delay(q), c.power(q)) for q in range(top, 0, -1)))
     floor = [0] * (m + 1)
     for j in range(m - 1, -1, -1):
@@ -429,55 +428,3 @@ def _branch_and_bound(tg, curves, inc_levels, inc_power, search_cap):
 
     dfs(0, 0)
     return best_levels, best_power, nodes <= search_cap, nodes
-
-
-def brute_force_assign(tg: TimingGraph, curves, *, bound: int = 8) -> VoltageAssignment:
-    """Exhaustive oracle: enumerate every level vector, keep the cheapest
-    feasible one, ties broken by the lexicographically smallest vector.
-
-    Vectorized over numpy so 4^8 instances stay fast; raises TooLarge above
-    `bound` modules and TimingInfeasible when nothing fits the cycle time.
-    """
-    m = tg.m
-    if m > bound:
-        raise TooLarge(f"{m} modules exceeds the oracle bound {bound}")
-    curves = list(curves)
-    ks = [c.k for c in curves]
-    total = 1
-    for k in ks:
-        total *= k
-    # combo index c enumerates level vectors lexicographically with module 0
-    # as the most significant digit
-    level_of = []
-    radix = total
-    for i in range(m):
-        radix //= ks[i]
-        idx = (np.arange(total) // radix) % ks[i]
-        level_of.append(idx)
-    delays = []
-    powers = np.zeros(total, dtype=np.int64)
-    for i, c in enumerate(curves):
-        dl = np.asarray(c.delays, dtype=np.int64)
-        pw = np.asarray(c.powers, dtype=np.int64)
-        delays.append(dl[level_of[i]])
-        powers += pw[level_of[i]]
-
-    arr_in = [None] * m
-    for i in tg.order:
-        ai = np.zeros(total, dtype=np.int64)
-        for src, w in tg.preds[i]:
-            np.maximum(ai, arr_in[src] + delays[src] + w, out=ai)
-        arr_in[i] = ai
-    finish = np.zeros(total, dtype=np.int64)
-    for i in tg.sinks:
-        np.maximum(finish, arr_in[i] + delays[i], out=finish)
-    feasible = finish <= tg.t_cycle
-    if not feasible.any():
-        raise TimingInfeasible("no level vector meets the cycle time")
-    masked = np.where(feasible, powers, np.iinfo(np.int64).max)
-    best = int(np.argmin(masked))  # first minimum == lexicographically smallest
-    levels = tuple(int(level_of[i][best]) + 1 for i in range(m))
-    power = int(powers[best])
-    return VoltageAssignment(
-        level=levels, total_power=power, lower_bound=power, proved_optimal=True
-    )

@@ -2,11 +2,13 @@ import random
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from voltplan.bench import gen_spec, parse_blocks, parse_nets, parse_spec
+from voltplan.errors import TimingInfeasible
 from voltplan.model import DPCurve, ModuleBlock, build_netlist, decompose_multipin, validate_dp_curve
-from voltplan.voltage import TimingGraph, longest_path_for
+from voltplan.voltage import TimingGraph, VoltageAssignment, longest_path_for
 
 DATA = Path(__file__).parent / "data"
 
@@ -46,6 +48,58 @@ def random_timing_instance(rng, max_m=8, k_choices=(2, 3, 4), edge_prob=0.35, mi
     cp_slow, _ = longest_path_for(base, [c.delay(c.k) for c in curves])
     t_cycle = rng.randint(cp_fast, cp_slow + 3)
     return TimingGraph(m=m, wires=base.wires, t_cycle=t_cycle), curves
+
+
+def brute_force_assign(tg: TimingGraph, curves, *, bound: int = 8) -> VoltageAssignment:
+    """Exhaustive oracle: enumerate every level vector, keep the cheapest
+    feasible one, ties broken by the lexicographically smallest vector.
+
+    Vectorized over numpy so 4^8 instances stay fast; raises ValueError above
+    `bound` modules and TimingInfeasible when nothing fits the cycle time.
+    """
+    m = tg.m
+    if m > bound:
+        raise ValueError(f"{m} modules exceeds the oracle bound {bound}")
+    curves = list(curves)
+    ks = [c.k for c in curves]
+    total = 1
+    for k in ks:
+        total *= k
+    # combo index c enumerates level vectors lexicographically with module 0
+    # as the most significant digit
+    level_of = []
+    radix = total
+    for i in range(m):
+        radix //= ks[i]
+        idx = (np.arange(total) // radix) % ks[i]
+        level_of.append(idx)
+    delays = []
+    powers = np.zeros(total, dtype=np.int64)
+    for i, c in enumerate(curves):
+        dl = np.asarray(c.delays, dtype=np.int64)
+        pw = np.asarray(c.powers, dtype=np.int64)
+        delays.append(dl[level_of[i]])
+        powers += pw[level_of[i]]
+
+    arr_in = [None] * m
+    for i in tg.order:
+        ai = np.zeros(total, dtype=np.int64)
+        for src, w in tg.preds[i]:
+            np.maximum(ai, arr_in[src] + delays[src] + w, out=ai)
+        arr_in[i] = ai
+    finish = np.zeros(total, dtype=np.int64)
+    for i in tg.sinks:
+        np.maximum(finish, arr_in[i] + delays[i], out=finish)
+    feasible = finish <= tg.t_cycle
+    if not feasible.any():
+        raise TimingInfeasible("no level vector meets the cycle time")
+    masked = np.where(feasible, powers, np.iinfo(np.int64).max)
+    best = int(np.argmin(masked))  # first minimum == lexicographically smallest
+    levels = tuple(int(level_of[i][best]) + 1 for i in range(m))
+    power = int(powers[best])
+    return VoltageAssignment(
+        level=levels, total_power=power, lower_bound=power, proved_optimal=True
+    )
 
 
 def fixture_netlist(path_blocks, path_nets, k, seed, slack=Fraction(1, 2)):

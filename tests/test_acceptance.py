@@ -28,12 +28,11 @@ from voltplan.shifters import (
 from voltplan.flow import solve_min_cost_max_flow
 from voltplan.voltage import (
     assign_voltages,
-    brute_force_assign,
     build_timing_graph,
     longest_path_delay,
 )
 
-from conftest import DATA, arcs_of, fixture_netlist, random_timing_instance
+from conftest import DATA, arcs_of, brute_force_assign, fixture_netlist, random_timing_instance
 from test_floorplan import check_tiling, rects_disjoint
 
 

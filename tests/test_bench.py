@@ -372,6 +372,7 @@ class TestCli:
             ("--beta", "0"),
             ("--alpha", "0"),
             ("--alpha", "1"),
+            ("--max-levels", "-1"),
         ],
     )
     def test_bad_numeric_flag_exit_2(self, tmp_path, capsys, flag, value):
@@ -447,6 +448,25 @@ class TestCli:
         assert rc == 4
         err = capsys.readouterr().err
         assert err == "internal solver error: no circulation meets the lower bounds\n"
+
+    def test_delays_past_2_pow_62_exit_0(self, tmp_path, capsys):
+        (tmp_path / "b.blocks").write_text("a 4 4\nb 4 4\n")
+        (tmp_path / "b.nets").write_text("net a b\n")
+        curve = "1 10000000000000000000 10 2 20000000000000000000 4"
+        (tmp_path / "b.spec").write_text(
+            "k 2\ntcycle 40000000000000000000\n"
+            f"curve a {curve}\ncurve b {curve}\nshifter 1 1:1 1 0 1 2 0 0\n"
+        )
+        out = tmp_path / "r"
+        rc = main([
+            "run", "--blocks", str(tmp_path / "b.blocks"), "--nets", str(tmp_path / "b.nets"),
+            "--spec", str(tmp_path / "b.spec"), "--seed", "1", "--out", str(out),
+        ])
+        assert rc == 0
+        assert capsys.readouterr().err == ""
+        rows = [line.split() for line in (out / "floorplan.txt").read_text().splitlines()]
+        assert [row[-1] for row in rows] == ["2", "2"]
+        assert (out / "report.csv").read_text().splitlines()[1].split(",")[2] == "8"
 
     def test_timing_infeasible_exit_3(self, tmp_path, capsys):
         spec = self._gen(tmp_path)

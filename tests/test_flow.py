@@ -226,6 +226,13 @@ class TestMaxFlow:
         assert res.value == 2
         assert res.objective == 4  # matching {s1->r1, s2->r2}
 
+    def test_capacities_and_costs_past_2_pow_62(self):
+        big = 2**70
+        net = network(3, [(0, 1, big, big), (1, 2, big, big), (0, 2, 3 * big, 1)])
+        res = solve_min_cost_max_flow(net, 0, 2)
+        assert res.value == big + 1
+        assert res.objective == 2 * big * big + 3 * big
+
     def test_negative_cost_rejected(self):
         net = network(2, [(0, 1, 2, 3), (0, 1, -1, 3)])
         with pytest.raises(ValueError, match="nonnegative arc costs"):
@@ -280,6 +287,12 @@ class TestResidualShortestPaths:
                 assert dist[h] <= dist[t] + c
             if f > 0 and dist[h] is not None:
                 assert dist[t] <= dist[h] - c
+
+    def test_distances_past_2_pow_62(self):
+        big = 2**70
+        net = network(4, [(0, 1, big, 1), (1, 2, big, 1), (2, 3, -3 * big, 1)])
+        res = FlowResult(flow=(0, 0, 0), objective=0)
+        assert residual_shortest_paths(net, res, 0) == [0, big, 2 * big, -big]
 
     def test_unreachable_flagged(self):
         net = network(3, [(0, 1, 1, 1)])

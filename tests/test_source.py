@@ -1,17 +1,55 @@
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "voltplan"
 
 
-def test_no_assert_statements():
-    """Invariants are explicit checks: `python -O` strips assert statements."""
+def _trees():
     sources = sorted(SRC.glob("*.py"))
     assert sources
+    return [(path, ast.parse(path.read_text(), filename=str(path))) for path in sources]
+
+
+def test_no_assert_statements():
+    """Invariants are explicit checks: `python -O` strips assert statements."""
     found = [
         f"{path.name}:{node.lineno}"
-        for path in sources
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        for path, tree in _trees()
+        for node in ast.walk(tree)
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_imports_only_the_standard_library():
+    """The package has no runtime dependency: every absolute import names a
+    standard-library module."""
+    found = []
+    for path, tree in _trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            found += [
+                f"{path.name}:{node.lineno} {name}"
+                for name in names
+                if name.split(".")[0] not in sys.stdlib_module_names
+            ]
+    assert found == []
+
+
+def test_import_leaves_numpy_unloaded():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")])
+    ))
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, voltplan; print('numpy' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert out.stdout == "False\n"
