@@ -8,10 +8,14 @@ default zero wire-delay factor both happen once per anneal (plus once for
 the exact solve of the final floorplan). Each anneal keeps one
 voltage.WarmStart across its solves: the curve part of the flow network is
 built once, and each solve re-optimizes the last solve's circulation, of
-which only the wire costs changed, instead of solving cold. The shifter
-flow refreshes every `ls_every` accepted moves and on the final result, with
-the stale unplaced count carried in between; a refresh feeds only that count
-to phi, and the overhead metrics are computed for the final result alone.
+which only the wire costs changed, instead of solving cold. The unplaced
+shifter count is refreshed every `ls_every` accepted moves and carried
+stale in between. Phi reads only that count, so a refresh takes it from
+shifters.unplaced_count, which runs the shifter min-cost flow only where a
+room could overflow; the full assignment and placement run on the starting
+floorplan and the final one, and the overhead metrics are computed for the
+final floorplan alone. Candidates come from initial_expr and perturb, which
+only build valid expressions, so they are packed without re-validation.
 Fully deterministic for a given seed.
 """
 
@@ -27,6 +31,7 @@ from .floorplan import (
     Floorplan,
     PhiWeights,
     SlicingExpr,
+    _pack,
     cost_phi,
     hpwl,
     hpwl2_per_net,
@@ -42,6 +47,7 @@ from .shifters import (
     compute_ilo,
     default_window,
     required_shifters,
+    unplaced_count,
     wirelength_with_shifters,
 )
 from .voltage import (
@@ -156,7 +162,7 @@ class _Evaluator:
     def evaluate(self, expr, weights, stale_unplaced):
         """Return (phi, floorplan, assignment) or (None, floorplan, None)
         when the candidate has no feasible voltage assignment."""
-        floorplan = pack(expr, self.dims)
+        floorplan = _pack(expr, self.dims)
         try:
             assignment = self.voltage_for(floorplan)
         except TimingInfeasible:
@@ -192,6 +198,12 @@ def _place_shifters(netlist, spec, floorplan, assignment, window):
     """The shifters the levels require, and their assignment and placement."""
     shifters = required_shifters(netlist.nets, assignment.level)
     return shifters, assign_shifters(shifters, floorplan, spec, window=window)
+
+
+def _unplaced(netlist, spec, floorplan, assignment, window):
+    """How many of the shifters the levels require land in the fallback set."""
+    shifters = required_shifters(netlist.nets, assignment.level)
+    return unplaced_count(shifters, floorplan, spec, window)
 
 
 def _full_metrics(netlist, spec, floorplan, assignment, weights, window):
@@ -241,6 +253,9 @@ def anneal(netlist: Netlist, spec: ShifterSpec, config: AnnealConfig, seed: int)
     weights = config.weights
     stale_unplaced = 0
     if asg0 is not None:
+        # the starting floorplan, like the final one, gets the full
+        # assignment: one flow solve per anneal, and perfbench's tracer,
+        # which spans anneal.assign_shifters, sees both ends of the anneal
         _, sa0 = _place_shifters(netlist, spec, fp0, asg0, window)
         stale_unplaced = len(sa0.els)
         if weights is None:
@@ -307,8 +322,7 @@ def anneal(netlist: Netlist, spec: ShifterSpec, config: AnnealConfig, seed: int)
                 accepted_here += 1
                 accepted_total += 1
                 if accepted_total % config.ls_every == 0:
-                    _, sa = _place_shifters(netlist, spec, cand_fp, cand_asg, window)
-                    stale_unplaced = len(sa.els)
+                    stale_unplaced = _unplaced(netlist, spec, cand_fp, cand_asg, window)
                 if best_phi is None or cur_phi < best_phi:
                     best_phi = cur_phi
                     best_expr = expr
@@ -320,7 +334,7 @@ def anneal(netlist: Netlist, spec: ShifterSpec, config: AnnealConfig, seed: int)
     if not ev.feasible_seen:
         raise TimingInfeasible("no candidate admitted a feasible assignment")
 
-    final_fp = pack(best_expr, ev.dims)
+    final_fp = _pack(best_expr, ev.dims)
     final_asg = ev.voltage_for(final_fp, exact=True)
     sa, metrics = _full_metrics(netlist, spec, final_fp, final_asg, weights, window)
     return AnnealResult(

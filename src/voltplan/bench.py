@@ -20,7 +20,7 @@ import re
 from fractions import Fraction
 
 from .errors import DuplicateName, ParseError, UnknownBlock, ValidationError
-from .model import DPCurve, ShifterSpec, derive_shifter_spec, validate_dp_curve
+from .model import DPCurve, derive_shifter_spec, modify_dp_curve, validate_dp_curve
 from .voltage import longest_path_for, TimingGraph
 
 
@@ -107,6 +107,9 @@ def parse_spec(text):
 
     The records may come in any order, so curves and the shifter are checked
     against k after the last line; an invalid one is reported at its line.
+    Every curve must stay valid with the shifter overhead added at every
+    level, as the annealer adds it; the curve invariants hold between
+    consecutive levels, so a run on a prefix of the levels stays valid too.
     """
     k = None
     t_cycle = None
@@ -148,6 +151,14 @@ def parse_spec(text):
             raise ParseError(f"curve {name}: {exc}", curve_lines[name]) from None
     if shifter.k != k:
         raise ParseError(f"shifter overhead has {shifter.k} levels, k={k}", shifter_line)
+    for name, curve in curves.items():
+        try:
+            modify_dp_curve(curve, shifter)
+        except ValidationError as exc:
+            raise ParseError(
+                f"curve {name} with the shifter overhead of line {shifter_line}: {exc}",
+                curve_lines[name],
+            ) from None
     return curves, shifter, t_cycle, k
 
 

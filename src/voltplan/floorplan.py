@@ -108,7 +108,12 @@ def pack(expr: SlicingExpr, dims) -> Floorplan:
     dims: one (w, h) pair per module.
     """
     check_expr(expr, len(dims))
+    return _pack(expr, dims)
 
+
+def _pack(expr: SlicingExpr, dims) -> Floorplan:
+    """pack without validating the expression, for expressions that
+    make_expr, initial_expr or perturb built over len(dims) modules."""
     # bottom-up sizes; tree nodes as (op, left, right, w, h) tuples
     stack = []
     for t in expr.tokens:

@@ -225,12 +225,6 @@ class Netlist:
     def m(self) -> int:
         return len(self.modules)
 
-    def index_of(self, name: str) -> int:
-        for i, mod in enumerate(self.modules):
-            if mod.name == name:
-                return i
-        raise KeyError(name)
-
 
 def topological_order(m, edges) -> list[int]:
     """FIFO Kahn order of modules 0..m-1 under edges (src, dst, ...): sources

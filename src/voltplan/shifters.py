@@ -9,6 +9,12 @@ capacity is the floor-sum of the two resulting areas. Assignment of shifters
 to rooms is a min-cost max-flow over a bipartite network with detour costs;
 whatever cannot be assigned (or packed geometrically) lands in the fallback
 set and is placed on the source module's boundary.
+
+The annealer's cost reads only how many shifters land in that fallback set.
+unplaced_count gives that number without the min-cost flow whenever no room
+can receive more shifters than it has spots, from a capacity-only matching;
+the full assign_shifters runs on the anneal's starting and final floorplans
+and where a room could overflow.
 """
 
 from __future__ import annotations
@@ -52,10 +58,16 @@ def _fits(w, h, sw, sh) -> bool:
     return (w >= sw and h >= sh) or (w >= sh and h >= sw)
 
 
-def _capacity_and_merge(room: Room, spec: ShifterSpec):
-    """Algorithm: zero too-narrow strips, merge the corner into the strip
-    with the larger area remainder mod the shifter area (ties: top strip),
-    return (capacity, merge_into_p1)."""
+def _room_slots(room: Room, spec: ShifterSpec):
+    """A room's whitespace model: (capacity, spots, spot grids).
+
+    Capacity: zero too-narrow strips, merge the corner into the strip with
+    the larger area remainder mod the shifter area (ties: top strip), and
+    floor-sum the two areas. The spot grids are what place_in_room fills,
+    one per post-merge region: (x, y, cols, rows, w, h), a cols x rows grid
+    of w x h spots from (x, y), in the orientation that holds more (ties:
+    unrotated); spots is their total.
+    """
     p1, p2, p3 = whitespace_parts(room)
     a1 = p1[2] * p1[3]
     a2 = p2[2] * p2[3]
@@ -65,13 +77,29 @@ def _capacity_and_merge(room: Room, spec: ShifterSpec):
     if not _fits(p2[2], p2[3], spec.width, spec.height):
         a2 = 0
     a = spec.area
-    return numls_from_areas(a1, a2, a3, a), a1 % a > a2 % a
+    if a1 % a > a2 % a:
+        regions = ((p1[0], p1[1], p1[2], room.h), p2)  # full right strip
+    else:
+        regions = (p1, (p2[0], p2[1], room.w, p2[3]))  # full top strip
+    grids = []
+    spots = 0
+    for rx, ry, rw, rh in regions:
+        if rw <= 0 or rh <= 0:
+            continue
+        straight = (rw // spec.width) * (rh // spec.height)
+        rotated = (rw // spec.height) * (rh // spec.width)
+        if rotated > straight:
+            cw, ch = spec.height, spec.width
+        else:
+            cw, ch = spec.width, spec.height
+        grids.append((rx, ry, rw // cw, rh // ch, cw, ch))
+        spots += max(straight, rotated)
+    return numls_from_areas(a1, a2, a3, a), spots, grids
 
 
 def num_ls(room: Room, spec: ShifterSpec) -> int:
     """How many shifters the room's whitespace can hold (area model)."""
-    cap, _ = _capacity_and_merge(room, spec)
-    return cap
+    return _room_slots(room, spec)[0]
 
 
 def numls_from_areas(a1: int, a2: int, a3: int, a_ls: int) -> int:
@@ -122,20 +150,6 @@ def _in_window(bbox2, room: Room) -> bool:
     rx0, ry0 = 2 * room.x, 2 * room.y
     rx1, ry1 = 2 * (room.x + room.w), 2 * (room.y + room.h)
     return rx0 <= x1 and x0 <= rx1 and ry0 <= y1 and y0 <= ry1
-
-
-def feasible(shifter: Shifter, room: Room, floorplan, spec, window: int) -> bool:
-    """Room can host the shifter: capacity >= 1 and the room lies within the
-    source-sink bounding box expanded by `window` on all sides."""
-    return num_ls(room, spec) >= 1 and _in_window(
-        _window_box2(*_ends2(floorplan, shifter), 2 * window), room
-    )
-
-
-def assign_cost(shifter: Shifter, room: Room, floorplan) -> int:
-    """Manhattan detour of routing the net through the room center
-    (doubled coordinates, always nonnegative)."""
-    return _detour2(*_ends2(floorplan, shifter), _center2_of_rect(room))
 
 
 def default_window(floorplan: Floorplan) -> int:
@@ -208,31 +222,10 @@ def place_in_room(room: Room, shifters, spec: ShifterSpec):
     whitespace (post-merge geometry, best orientation per part).
 
     Returns (placed rectangles, leftover shifters)."""
-    _cap, merge_into_p1 = _capacity_and_merge(room, spec)
-    p1, p2, p3 = whitespace_parts(room)
-    if merge_into_p1:
-        regions = [
-            (p1[0], p1[1], p1[2], room.h),  # full right strip
-            p2,
-        ]
-    else:
-        regions = [
-            p1,
-            (p2[0], p2[1], room.w, p2[3]),  # full top strip
-        ]
-
     def spots():
-        for rx, ry, rw, rh in regions:
-            if rw <= 0 or rh <= 0:
-                continue
-            straight = (rw // spec.width) * (rh // spec.height)
-            rotated = (rw // spec.height) * (rh // spec.width)
-            if rotated > straight:
-                cw, ch = spec.height, spec.width
-            else:
-                cw, ch = spec.width, spec.height
-            for row in range(rh // ch):
-                for col in range(rw // cw):
+        for rx, ry, cols, rows, cw, ch in _room_slots(room, spec)[2]:
+            for row in range(rows):
+                for col in range(cols):
                     yield (rx + col * cw, ry + row * ch, cw, ch)
 
     # zip stops at the last shifter, so no spot past it is generated
@@ -322,3 +315,84 @@ def assign_shifters(shifters, floorplan, spec, window=None) -> ShifterAssignment
     for shifter in sorted(unassigned, key=lambda s: s.id):
         els.append((shifter, els_place(shifter, floorplan)))
     return ShifterAssignment(assigned=tuple(assigned), els=tuple(els))
+
+
+def _max_matching(options, caps) -> int:
+    """Size of a maximum matching of items to bins: item j may go to any bin
+    in options[j], and bin r holds at most caps[r] items. Greedy first, then
+    one breadth-first augmenting-path search per item left unmatched; an
+    item without an augmenting path never gains one later."""
+    free = list(caps)
+    bin_of = [None] * len(options)
+    held = [[] for _ in caps]
+    unmatched = []
+    for j, opts in enumerate(options):
+        for r in opts:
+            if free[r]:
+                free[r] -= 1
+                bin_of[j] = r
+                held[r].append(j)
+                break
+        else:
+            unmatched.append(j)
+    size = len(options) - len(unmatched)
+    for j in unmatched:
+        reached = {}  # bin -> the item whose move reached it
+        queue = [j]
+        for item in queue:
+            for r in options[item]:
+                if r in reached:
+                    continue
+                reached[r] = item
+                if free[r]:
+                    break
+                queue.extend(held[r])
+            else:
+                continue
+            # bin r has room: every item on the path moves one bin along
+            free[r] -= 1
+            size += 1
+            while True:
+                item = reached[r]
+                old = bin_of[item]
+                bin_of[item] = r
+                held[r].append(item)
+                if old is None:
+                    break
+                held[old].remove(item)
+                r = old
+            break
+    return size
+
+
+def unplaced_count(shifters, floorplan, spec, window: int) -> int:
+    """len(assign_shifters(shifters, floorplan, spec, window).els), without
+    the min-cost flow where no room can overflow.
+
+    The flow sends room r at most min(cap_r, demand_r) shifters, where cap_r
+    is num_ls and demand_r counts the shifters with r in their window, and
+    place_in_room leaves over whatever exceeds the room's spots. When
+    that bound is within the spots in every room, nothing is left over, so
+    the fallback set is exactly the shifters the flow leaves without a room:
+    N minus the maximum matching of shifters to window rooms under the room
+    capacities, a number the detour costs do not change. Otherwise the full
+    assignment counts.
+    """
+    shifters = list(shifters)
+    rooms = floorplan.rooms
+    options = []
+    demand = [0] * len(rooms)
+    for shifter in shifters:
+        box2 = _window_box2(*_ends2(floorplan, shifter), 2 * window)
+        opts = [r for r, room in enumerate(rooms) if _in_window(box2, room)]
+        for r in opts:
+            demand[r] += 1
+        options.append(opts)
+    caps = [0] * len(rooms)  # only rooms in some window need theirs
+    for r, d in enumerate(demand):
+        if d:
+            cap, spots, _grids = _room_slots(rooms[r], spec)
+            if min(cap, d) > spots:
+                return len(assign_shifters(shifters, floorplan, spec, window).els)
+            caps[r] = cap
+    return len(shifters) - _max_matching(options, caps)

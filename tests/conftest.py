@@ -8,6 +8,7 @@ import pytest
 from voltplan.bench import gen_spec, parse_blocks, parse_nets, parse_spec
 from voltplan.errors import TimingInfeasible
 from voltplan.model import DPCurve, ModuleBlock, build_netlist, decompose_multipin, validate_dp_curve
+from voltplan.shifters import _center2_of_rect, _detour2, _ends2, _in_window, _window_box2, num_ls
 from voltplan.voltage import TimingGraph, VoltageAssignment, longest_path_for
 
 DATA = Path(__file__).parent / "data"
@@ -100,6 +101,20 @@ def brute_force_assign(tg: TimingGraph, curves, *, bound: int = 8) -> VoltageAss
     return VoltageAssignment(
         level=levels, total_power=power, lower_bound=power, proved_optimal=True
     )
+
+
+def feasible(shifter, room, floorplan, spec, window) -> bool:
+    """Room can host the shifter: capacity >= 1 and the room lies within the
+    source-sink bounding box expanded by `window` on all sides."""
+    return num_ls(room, spec) >= 1 and _in_window(
+        _window_box2(*_ends2(floorplan, shifter), 2 * window), room
+    )
+
+
+def assign_cost(shifter, room, floorplan) -> int:
+    """Manhattan detour of routing the net through the room center
+    (doubled coordinates, always nonnegative)."""
+    return _detour2(*_ends2(floorplan, shifter), _center2_of_rect(room))
 
 
 def fixture_netlist(path_blocks, path_nets, k, seed, slack=Fraction(1, 2)):

@@ -19,9 +19,7 @@ from voltplan.pipeline import RunConfig, run_pipeline
 from voltplan.report import COLUMNS, ReportRow, emit_report
 from voltplan.shifters import (
     Shifter,
-    assign_cost,
     build_assignment_network,
-    feasible,
     num_ls,
     numls_from_areas,
 )
@@ -32,7 +30,15 @@ from voltplan.voltage import (
     longest_path_delay,
 )
 
-from conftest import DATA, arcs_of, brute_force_assign, fixture_netlist, random_timing_instance
+from conftest import (
+    DATA,
+    arcs_of,
+    assign_cost,
+    brute_force_assign,
+    feasible,
+    fixture_netlist,
+    random_timing_instance,
+)
 from test_floorplan import check_tiling, rects_disjoint
 
 

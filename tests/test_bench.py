@@ -410,6 +410,24 @@ class TestCli:
         assert err.count("\n") == 1
         assert "'zz'" in err
 
+    def test_overhead_breaking_a_curve_exit_2_at_its_line(self, tmp_path, capsys):
+        (tmp_path / "a.blocks").write_text("a 4 4\n")
+        (tmp_path / "a.nets").write_text("")
+        (tmp_path / "a.spec").write_text(
+            "k 2\ntcycle 100\ncurve a 1 1 10 2 2 4\nshifter 1 1:1 1 2 0 2 0 0\n"
+        )
+        capsys.readouterr()
+        rc = main([
+            "run", "--blocks", str(tmp_path / "a.blocks"), "--nets", str(tmp_path / "a.nets"),
+            "--spec", str(tmp_path / "a.spec"), "--seed", "1", "--out", str(tmp_path / "r"),
+        ])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: line 3: curve a with the shifter overhead of line 4: overhead breaks"
+            " curve invariants: delay must increase from level 1 to 2\n"
+        )
+        assert not (tmp_path / "r").exists()
+
     @pytest.mark.parametrize("command", ["gen-spec", "run", "report", "render", "convert-gsrc"])
     def test_non_utf8_input_exit_2(self, tmp_path, capsys, command):
         bad = tmp_path / "bad.txt"

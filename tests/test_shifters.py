@@ -1,25 +1,32 @@
+import importlib
 import itertools
 import random
 from fractions import Fraction
 
-from voltplan.floorplan import Floorplan, Room, pack, make_expr
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from voltplan import shifters as shifters_mod
+from voltplan.cli import main
+from voltplan.floorplan import Floorplan, Room, initial_expr, pack, make_expr, perturb
 from voltplan.model import derive_shifter_spec
+from voltplan.pipeline import RunConfig, run_pipeline
 from voltplan.shifters import (
     Shifter,
-    assign_cost,
+    _room_slots,
     assign_shifters,
     build_assignment_network,
     compute_ilo,
     els_place,
-    feasible,
     num_ls,
     numls_from_areas,
     place_in_room,
     required_shifters,
+    unplaced_count,
     wirelength_with_shifters,
 )
 
-from conftest import arcs_of
+from conftest import DATA, arcs_of, assign_cost, feasible
 
 
 def spec_square(area=4, k=1):
@@ -222,6 +229,20 @@ class TestPlaceInRoom:
             (7, 0, 2, 3), (0, 3, 3, 2), (3, 3, 3, 2), (6, 3, 3, 2),
         ]
 
+    def test_spots_equal_what_place_in_room_packs(self, rng):
+        for _ in range(2000):
+            mw, mh = rng.randint(1, 14), rng.randint(1, 14)
+            sw, sh = rng.randint(0, 12), rng.randint(0, 12)
+            room = Room(rng.randint(0, 9), rng.randint(0, 9), mw + sw, mh + sh, mw, mh)
+            spec = derive_shifter_spec(
+                rng.randint(1, 30), rng.choice([Fraction(1), Fraction(1, 3), Fraction(5, 2)]),
+                [(1, 0, 0)],
+            )
+            many = [Shifter(i, i, 0, 1, 2) for i in range((sw + 1) * (sh + 1) * (mw + mh))]
+            cap, spots, _grids = _room_slots(room, spec)
+            assert cap == num_ls(room, spec)
+            assert spots == len(place_in_room(room, many, spec)[0])
+
     def test_no_overlaps_random(self, rng):
         for _ in range(300):
             mw, mh = rng.randint(2, 12), rng.randint(2, 12)
@@ -382,3 +403,103 @@ def test_assignment_network_shape():
     for t, u in sinks:
         room_idx = t - room_base
         assert u == num_ls(fp.rooms[room_idx], spec)
+
+
+@st.composite
+def _count_instance(draw):
+    """A packed floorplan, levels and nets, and a shifter footprint and
+    window: (shifters, floorplan, spec, window). Non-square footprints of up
+    to 12 units often leave a room fewer spots than its area capacity, and
+    small windows leave shifters without a room."""
+    m = draw(st.integers(2, 7))
+    dims = draw(st.lists(st.tuples(st.integers(1, 9), st.integers(1, 9)), min_size=m, max_size=m))
+    expr = initial_expr(m)
+    for move, seed in draw(st.lists(st.tuples(st.integers(1, 3), st.integers(0, 2**16)), max_size=10)):
+        expr = perturb(expr, move, random.Random(seed))
+    levels = draw(st.lists(st.integers(1, 3), min_size=m, max_size=m))
+    pair = st.tuples(st.integers(0, m - 1), st.integers(0, m - 1)).filter(lambda p: p[0] != p[1])
+    nets = draw(st.lists(pair, min_size=6, max_size=24))
+    ratio = draw(st.sampled_from([Fraction(1), Fraction(2, 3), Fraction(1, 3), Fraction(5, 2)]))
+    spec = derive_shifter_spec(draw(st.integers(1, 12)), ratio, [(1, 0, 0)])
+    window = draw(st.integers(0, 4) | st.just(1000))
+    return required_shifters(nets, levels), pack(expr, dims), spec, window
+
+
+# the top strip of room 0 holds 3 shifters of 2x3 by area but 2 by geometry,
+# and all three shifters have room 0 in their window
+_OVERFLOW = (
+    required_shifters([(0, 1)] * 3, (2, 1)),
+    pack(make_expr([0, 1, "V"]), [(4, 4), (4, 9)]),
+    derive_shifter_spec(6, Fraction(2, 3), [(1, 0, 0)]),
+    1000,
+)
+
+
+def test_unplaced_count_equals_the_flow_fallback_count(monkeypatch):
+    """unplaced_count is exactly len(assign_shifters(...).els), on the
+    matching path and on the fallback path, which runs at least once."""
+    flow = shifters_mod.assign_shifters
+    paths = {"count": 0, "fallback": 0}
+
+    def counted(*args, **kwargs):
+        paths["fallback"] += 1
+        return flow(*args, **kwargs)
+
+    monkeypatch.setattr(shifters_mod, "assign_shifters", counted)
+
+    @settings(max_examples=400, deadline=None)
+    @given(inst=_count_instance())
+    @example(inst=_OVERFLOW)
+    def check(inst):
+        shifters, fp, spec, window = inst
+        before = paths["fallback"]
+        got = unplaced_count(shifters, fp, spec, window)
+        if paths["fallback"] == before:
+            paths["count"] += 1
+        assert got == len(flow(shifters, fp, spec, window).els)
+
+    check()
+    assert paths["fallback"] >= 1 and paths["count"] >= 1
+
+
+def test_anneal_runs_the_flow_only_on_the_start_and_final_floorplans(tmp_path, monkeypatch):
+    """On the n10 fixture no refresh falls back, so the shifter flow runs
+    twice per run, on the starting and the final floorplan; the artifacts
+    equal those of a run whose refreshes take the count from the flow."""
+    spec = tmp_path / "n10.spec"
+    assert main([
+        "gen-spec", "--blocks", str(DATA / "n10.blocks"), "--nets", str(DATA / "n10.nets"),
+        "--seed", "42", "-o", str(spec),
+    ]) == 0
+
+    def run(out):
+        run_pipeline(RunConfig(
+            blocks_path=str(DATA / "n10.blocks"), nets_path=str(DATA / "n10.nets"),
+            spec_path=str(spec), seed=42, out_dir=str(out), max_levels=25,
+        ))
+        texts = {
+            name: (out / name).read_text()
+            for name in ("floorplan.txt", "shifters.txt", "layout.svg", "report.csv")
+        }
+        # the report's last column is the run time
+        texts["report.csv"] = [row.rsplit(",", 1)[0] for row in texts["report.csv"].splitlines()]
+        return texts
+
+    solve = shifters_mod.solve_min_cost_max_flow
+    solves = []
+
+    def counted_solve(*args, **kwargs):
+        solves.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(shifters_mod, "solve_min_cost_max_flow", counted_solve)
+    got = run(tmp_path / "count")
+    assert len(solves) == 2
+
+    monkeypatch.setattr(
+        importlib.import_module("voltplan.anneal"), "unplaced_count",
+        lambda sh, fp, sp, window: len(assign_shifters(sh, fp, sp, window).els),
+    )
+    want = run(tmp_path / "flow")
+    assert len(solves) > 4
+    assert got == want
