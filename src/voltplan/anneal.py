@@ -60,8 +60,6 @@ from .voltage import (
 
 # the anneal stops once the temperature falls below this fraction of t0
 T_STOP_RATIO = 1e-7
-# the shifter overhead applies at every level, the highest voltage included
-OVERHEAD_AT_TOP_LEVEL = True
 
 
 @dataclass
@@ -91,6 +89,8 @@ class AnnealConfig:
             raise ValidationError(f"kappa must be nonnegative, got {self.kappa}")
         if self.max_levels < 0:
             raise ValidationError(f"max_levels must be nonnegative, got {self.max_levels}")
+        if self.weights is not None:
+            self.weights.validate()
 
 
 @dataclass(frozen=True)
@@ -117,7 +117,7 @@ class AnnealResult:
 
 
 def modified_curves(netlist: Netlist, spec: ShifterSpec):
-    return [modify_dp_curve(mod.curve, spec, OVERHEAD_AT_TOP_LEVEL) for mod in netlist.modules]
+    return [modify_dp_curve(mod.curve, spec) for mod in netlist.modules]
 
 
 def _wire_delays(netlist, floorplan, kappa: Fraction):

@@ -64,6 +64,8 @@ def parse_nets(text, known_names) -> list[tuple[str, list[str]]]:
         for name in parts[1:]:
             if name not in known:
                 raise UnknownBlock(f"unknown block {name!r}", lineno)
+        if parts[1] in parts[2:]:
+            raise ParseError(f"net source {parts[1]!r} is also one of its sinks", lineno)
         out.append((parts[1], parts[2:]))
     return out
 
@@ -167,6 +169,12 @@ def parse_spec(text):
 # band. Module curves and the shifter overhead draw from the same bands, so
 # the pointwise sum keeps strictly decreasing slopes for any k up to K_CAP.
 K_CAP = 8
+# generated module curves: the level-1 delay and each later level's delay
+# gap are drawn from these inclusive ranges
+BASE_DELAY_RANGE = (5, 20)
+GAP_RANGE = (1, 6)
+# width:height of the generated shifter
+SHIFTER_RATIO = Fraction(2, 1)
 
 
 def _band(q):
@@ -194,11 +202,8 @@ def gen_spec(
     nets,
     k: int,
     *,
-    base_delay_range=(5, 20),
-    gap_range=(1, 6),
     timing_slack=Fraction(1, 2),
     shifter_area=None,
-    shifter_ratio=Fraction(2, 1),
 ) -> str:
     """Deterministically generate curves, a shifter and a cycle budget.
 
@@ -220,7 +225,7 @@ def gen_spec(
         # child seeds are derived arithmetically: string/tuple seeding goes
         # through hash(), which is randomized per process
         rng = random.Random(seed * 1_000_003 + i)
-        pts = _gen_curve_points(rng, k, base_delay_range, gap_range, (3000, 4000))
+        pts = _gen_curve_points(rng, k, BASE_DELAY_RANGE, GAP_RANGE, (3000, 4000))
         curves[name] = DPCurve(points=pts)
         validate_dp_curve(curves[name], k)
         flat = " ".join(f"{l} {d} {p}" for l, d, p in pts)
@@ -233,10 +238,10 @@ def gen_spec(
     # overhead slopes come from the same bands as the module curves, which
     # keeps every modified curve convex; the base power only shifts the tax
     overhead = _gen_curve_points(rng, k, (0, 2), (1, 2), (600, 800))
-    spec = derive_shifter_spec(shifter_area, shifter_ratio, overhead)
+    spec = derive_shifter_spec(shifter_area, SHIFTER_RATIO, overhead)
     flat = " ".join(f"{l} {d} {p}" for l, d, p in spec.overhead)
     lines.append(
-        f"shifter {shifter_area} {shifter_ratio.numerator}:{shifter_ratio.denominator} {flat}"
+        f"shifter {shifter_area} {SHIFTER_RATIO.numerator}:{SHIFTER_RATIO.denominator} {flat}"
     )
 
     # cycle budget from the critical path of the decomposed two-pin nets

@@ -33,34 +33,39 @@ def _frac(text: str) -> Fraction:
 
 
 def _add_gen_spec(sub):
-    p = sub.add_parser("gen-spec", help="generate curves, shifter and cycle budget")
+    # unset options are left out, so gen_spec's defaults apply
+    p = sub.add_parser("gen-spec", help="generate curves, shifter and cycle budget",
+                       argument_default=argparse.SUPPRESS)
     p.add_argument("--blocks", required=True)
     p.add_argument("--nets", required=True)
     p.add_argument("--k", type=int, default=4)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--timing-slack", type=_frac, default=Fraction(1, 2),
+    p.add_argument("--timing-slack", type=_frac,
                    help="where the budget sits between the fastest and slowest critical paths")
-    p.add_argument("--shifter-area", type=int, default=None)
+    p.add_argument("--shifter-area", type=int)
     p.add_argument("-o", "--out", required=True)
 
 
 def _add_run(sub):
-    p = sub.add_parser("run", help="full pipeline: anneal, assign, report, render")
-    p.add_argument("--blocks", required=True)
-    p.add_argument("--nets", required=True)
-    p.add_argument("--spec", required=True)
+    # each dest is a RunConfig field; unset options are left out, so the
+    # config's own defaults apply
+    p = sub.add_parser("run", help="full pipeline: anneal, assign, report, render",
+                       argument_default=argparse.SUPPRESS)
+    p.add_argument("--blocks", dest="blocks_path", required=True)
+    p.add_argument("--nets", dest="nets_path", required=True)
+    p.add_argument("--spec", dest="spec_path", required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--dataset", default="")
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--tcycle", type=int, default=None)
-    p.add_argument("--alpha", type=float, default=0.9)
-    p.add_argument("--beta", type=int, default=10)
-    p.add_argument("--accept-target", type=float, default=0.9)
-    p.add_argument("--ls-every", type=int, default=5)
-    p.add_argument("--kappa", type=_frac, default=Fraction(0))
-    p.add_argument("--window", type=int, default=None)
-    p.add_argument("--max-levels", type=int, default=400)
+    p.add_argument("--out", dest="out_dir", required=True, help="output directory")
+    p.add_argument("--dataset")
+    p.add_argument("--k", type=int)
+    p.add_argument("--tcycle", dest="t_cycle", type=int)
+    p.add_argument("--alpha", type=float)
+    p.add_argument("--beta", type=int)
+    p.add_argument("--accept-target", type=float)
+    p.add_argument("--ls-every", type=int)
+    p.add_argument("--kappa", type=_frac)
+    p.add_argument("--window", type=int)
+    p.add_argument("--max-levels", type=int)
 
 
 def _add_report(sub):
@@ -85,43 +90,28 @@ def _add_convert(sub):
     p.add_argument("--out-nets", required=True)
 
 
+def _options(args, *names) -> dict:
+    """The parsed flags as keyword arguments, minus the verb and `names`."""
+    options = vars(args).copy()
+    for name in ("command", *names):
+        del options[name]
+    return options
+
+
 def _cmd_gen_spec(args) -> int:
     blocks = parse_blocks(read_input(args.blocks))
     nets = parse_nets(read_input(args.nets), [b[0] for b in blocks])
-    text = gen_spec(
-        args.seed,
-        blocks,
-        nets,
-        args.k,
-        timing_slack=args.timing_slack,
-        shifter_area=args.shifter_area,
-    )
+    text = gen_spec(blocks=blocks, nets=nets, **_options(args, "blocks", "nets", "out"))
     Path(args.out).write_text(text)
     print(f"wrote {args.out}")
     return 0
 
 
 def _cmd_run(args) -> int:
-    config = RunConfig(
-        blocks_path=args.blocks,
-        nets_path=args.nets,
-        spec_path=args.spec,
-        seed=args.seed,
-        out_dir=args.out,
-        dataset=args.dataset,
-        k=args.k,
-        t_cycle=args.tcycle,
-        alpha=args.alpha,
-        beta=args.beta,
-        accept_target=args.accept_target,
-        ls_every=args.ls_every,
-        kappa=args.kappa,
-        window=args.window,
-        max_levels=args.max_levels,
-    )
+    config = RunConfig(**_options(args))
     row, _result = run_pipeline(config)
     print(pretty_report([row]), end="")
-    print(f"artifacts in {args.out}")
+    print(f"artifacts in {config.out_dir}")
     return 0
 
 

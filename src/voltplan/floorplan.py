@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-from .errors import MalformedExpression
+from .errors import MalformedExpression, ValidationError
 
 OPS = ("H", "V")
 
@@ -229,20 +229,10 @@ class PhiWeights:
     def validate(self):
         vals = (self.area, self.wirelength, self.power, self.islands, self.unplaced)
         if any(v < 0 for v in vals):
-            raise ValueError("weights must be nonnegative")
+            raise ValidationError("weights must be nonnegative")
         if all(v == 0 for v in vals):
-            raise ValueError("at least one weight must be positive")
+            raise ValidationError("at least one weight must be positive")
         return self
-
-
-def phi_weights(area=1, wirelength=1, power=1, islands=0, unplaced=0) -> PhiWeights:
-    return PhiWeights(
-        area=Fraction(area),
-        wirelength=Fraction(wirelength),
-        power=Fraction(power),
-        islands=Fraction(islands),
-        unplaced=Fraction(unplaced),
-    ).validate()
 
 
 def cost_phi(area, wirelength, power, islands, unplaced, weights: PhiWeights) -> Fraction:

@@ -88,7 +88,7 @@ def solve_min_cost_circulation(net: FlowNetwork, start=None) -> FlowResult:
     potentials; None means zero flow and zero potentials (the cold solve).
     The closer start is to an optimum for these costs, the less is left to
     ship. The residual network of the returned flow contains no negative
-    cycle; certify_optimal checks that independently.
+    cycle.
     """
     n, n_arcs = net.n_nodes, len(net.tails)
     if start is None:
@@ -152,27 +152,6 @@ def solve_min_cost_max_flow(net: FlowNetwork, s: int, t: int) -> FlowResult:
     )
     objective = sum(map(mul, net.costs, flows))
     return FlowResult(flow=tuple(flows), objective=objective, value=value)
-
-
-def certify_optimal(net: FlowNetwork, result: FlowResult) -> tuple[int, ...]:
-    """Potentials valid over the whole residual graph (virtual zero source).
-
-    Bellman-Ford from a node wired to every other with cost 0; existence
-    proves there is no negative residual cycle, i.e. the flow is optimal.
-    """
-    n = net.n_nodes
-    dist, neg = _speedups_py.shortest_paths(
-        n + 1,
-        net.tails + (n,) * n,
-        net.heads + tuple(range(n)),
-        net.uppers + (1,) * n,
-        net.costs + (0,) * n,
-        result.flow + (0,) * n,
-        n,
-    )
-    if neg:
-        raise NegativeResidualCycle("flow is not optimal: negative residual cycle")
-    return tuple(dist[:n])
 
 
 def residual_shortest_paths(net: FlowNetwork, result: FlowResult, src: int):

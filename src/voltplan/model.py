@@ -155,24 +155,15 @@ def derive_shifter_spec(area: int, ratio: Fraction, overhead) -> ShifterSpec:
     )
 
 
-def modify_dp_curve(
-    curve: DPCurve, spec: ShifterSpec, overhead_at_top_level: bool = True
-) -> DPCurve:
-    """Add the shifter's per-level overhead to a module curve, pointwise.
-
-    With overhead_at_top_level False the level-1 point is left untouched
-    (a module at the highest voltage never drives upward). The sum must
-    itself satisfy all curve invariants; if not, ResultNotConvex is raised,
-    which signals an overhead table incompatible with convex addition.
+def modify_dp_curve(curve: DPCurve, spec: ShifterSpec) -> DPCurve:
+    """Add the shifter's per-level overhead to a module curve, pointwise, at
+    every level. The sum must itself satisfy all curve invariants; if not,
+    ResultNotConvex is raised, which signals an overhead table incompatible
+    with convex addition.
     """
     if curve.k != spec.k:
         raise WrongArity(f"curve has {curve.k} levels, overhead has {spec.k}")
-    pts = []
-    for level, d, p in curve.points:
-        if level == 1 and not overhead_at_top_level:
-            pts.append((level, d, p))
-        else:
-            pts.append((level, d + spec.delay(level), p + spec.power(level)))
+    pts = [(level, d + spec.delay(level), p + spec.power(level)) for level, d, p in curve.points]
     merged = DPCurve(points=tuple(pts))
     try:
         _check_curve_points(merged.points, curve.k)

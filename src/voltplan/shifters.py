@@ -280,12 +280,10 @@ def wirelength_with_shifters(floorplan, nets, shifters, placements) -> int:
     ) // 2
 
 
-def assign_shifters(shifters, floorplan, spec, window=None) -> ShifterAssignment:
+def assign_shifters(shifters, floorplan, spec, window: int) -> ShifterAssignment:
     """Assign each shifter a room by min-cost max-flow, realize placements
     inside whitespace, and fall back for whatever does not fit."""
     shifters = list(shifters)
-    if window is None:
-        window = default_window(floorplan)
     if not shifters:
         return ShifterAssignment(assigned=(), els=())
     net, s_node, t_node, pair_arcs = build_assignment_network(

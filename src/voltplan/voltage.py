@@ -230,11 +230,6 @@ class VoltageAssignment:
     search_nodes: int = 0
 
 
-def longest_path_delay(tg: TimingGraph, curves, levels) -> int:
-    """Exact longest s-to-t path when module i runs at levels[i]."""
-    return longest_path_for(tg, _delays_for(curves, levels))[0]
-
-
 def longest_path_for(tg: TimingGraph, delays) -> tuple[int, list[int]]:
     """Longest path given per-module integer delays; returns (length, module path)."""
     preds = tg.preds
@@ -264,10 +259,6 @@ def longest_path_for(tg: TimingGraph, delays) -> tuple[int, list[int]]:
         v = best_pred[v]
     path.reverse()
     return finish, path
-
-
-def _delays_for(curves, levels):
-    return [c.delay(q) for c, q in zip(curves, levels)]
 
 
 def _slowest_fit(curve: DPCurve, budget: int) -> int:
@@ -331,7 +322,7 @@ def assign_voltages(
     if not proved and tg.m <= exact_limit:
         levels, power, proved, nodes = _branch_and_bound(tg, curves, levels, power, search_cap)
 
-    finish = longest_path_for(tg, _delays_for(curves, levels))[0]
+    finish = longest_path_for(tg, [c.delay(q) for c, q in zip(curves, levels)])[0]
     if finish > tg.t_cycle:
         raise SolverError(
             f"recovered levels finish at {finish}, past the cycle time {tg.t_cycle}"

@@ -7,6 +7,8 @@ import pytest
 
 from voltplan.bench import gen_spec, parse_blocks, parse_nets, parse_spec
 from voltplan.errors import TimingInfeasible
+from voltplan.floorplan import PhiWeights
+from voltplan.flow import FlowNetwork, FlowResult, residual_shortest_paths
 from voltplan.model import DPCurve, ModuleBlock, build_netlist, decompose_multipin, validate_dp_curve
 from voltplan.shifters import _center2_of_rect, _detour2, _ends2, _in_window, _window_box2, num_ls
 from voltplan.voltage import TimingGraph, VoltageAssignment, longest_path_for
@@ -17,6 +19,40 @@ DATA = Path(__file__).parent / "data"
 def arcs_of(net):
     """The network's arcs as (tail, head, cost, upper) rows, in arc order."""
     return list(zip(net.tails, net.heads, net.costs, net.uppers))
+
+
+def certify_optimal(net, result) -> tuple[int, ...]:
+    """Potentials valid over the whole residual graph of `result`.
+
+    Bellman-Ford from a virtual source wired to every node at cost 0; that
+    they exist proves there is no negative residual cycle, i.e. the flow is
+    optimal. Raises NegativeResidualCycle otherwise.
+    """
+    n = net.n_nodes
+    virtual = FlowNetwork(
+        n + 1,
+        net.tails + (n,) * n,
+        net.heads + tuple(range(n)),
+        net.costs + (0,) * n,
+        net.uppers + (1,) * n,
+    )
+    flow = FlowResult(flow=result.flow + (0,) * n, objective=result.objective)
+    return tuple(residual_shortest_paths(virtual, flow, n)[:n])
+
+
+def longest_path_delay(tg, curves, levels) -> int:
+    """Exact longest s-to-t path when module i runs at levels[i]."""
+    return longest_path_for(tg, [c.delay(q) for c, q in zip(curves, levels)])[0]
+
+
+def phi_weights(area=1, wirelength=1, power=1, islands=0, unplaced=0) -> PhiWeights:
+    return PhiWeights(
+        area=Fraction(area),
+        wirelength=Fraction(wirelength),
+        power=Fraction(power),
+        islands=Fraction(islands),
+        unplaced=Fraction(unplaced),
+    ).validate()
 
 
 def random_curve(rng, k):

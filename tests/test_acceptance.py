@@ -12,7 +12,7 @@ import pytest
 
 from voltplan.anneal import AnnealConfig, anneal, modified_curves
 from voltplan.bench import gen_spec, parse_blocks, parse_nets, parse_spec
-from voltplan.flow import certify_optimal, network, solve_min_cost_circulation
+from voltplan.flow import network, solve_min_cost_circulation
 from voltplan.floorplan import Room, initial_expr, pack, perturb
 from voltplan.model import DPCurve, ModuleBlock, build_netlist, decompose_multipin
 from voltplan.pipeline import RunConfig, run_pipeline
@@ -24,19 +24,17 @@ from voltplan.shifters import (
     numls_from_areas,
 )
 from voltplan.flow import solve_min_cost_max_flow
-from voltplan.voltage import (
-    assign_voltages,
-    build_timing_graph,
-    longest_path_delay,
-)
+from voltplan.voltage import assign_voltages, build_timing_graph
 
 from conftest import (
     DATA,
     arcs_of,
     assign_cost,
     brute_force_assign,
+    certify_optimal,
     feasible,
     fixture_netlist,
+    longest_path_delay,
     random_timing_instance,
 )
 from test_floorplan import check_tiling, rects_disjoint

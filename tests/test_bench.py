@@ -1,4 +1,6 @@
+import inspect
 import xml.etree.ElementTree as ET
+from dataclasses import fields
 from fractions import Fraction
 from pathlib import Path
 
@@ -12,10 +14,12 @@ from voltplan.bench import (
     parse_nets,
     parse_spec,
 )
+from voltplan import cli
 from voltplan.cli import main
 from voltplan.errors import DuplicateName, ParseError, UnknownBlock
 from voltplan.model import modify_dp_curve, validate_dp_curve
 from voltplan.floorplan import Floorplan, Room
+from voltplan.pipeline import RunConfig
 from voltplan.render import render_svg
 from voltplan.report import ReportRow, emit_report, format_fixed, parse_report
 
@@ -50,6 +54,10 @@ class TestParseNets:
     def test_unknown_block(self):
         with pytest.raises(UnknownBlock):
             parse_nets("net sb0 zz\n", ["sb0"])
+
+    def test_source_listed_as_sink(self):
+        with pytest.raises(ParseError, match="^line 2: net source 'a' is also one of its sinks$"):
+            parse_nets("net a b\nnet a b a\n", ["a", "b"])
 
     def test_fixture_decomposes_to_expected_pairs(self):
         from voltplan.model import decompose_multipin
@@ -428,6 +436,23 @@ class TestCli:
         )
         assert not (tmp_path / "r").exists()
 
+    def test_self_loop_net_exit_2_at_its_line(self, tmp_path, capsys):
+        (tmp_path / "a.blocks").write_text("a 4 4\nb 4 4\n")
+        (tmp_path / "a.nets").write_text("net a b\nnet a a b\n")
+        (tmp_path / "a.spec").write_text(
+            "k 1\ntcycle 100\ncurve a 1 1 10\ncurve b 1 1 10\nshifter 1 1:1 1 0 0\n"
+        )
+        capsys.readouterr()
+        rc = main([
+            "run", "--blocks", str(tmp_path / "a.blocks"), "--nets", str(tmp_path / "a.nets"),
+            "--spec", str(tmp_path / "a.spec"), "--seed", "1", "--out", str(tmp_path / "r"),
+        ])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: line 2: net source 'a' is also one of its sinks\n"
+        )
+        assert not (tmp_path / "r").exists()
+
     @pytest.mark.parametrize("command", ["gen-spec", "run", "report", "render", "convert-gsrc"])
     def test_non_utf8_input_exit_2(self, tmp_path, capsys, command):
         bad = tmp_path / "bad.txt"
@@ -512,3 +537,87 @@ class TestCli:
         assert rc == 0
         floorplan, _levels = parse_floorplan((out / "floorplan.txt").read_text())
         check_tiling(floorplan)
+
+
+class _Captured(Exception):
+    pass
+
+
+def _capture(monkeypatch, name):
+    """Make voltplan.cli's `name` raise _Captured with the arguments it got."""
+
+    def fake(*args, **kwargs):
+        raise _Captured(args, kwargs)
+
+    monkeypatch.setattr(cli, name, fake)
+
+
+class TestCliOptions:
+    """Each flag lands in its config field or keyword; an unset flag leaves
+    the library's own default in place."""
+
+    RUN = ["run", "--blocks", "b.blocks", "--nets", "b.nets", "--spec", "b.spec",
+           "--seed", "3", "--out", "outdir"]
+    REQUIRED = dict(
+        blocks_path="b.blocks", nets_path="b.nets", spec_path="b.spec", seed=3, out_dir="outdir"
+    )
+    # flag: (value, field, parsed value)
+    OPTIONAL = {
+        "--dataset": ("d1", "dataset", "d1"),
+        "--k": ("2", "k", 2),
+        "--tcycle": ("77", "t_cycle", 77),
+        "--alpha": ("0.5", "alpha", 0.5),
+        "--beta": ("3", "beta", 3),
+        "--accept-target": ("0.75", "accept_target", 0.75),
+        "--ls-every": ("2", "ls_every", 2),
+        "--kappa": ("1/32", "kappa", Fraction(1, 32)),
+        "--window": ("7", "window", 7),
+        "--max-levels": ("9", "max_levels", 9),
+    }
+
+    def _config(self, monkeypatch, argv):
+        _capture(monkeypatch, "run_pipeline")
+        with pytest.raises(_Captured) as info:
+            main(argv)
+        (config,), kwargs = info.value.args
+        assert kwargs == {}
+        return config
+
+    def test_required_flags_only(self, monkeypatch):
+        assert self._config(monkeypatch, self.RUN) == RunConfig(**self.REQUIRED)
+
+    def test_every_optional_flag_lands_in_its_field(self, monkeypatch):
+        argv = list(self.RUN)
+        for flag, (value, _, _) in self.OPTIONAL.items():
+            argv += [flag, value]
+        config = self._config(monkeypatch, argv)
+        default = RunConfig(**self.REQUIRED)
+        for flag, (_, field, parsed) in self.OPTIONAL.items():
+            assert getattr(config, field) == parsed, flag
+            assert getattr(default, field) != parsed, flag
+        assert {f.name for f in fields(RunConfig)} == (
+            self.REQUIRED.keys() | {f for _, f, _ in self.OPTIONAL.values()}
+            | {"weights", "observer"}
+        )
+
+    GEN = ["gen-spec", "--blocks", str(DATA / "n10.blocks"), "--nets", str(DATA / "n10.nets"),
+           "--seed", "4", "-o", "s.spec"]
+
+    def _gen_spec_call(self, monkeypatch, argv):
+        _capture(monkeypatch, "gen_spec")
+        with pytest.raises(_Captured) as info:
+            main(argv)
+        got = inspect.signature(gen_spec).bind(*info.value.args[0], **info.value.args[1])
+        options = dict(got.arguments)
+        assert [b[0] for b in options.pop("blocks")] == [f"sb{i}" for i in range(10)]
+        assert options.pop("nets")
+        return options
+
+    def test_gen_spec_required_flags_only(self, monkeypatch):
+        assert self._gen_spec_call(monkeypatch, self.GEN) == {"seed": 4, "k": 4}
+
+    def test_gen_spec_every_optional_flag(self, monkeypatch):
+        argv = self.GEN + ["--k", "3", "--timing-slack", "1/4", "--shifter-area", "6"]
+        assert self._gen_spec_call(monkeypatch, argv) == {
+            "seed": 4, "k": 3, "timing_slack": Fraction(1, 4), "shifter_area": 6,
+        }

@@ -9,9 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from voltplan.anneal import AnnealConfig, anneal
-from voltplan.errors import MalformedExpression
+from voltplan.errors import MalformedExpression, ValidationError
 from voltplan.floorplan import (
     Floorplan,
+    PhiWeights,
     Room,
     SlicingExpr,
     check_expr,
@@ -21,7 +22,6 @@ from voltplan.floorplan import (
     make_expr,
     pack,
     perturb,
-    phi_weights,
     voltage_islands,
     whitespace_parts,
     whitespace_percent,
@@ -29,7 +29,7 @@ from voltplan.floorplan import (
 from voltplan.model import DPCurve, ModuleBlock, build_netlist, derive_shifter_spec
 from voltplan.shifters import compute_ilo, required_shifters, wirelength_with_shifters
 
-from conftest import DATA, fixture_netlist
+from conftest import DATA, fixture_netlist, longest_path_delay, phi_weights
 
 
 def rects_disjoint(rooms):
@@ -314,13 +314,24 @@ class TestAnneal:
 
     def test_single_module_phi_area_plus_power(self):
         from voltplan.anneal import modified_curves
-        from voltplan.floorplan import phi_weights
 
         nl = tiny_netlist(m=1)
         weights = phi_weights(area=1, wirelength=0, power=1, islands=0, unplaced=0)
         res = anneal(nl, tiny_shifter(), AnnealConfig(weights=weights), seed=1)
         curve = modified_curves(nl, tiny_shifter())[0]
         assert res.metrics.phi == res.floorplan.area + curve.power(curve.k)
+
+    @pytest.mark.parametrize(
+        "weights, message",
+        [
+            ((-1, 0, 0, 0, 0), "weights must be nonnegative"),
+            ((1, 1, 1, 1, Fraction(-1, 2)), "weights must be nonnegative"),
+            ((0, 0, 0, 0, 0), "at least one weight must be positive"),
+        ],
+    )
+    def test_invalid_weights_rejected(self, weights, message):
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            AnnealConfig(weights=PhiWeights(*map(Fraction, weights)))
 
     def test_whitespace_percent_formula(self):
         fp = pack(make_expr([0, 1, "V"]), [(2, 2), (2, 4)])
@@ -411,7 +422,7 @@ class TestAnneal:
         res = anneal(nl, tiny_shifter(), AnnealConfig(), seed=9)
         check_tiling(res.floorplan)
         from voltplan.anneal import modified_curves
-        from voltplan.voltage import build_timing_graph, longest_path_delay
+        from voltplan.voltage import build_timing_graph
 
         tg = build_timing_graph(nl, [0] * len(nl.nets))
         curves = modified_curves(nl, tiny_shifter())

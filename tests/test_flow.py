@@ -8,14 +8,13 @@ from voltplan.errors import NegativeResidualCycle, SolverError
 from voltplan.flow import (
     FlowNetwork,
     FlowResult,
-    certify_optimal,
     network,
     residual_shortest_paths,
     solve_min_cost_circulation,
     solve_min_cost_max_flow,
 )
 
-from conftest import arcs_of
+from conftest import arcs_of, certify_optimal
 
 
 def enumerate_min_circulation(net):

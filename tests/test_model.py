@@ -84,13 +84,6 @@ class TestModifyCurve:
         with pytest.raises(ResultNotConvex):
             modify_dp_curve(c, spec)  # 90 then 150: powers rise
 
-    def test_top_level_opt_out(self):
-        c = curve((1, 2, 90), (2, 4, 50))
-        spec = derive_shifter_spec(4, Fraction(1), [(1, 5, 5), (2, 6, 4)])
-        got = modify_dp_curve(c, spec, overhead_at_top_level=False)
-        assert got.points[0] == (1, 2, 90)
-        assert got.points[1] == (2, 10, 54)
-
     def test_arity_mismatch(self):
         c = curve((1, 2, 90), (2, 4, 50))
         spec = derive_shifter_spec(4, Fraction(1), [(1, 0, 0)])

@@ -303,7 +303,7 @@ class TestElsPlace:
 class TestAssignShifters:
     def test_empty(self):
         fp = pack(make_expr([0, 1, "V"]), [(2, 2), (2, 2)])
-        got = assign_shifters([], fp, spec_square())
+        got = assign_shifters([], fp, spec_square(), window=0)
         assert got.n == 0
         assert got.placements() == {}
 

@@ -15,7 +15,6 @@ from voltplan.errors import (
 )
 from voltplan.flow import (
     FlowResult,
-    certify_optimal,
     residual_shortest_paths,
     solve_min_cost_circulation,
 )
@@ -27,11 +26,17 @@ from voltplan.voltage import (
     build_expanded_network,
     build_timing_graph,
     compute_breakpoints,
-    longest_path_delay,
     longest_path_for,
 )
 
-from conftest import arcs_of, brute_force_assign, random_curve, random_timing_instance
+from conftest import (
+    arcs_of,
+    brute_force_assign,
+    certify_optimal,
+    longest_path_delay,
+    random_curve,
+    random_timing_instance,
+)
 
 
 def curve(*pts):
