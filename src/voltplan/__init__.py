@@ -8,7 +8,7 @@ to room assignment via min-cost max-flow over a whitespace capacity model.
 __version__ = "0.1.0"
 
 from .anneal import AnnealConfig, AnnealResult, anneal
-from .floorplan import Floorplan, PhiWeights, Room, SlicingExpr, pack
+from .floorplan import Floorplan, PhiWeights, Room, pack
 from .model import (
     DPCurve,
     ModuleBlock,
@@ -39,7 +39,6 @@ __all__ = [
     "Room",
     "RunConfig",
     "ShifterSpec",
-    "SlicingExpr",
     "TimingGraph",
     "VoltageAssignment",
     "anneal",

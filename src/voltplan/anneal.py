@@ -15,8 +15,9 @@ shifters.unplaced_count, which runs the shifter min-cost flow only where a
 room could overflow; the full assignment and placement run on the starting
 floorplan and the final one, and the overhead metrics are computed for the
 final floorplan alone. Candidates come from initial_expr and perturb, which
-only build valid expressions, so they are packed without re-validation.
-Fully deterministic for a given seed.
+only build valid expressions, so they are packed without re-validation; a
+single module takes the same path, every move returning its expression
+unchanged. Fully deterministic for a given seed.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from .errors import TimingInfeasible, ValidationError
 from .floorplan import (
     Floorplan,
     PhiWeights,
-    SlicingExpr,
     _pack,
     cost_phi,
     hpwl,
@@ -113,7 +113,7 @@ class AnnealResult:
     voltage: VoltageAssignment
     shifters: object
     metrics: RunMetrics
-    expr: SlicingExpr
+    expr: tuple
 
 
 def modified_curves(netlist: Netlist, spec: ShifterSpec):
@@ -268,15 +268,6 @@ def anneal(netlist: Netlist, spec: ShifterSpec, config: AnnealConfig, seed: int)
             )
     elif weights is None:
         weights = _default_weights(fp0.area, hpwl(fp0, netlist.nets), 0, 1, m)
-
-    if m == 1:
-        if asg0 is None:
-            raise TimingInfeasible("single-module instance infeasible")
-        final = ev.voltage_for(fp0, exact=True)
-        sa, metrics = _full_metrics(netlist, spec, fp0, final, weights, window)
-        return AnnealResult(
-            floorplan=fp0, voltage=final, shifters=sa, metrics=metrics, expr=expr
-        )
 
     phi, _, _ = ev.evaluate(expr, weights, stale_unplaced)
 

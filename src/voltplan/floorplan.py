@@ -1,10 +1,11 @@
 """Slicing floorplans: normalized postfix expressions, packing, metrics.
 
 A floorplan is a slicing tree over the modules, encoded as a normalized
-postfix (Polish) expression with two cut operators: 'H' stacks its children
-vertically (widths max, heights add), 'V' puts them side by side. Packing
-combines dimensions bottom-up, then distributes slack top-down so the rooms
-tile the chip exactly; the extra space always goes to the right/top child.
+postfix (Polish) expression: a tuple of tokens, each a module index or one
+of two cut operators. 'H' stacks its children vertically (widths max,
+heights add), 'V' puts them side by side. Packing combines dimensions
+bottom-up, then distributes slack top-down so the rooms tile the chip
+exactly; the extra space always goes to the right/top child.
 """
 
 from __future__ import annotations
@@ -18,18 +19,7 @@ from .errors import MalformedExpression, ValidationError
 OPS = ("H", "V")
 
 
-@dataclass(frozen=True)
-class SlicingExpr:
-    tokens: tuple
-
-
-def make_expr(tokens) -> SlicingExpr:
-    expr = SlicingExpr(tokens=tuple(tokens))
-    check_expr(expr)
-    return expr
-
-
-def initial_expr(m: int) -> SlicingExpr:
+def initial_expr(m: int) -> tuple:
     """Deterministic starting expression: fold modules with alternating cuts."""
     if m < 1:
         raise MalformedExpression("need at least one module")
@@ -37,12 +27,11 @@ def initial_expr(m: int) -> SlicingExpr:
     for i in range(1, m):
         tokens.append(i)
         tokens.append(OPS[i % 2])
-    return make_expr(tokens)
+    return tuple(tokens)
 
 
-def check_expr(expr: SlicingExpr, m: int | None = None):
+def check_expr(tokens, m: int | None = None):
     """Validate postfix shape, operand set and normality (no equal adjacent ops)."""
-    tokens = expr.tokens
     operands = [t for t in tokens if not isinstance(t, str)]
     if m is not None and len(operands) != m:
         raise MalformedExpression(f"expected {m} operands, got {len(operands)}")
@@ -102,7 +91,7 @@ class Floorplan:
         return self.chip_w * self.chip_h
 
 
-def pack(expr: SlicingExpr, dims) -> Floorplan:
+def pack(expr, dims) -> Floorplan:
     """Pack modules into rooms according to the slicing expression.
 
     dims: one (w, h) pair per module.
@@ -111,12 +100,12 @@ def pack(expr: SlicingExpr, dims) -> Floorplan:
     return _pack(expr, dims)
 
 
-def _pack(expr: SlicingExpr, dims) -> Floorplan:
+def _pack(expr, dims) -> Floorplan:
     """pack without validating the expression, for expressions that
-    make_expr, initial_expr or perturb built over len(dims) modules."""
+    initial_expr or perturb built over len(dims) modules."""
     # bottom-up sizes; tree nodes as (op, left, right, w, h) tuples
     stack = []
-    for t in expr.tokens:
+    for t in expr:
         if isinstance(t, str):
             right = stack.pop()
             left = stack.pop()
@@ -253,10 +242,6 @@ def whitespace_percent(floorplan: Floorplan) -> Fraction:
     return Fraction(floorplan.area - used, floorplan.area) * 100
 
 
-def _operand_positions(tokens):
-    return [i for i, t in enumerate(tokens) if not isinstance(t, str)]
-
-
 def _chains(tokens):
     """Maximal runs of consecutive operators as (start, end) index pairs."""
     runs = []
@@ -278,22 +263,39 @@ def _complement(op):
     return "V" if op == "H" else "H"
 
 
-def perturb(expr: SlicingExpr, move: int, rng) -> SlicingExpr:
+def _can_swap(tokens, i) -> bool:
+    """Whether swapping tokens i and i + 1 of a valid normalized expression,
+    an operand and an operator in either order, leaves it valid and
+    normalized."""
+    a, b = tokens[i], tokens[i + 1]
+    if isinstance(a, str):
+        # the operator moves right, next to the token after the operand
+        # (there is one: a valid expression ends with an operator)
+        return not isinstance(b, str) and tokens[i + 2] != a
+    if not isinstance(b, str):
+        return False
+    # the operator moves left: it needs two more operands than operators
+    # before it, and a different token before it
+    ops_before = sum(isinstance(t, str) for t in tokens[:i])
+    return i - 2 * ops_before >= 2 and tokens[i - 1] != b
+
+
+def perturb(expr: tuple, move: int, rng) -> tuple:
     """One annealing move; the result is always a valid normalized expression.
 
     move 1 swaps two adjacent operands, move 2 complements one operator
     chain, move 3 swaps an adjacent operand/operator pair where legal
     (falls back to move 1 after a few failed tries).
     """
-    tokens = list(expr.tokens)
-    ops_pos = _operand_positions(tokens)
+    tokens = list(expr)
     if move == 1:
-        if len(ops_pos) < 2:
+        operands = [i for i, t in enumerate(tokens) if not isinstance(t, str)]
+        if len(operands) < 2:
             return expr
-        i = rng.randrange(len(ops_pos) - 1)
-        a, b = ops_pos[i], ops_pos[i + 1]
+        i = rng.randrange(len(operands) - 1)
+        a, b = operands[i], operands[i + 1]
         tokens[a], tokens[b] = tokens[b], tokens[a]
-        return SlicingExpr(tokens=tuple(tokens))
+        return tuple(tokens)
     if move == 2:
         runs = _chains(tokens)
         if not runs:
@@ -301,21 +303,14 @@ def perturb(expr: SlicingExpr, move: int, rng) -> SlicingExpr:
         lo, hi = runs[rng.randrange(len(runs))]
         for i in range(lo, hi + 1):
             tokens[i] = _complement(tokens[i])
-        return SlicingExpr(tokens=tuple(tokens))
+        return tuple(tokens)
     if move == 3:
         if len(tokens) < 2:
             return expr
         for _ in range(16):
             i = rng.randrange(len(tokens) - 1)
-            a, b = tokens[i], tokens[i + 1]
-            if isinstance(a, str) == isinstance(b, str):
-                continue
-            cand = list(tokens)
-            cand[i], cand[i + 1] = cand[i + 1], cand[i]
-            try:
-                check_expr(SlicingExpr(tokens=tuple(cand)))
-            except MalformedExpression:
-                continue
-            return SlicingExpr(tokens=tuple(cand))
+            if _can_swap(expr, i):
+                tokens[i], tokens[i + 1] = tokens[i + 1], tokens[i]
+                return tuple(tokens)
         return perturb(expr, 1, rng)
     raise ValueError(f"unknown move {move}")

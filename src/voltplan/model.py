@@ -101,7 +101,6 @@ class ShifterSpec:
     """
 
     area: int
-    ratio: Fraction
     width: int
     height: int
     overhead: tuple[tuple[int, int, int], ...]
@@ -150,9 +149,7 @@ def derive_shifter_spec(area: int, ratio: Fraction, overhead) -> ShifterSpec:
             raise WrongArity(f"overhead levels must run 1..{len(pts)}")
         if d < 0 or p < 0:
             raise NotMonotone(f"overhead level {level}: values must be nonnegative")
-    return ShifterSpec(
-        area=width * height, ratio=ratio, width=width, height=height, overhead=pts
-    )
+    return ShifterSpec(area=width * height, width=width, height=height, overhead=pts)
 
 
 def modify_dp_curve(curve: DPCurve, spec: ShifterSpec) -> DPCurve:

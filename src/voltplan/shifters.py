@@ -186,12 +186,23 @@ class ShifterAssignment:
         return out
 
 
+def _window_rooms(shifters, floorplan, window):
+    """Per shifter: the doubled centers of its source and sink modules and
+    the indices of the rooms its window box overlaps, in room order."""
+    rooms = floorplan.rooms
+    out = []
+    for shifter in shifters:
+        a, b = _ends2(floorplan, shifter)
+        box2 = _window_box2(a, b, 2 * window)
+        out.append((a, b, [r for r, room in enumerate(rooms) if _in_window(box2, room)]))
+    return out
+
+
 def build_assignment_network(shifters, floorplan, spec, window):
     """Bipartite network: s -> shifters (cap 1) -> feasible rooms (cap 1,
     detour cost) -> t (cap = room capacity). Returns (net, s, t, arc map).
 
-    Each shifter's module centers and window box, and each room's center
-    and capacity, are taken once."""
+    Each room's center and capacity are taken once."""
     n_ls = len(shifters)
     rooms = floorplan.rooms
     m = len(rooms)
@@ -203,11 +214,9 @@ def build_assignment_network(shifters, floorplan, spec, window):
     pair_arcs = {}
     caps = [num_ls(room, spec) for room in rooms]
     centers = [_center2_of_rect(room) for room in rooms]
-    for j, shifter in enumerate(shifters):
-        a, b = _ends2(floorplan, shifter)
-        box2 = _window_box2(a, b, 2 * window)
-        for r, room in enumerate(rooms):
-            if caps[r] >= 1 and _in_window(box2, room):
+    for j, (a, b, window_rooms) in enumerate(_window_rooms(shifters, floorplan, window)):
+        for r in window_rooms:
+            if caps[r] >= 1:
                 pair_arcs[(j, r)] = len(arcs)
                 arcs.append((ls_base + j, room_base + r, _detour2(a, b, centers[r]), 1))
     for r, cap in enumerate(caps):
@@ -317,50 +326,29 @@ def assign_shifters(shifters, floorplan, spec, window: int) -> ShifterAssignment
 
 def _max_matching(options, caps) -> int:
     """Size of a maximum matching of items to bins: item j may go to any bin
-    in options[j], and bin r holds at most caps[r] items. Greedy first, then
-    one breadth-first augmenting-path search per item left unmatched; an
-    item without an augmenting path never gains one later."""
+    in options[j], and bin r holds at most caps[r] items. Each item in turn
+    takes a free bin if one of its options has one, and otherwise looks for
+    an augmenting path that moves matched items one bin along; an item
+    without one never gains one later."""
     free = list(caps)
-    bin_of = [None] * len(options)
     held = [[] for _ in caps]
-    unmatched = []
-    for j, opts in enumerate(options):
-        for r in opts:
+
+    def place(j, seen):
+        for r in options[j]:
             if free[r]:
                 free[r] -= 1
-                bin_of[j] = r
                 held[r].append(j)
-                break
-        else:
-            unmatched.append(j)
-    size = len(options) - len(unmatched)
-    for j in unmatched:
-        reached = {}  # bin -> the item whose move reached it
-        queue = [j]
-        for item in queue:
-            for r in options[item]:
-                if r in reached:
-                    continue
-                reached[r] = item
-                if free[r]:
-                    break
-                queue.extend(held[r])
-            else:
-                continue
-            # bin r has room: every item on the path moves one bin along
-            free[r] -= 1
-            size += 1
-            while True:
-                item = reached[r]
-                old = bin_of[item]
-                bin_of[item] = r
-                held[r].append(item)
-                if old is None:
-                    break
-                held[old].remove(item)
-                r = old
-            break
-    return size
+                return True
+        for r in options[j]:
+            if r not in seen:
+                seen.add(r)
+                for slot, other in enumerate(held[r]):
+                    if place(other, seen):
+                        held[r][slot] = j
+                        return True
+        return False
+
+    return sum(place(j, set()) for j in range(len(options)))
 
 
 def unplaced_count(shifters, floorplan, spec, window: int) -> int:
@@ -378,14 +366,11 @@ def unplaced_count(shifters, floorplan, spec, window: int) -> int:
     """
     shifters = list(shifters)
     rooms = floorplan.rooms
-    options = []
+    options = [opts for _a, _b, opts in _window_rooms(shifters, floorplan, window)]
     demand = [0] * len(rooms)
-    for shifter in shifters:
-        box2 = _window_box2(*_ends2(floorplan, shifter), 2 * window)
-        opts = [r for r, room in enumerate(rooms) if _in_window(box2, room)]
+    for opts in options:
         for r in opts:
             demand[r] += 1
-        options.append(opts)
     caps = [0] * len(rooms)  # only rooms in some window need theirs
     for r, d in enumerate(demand):
         if d:

@@ -33,6 +33,9 @@ from .model import DPCurve, Netlist, topological_order
 
 # the largest module count the exact search runs on by default
 EXACT_LIMIT = 16
+# the node budget of one exact search; a search that runs out keeps its
+# incumbent, unproved
+SEARCH_CAP = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -274,7 +277,6 @@ def assign_voltages(
     curves,
     *,
     exact_limit: int = EXACT_LIMIT,
-    search_cap: int = 1_000_000,
     warm: WarmStart | None = None,
 ) -> VoltageAssignment:
     """Minimum-power level assignment meeting the cycle-time bound.
@@ -320,7 +322,7 @@ def assign_voltages(
     proved = power <= bound
     nodes = 0
     if not proved and tg.m <= exact_limit:
-        levels, power, proved, nodes = _branch_and_bound(tg, curves, levels, power, search_cap)
+        levels, power, proved, nodes = _branch_and_bound(tg, curves, levels, power, SEARCH_CAP)
 
     finish = longest_path_for(tg, [c.delay(q) for c, q in zip(curves, levels)])[0]
     if finish > tg.t_cycle:
@@ -336,7 +338,7 @@ def assign_voltages(
     )
 
 
-def _branch_and_bound(tg, curves, inc_levels, inc_power, search_cap):
+def _branch_and_bound(tg, curves, inc_levels, inc_power, cap):
     """Exact search over level vectors, independent of the flow recovery.
 
     Modules are fixed in topological order, each trying its levels slowest
@@ -363,7 +365,7 @@ def _branch_and_bound(tg, curves, inc_levels, inc_power, search_cap):
 
     Returns (levels, power, finished, nodes): the best vector found, the
     incumbent when nothing beat it, whether the search ended within
-    search_cap nodes, which proves that vector optimal, and the node count.
+    cap nodes, which proves that vector optimal, and the node count.
     """
     order = tg.order
     preds = tg.preds
@@ -397,7 +399,7 @@ def _branch_and_bound(tg, curves, inc_levels, inc_power, search_cap):
 
     def dfs(j, power_so_far):
         nonlocal nodes, best_power, best_levels
-        if nodes > search_cap:
+        if nodes > cap:
             return
         nodes += 1
         if power_so_far + floor[j] >= best_power:
@@ -414,8 +416,8 @@ def _branch_and_bound(tg, curves, inc_levels, inc_power, search_cap):
                 levels[i] = q
                 arr_out[i] = arr_in + delay
                 dfs(j + 1, power_so_far + power)
-            if nodes > search_cap:
+            if nodes > cap:
                 break
 
     dfs(0, 0)
-    return best_levels, best_power, nodes <= search_cap, nodes
+    return best_levels, best_power, nodes <= cap, nodes

@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import itertools
 import random
@@ -14,12 +15,11 @@ from voltplan.floorplan import (
     Floorplan,
     PhiWeights,
     Room,
-    SlicingExpr,
+    _can_swap,
     check_expr,
     cost_phi,
     hpwl,
     initial_expr,
-    make_expr,
     pack,
     perturb,
     voltage_islands,
@@ -62,12 +62,12 @@ class TestPack:
             room.x = 0
 
     def test_equal_children_no_whitespace(self):
-        fp = pack(make_expr([0, 1, "V"]), [(2, 2), (2, 2)])
+        fp = pack((0, 1, "V"), [(2, 2), (2, 2)])
         assert (fp.chip_w, fp.chip_h) == (4, 2)
         assert whitespace_percent(fp) == 0
 
     def test_uneven_children_top_strip(self):
-        fp = pack(make_expr([0, 1, "V"]), [(2, 2), (2, 4)])
+        fp = pack((0, 1, "V"), [(2, 2), (2, 4)])
         assert (fp.chip_w, fp.chip_h) == (4, 4)
         room0 = fp.rooms[0]
         assert (room0.w, room0.h) == (2, 4)
@@ -77,9 +77,9 @@ class TestPack:
 
     def test_malformed_rejected(self):
         with pytest.raises(MalformedExpression):
-            pack(SlicingExpr(tokens=(0, "V", 1)), [(1, 1), (1, 1)])
+            pack((0, "V", 1), [(1, 1), (1, 1)])
         with pytest.raises(MalformedExpression):
-            check_expr(SlicingExpr(tokens=(0, 1, "V", "V")))
+            check_expr((0, 1, "V", "V"))
 
     def test_random_exprs_tile(self, rng):
         for _ in range(100):
@@ -218,16 +218,16 @@ class TestVoltageIslands:
             assert voltage_islands(PINWHEEL, levels) == islands_pairwise(PINWHEEL, levels)
 
     def test_uniform_connected(self):
-        fp = pack(make_expr([0, 1, "V", 2, "H"]), [(2, 2), (2, 2), (4, 2)])
+        fp = pack((0, 1, "V", 2, "H"), [(2, 2), (2, 2), (4, 2)])
         assert voltage_islands(fp, (1, 1, 1)) == 1
 
     def test_all_distinct(self):
-        fp = pack(make_expr([0, 1, "V", 2, "H"]), [(2, 2), (2, 2), (4, 2)])
+        fp = pack((0, 1, "V", 2, "H"), [(2, 2), (2, 2), (4, 2)])
         assert voltage_islands(fp, (1, 2, 3)) == 3
 
     def test_checkerboard_two_levels(self):
         fp = pack(
-            make_expr([0, 1, "V", 2, 3, "V", "H"]),
+            (0, 1, "V", 2, 3, "V", "H"),
             [(1, 1), (1, 1), (1, 1), (1, 1)],
         )
         # diagonal corners share only a point, not a boundary segment
@@ -261,12 +261,12 @@ class TestPerturb:
         expr = initial_expr(6)
         once = perturb(expr, 2, random.Random(3))
         twice = perturb(once, 2, random.Random(3))
-        assert twice.tokens == expr.tokens
+        assert twice == expr
 
     def test_m1_two_modules(self):
-        expr = make_expr([0, 1, "V"])
+        expr = (0, 1, "V")
         got = perturb(expr, 1, random.Random(0))
-        assert got.tokens == (1, 0, "V")
+        assert got == (1, 0, "V")
 
     def test_fuzz_moves_stay_packable(self, rng):
         dims = [(rng.randint(1, 8), rng.randint(1, 8)) for _ in range(9)]
@@ -276,6 +276,45 @@ class TestPerturb:
             check_expr(expr, 9)
         fp = pack(expr, dims)
         check_tiling(fp)
+
+    def test_swap_test_agrees_with_check_expr(self, rng):
+        """Move 3 decides each operand/operator swap in place; the answer is
+        check_expr's on the swapped tuple, and a pair of two operands or two
+        operators is never swapped."""
+        swaps = 0
+        for _ in range(1000):
+            m = rng.randint(2, 30)
+            expr = initial_expr(m)
+            for _ in range(rng.randint(0, 60)):
+                expr = perturb(expr, rng.randint(1, 3), rng)
+            for i in range(len(expr) - 1):
+                a, b = expr[i], expr[i + 1]
+                if isinstance(a, str) == isinstance(b, str):
+                    assert not _can_swap(expr, i)
+                    continue
+                swapped = expr[:i] + (b, a) + expr[i + 2:]
+                try:
+                    check_expr(swapped, m)
+                    legal = True
+                except MalformedExpression:
+                    legal = False
+                assert _can_swap(expr, i) == legal, (expr, i)
+                swaps += 1
+        assert swaps > 20_000
+
+    def test_move_sequence_is_pinned(self):
+        """2,000 seeded moves from initial_expr(30) visit a fixed sequence of
+        expressions: the moves, and the random draws each one makes, stay
+        those the annealer's trajectories were recorded with."""
+        rng = random.Random(7)
+        expr = initial_expr(30)
+        digest = hashlib.sha256()
+        for _ in range(2000):
+            expr = perturb(expr, rng.randint(1, 3), rng)
+            digest.update(repr(expr).encode() + b"\n")
+        assert digest.hexdigest() == (
+            "8db0f0ca34019d8661465c0bd720a979d5528abf85c1e18f0a2a30a20698ff9c"
+        )
 
 
 def tiny_netlist(m=5, k=3, t_factor=2):
@@ -334,7 +373,7 @@ class TestAnneal:
             AnnealConfig(weights=PhiWeights(*map(Fraction, weights)))
 
     def test_whitespace_percent_formula(self):
-        fp = pack(make_expr([0, 1, "V"]), [(2, 2), (2, 4)])
+        fp = pack((0, 1, "V"), [(2, 2), (2, 4)])
         # chip 4x4 = 16, modules 4 + 8 = 12 used
         assert whitespace_percent(fp) == Fraction(16 - 12, 16) * 100
 
@@ -344,7 +383,7 @@ class TestAnneal:
         b = anneal(nl, tiny_shifter(), AnnealConfig(), seed=42)
         assert a.metrics == b.metrics
         assert a.floorplan == b.floorplan
-        assert a.expr.tokens == b.expr.tokens
+        assert a.expr == b.expr
 
     def test_best_phi_nonincreasing_and_final_not_worse(self):
         nl = tiny_netlist()

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from voltplan import shifters as shifters_mod
 from voltplan.cli import main
-from voltplan.floorplan import Floorplan, Room, initial_expr, pack, make_expr, perturb
+from voltplan.floorplan import Floorplan, Room, initial_expr, pack, perturb
 from voltplan.model import derive_shifter_spec
 from voltplan.pipeline import RunConfig, run_pipeline
 from voltplan.shifters import (
@@ -120,7 +120,7 @@ class TestNumLs:
 
 class TestFeasible:
     def floorplan(self):
-        return pack(make_expr([0, 1, "V"]), [(4, 4), (4, 4)])
+        return pack((0, 1, "V"), [(4, 4), (4, 4)])
 
     def test_no_whitespace_infeasible(self):
         fp = self.floorplan()
@@ -128,7 +128,7 @@ class TestFeasible:
         assert not feasible(s, fp.rooms[1], fp, spec_square(), 0)
 
     def test_roomy_source_room_feasible(self):
-        fp = pack(make_expr([0, 1, "V"]), [(4, 4), (4, 8)])
+        fp = pack((0, 1, "V"), [(4, 4), (4, 8)])
         s = Shifter(0, 0, 0, 1, 2)
         assert feasible(s, fp.rooms[0], fp, spec_square(), 0)
 
@@ -302,7 +302,7 @@ class TestElsPlace:
 
 class TestAssignShifters:
     def test_empty(self):
-        fp = pack(make_expr([0, 1, "V"]), [(2, 2), (2, 2)])
+        fp = pack((0, 1, "V"), [(2, 2), (2, 2)])
         got = assign_shifters([], fp, spec_square(), window=0)
         assert got.n == 0
         assert got.placements() == {}
@@ -311,10 +311,7 @@ class TestAssignShifters:
         for _ in range(60):
             m = rng.randint(2, 5)
             dims = [(rng.randint(2, 6), rng.randint(2, 6)) for _ in range(m)]
-            expr = make_expr(
-                [0] + [t for i in range(1, m) for t in (i, "HV"[i % 2])]
-            )
-            fp = pack(expr, dims)
+            fp = pack(initial_expr(m), dims)
             spec = spec_square(1)
             n_sh = rng.randint(1, 5)
             shifters = [
@@ -342,7 +339,7 @@ class TestAssignShifters:
                 assert got_cost == want_cost
 
     def test_overflow_lands_in_els(self):
-        fp = pack(make_expr([0, 1, "V"]), [(3, 3), (3, 4)])
+        fp = pack((0, 1, "V"), [(3, 3), (3, 4)])
         spec = spec_square(1)
         total_cap = sum(num_ls(r, spec) for r in fp.rooms)
         shifters = [Shifter(i, i, 0, 1, 2) for i in range(total_cap + 3)]
@@ -352,7 +349,7 @@ class TestAssignShifters:
 
 class TestIlo:
     def test_no_shifters_zero(self):
-        fp = pack(make_expr([0, 1, "V"]), [(2, 2), (2, 2)])
+        fp = pack((0, 1, "V"), [(2, 2), (2, 2)])
         assert compute_ilo([], {}, fp, [(0, 1)]) == 0
 
     def test_frozen_percent(self):
@@ -390,7 +387,7 @@ def test_wirelength_with_shifters_adds_detours():
 
 
 def test_assignment_network_shape():
-    fp = pack(make_expr([0, 1, "V"]), [(3, 3), (3, 5)])
+    fp = pack((0, 1, "V"), [(3, 3), (3, 5)])
     spec = spec_square(1)
     shifters = [Shifter(0, 0, 0, 1, 2)]
     net, s_node, t_node, pairs = build_assignment_network(shifters, fp, spec, 100)
@@ -429,7 +426,7 @@ def _count_instance(draw):
 # and all three shifters have room 0 in their window
 _OVERFLOW = (
     required_shifters([(0, 1)] * 3, (2, 1)),
-    pack(make_expr([0, 1, "V"]), [(4, 4), (4, 9)]),
+    pack((0, 1, "V"), [(4, 4), (4, 9)]),
     derive_shifter_spec(6, Fraction(2, 3), [(1, 0, 0)]),
     1000,
 )

@@ -227,7 +227,7 @@ class TestAssign:
             got = assign_voltages(tg, curves)
             assert longest_path_delay(tg, curves, got.level) <= tg.t_cycle
 
-    def test_round_down_alone_can_miss_but_refinement_fixes(self, rng):
+    def test_round_down_alone_can_miss_but_refinement_fixes(self, rng, monkeypatch):
         # find a case where pure round-down is suboptimal; the certified
         # search must close it
         found = False
@@ -245,7 +245,8 @@ class TestAssign:
                 found = True
                 assert not rounded.proved_optimal
                 # a search stopped by its node cap keeps the incumbent, unproved
-                capped = assign_voltages(tg, curves, search_cap=0)
+                monkeypatch.setattr(voltage, "SEARCH_CAP", 0)
+                capped = assign_voltages(tg, curves)
                 assert capped.level == rounded.level
                 assert not capped.proved_optimal
                 break
