@@ -10,7 +10,7 @@ exactly; the extra space always goes to the right/top child.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -85,6 +85,12 @@ class Floorplan:
     chip_w: int
     chip_h: int
     rooms: tuple[Room, ...]  # indexed by module
+    # per module: its center in doubled coordinates (stays integral)
+    centers2: tuple[tuple[int, int], ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        centers2 = tuple((2 * r.x + r.module_w, 2 * r.y + r.module_h) for r in self.rooms)
+        object.__setattr__(self, "centers2", centers2)
 
     @property
     def area(self) -> int:
@@ -102,46 +108,42 @@ def pack(expr, dims) -> Floorplan:
 
 def _pack(expr, dims) -> Floorplan:
     """pack without validating the expression, for expressions that
-    initial_expr or perturb built over len(dims) modules."""
-    # bottom-up sizes; tree nodes as (op, left, right, w, h) tuples
-    stack = []
-    for t in expr:
+    initial_expr or perturb built over len(dims) modules.
+
+    A forward sweep sizes each subtree (an operator's right child is the
+    token before it), and a backward sweep hands out the boxes, since in
+    postfix order a node comes after its children.
+    """
+    n = len(expr)
+    ws, hs, lefts = [0] * n, [0] * n, [0] * n
+    stack = []  # the subtrees not yet combined
+    for i, t in enumerate(expr):
         if isinstance(t, str):
-            right = stack.pop()
-            left = stack.pop()
+            stack.pop()  # the right child, i - 1
+            left = lefts[i] = stack[-1]
             if t == "H":
-                w = max(left[3], right[3])
-                h = left[4] + right[4]
+                ws[i], hs[i] = max(ws[left], ws[i - 1]), hs[left] + hs[i - 1]
             else:
-                w = left[3] + right[3]
-                h = max(left[4], right[4])
-            stack.append((t, left, right, w, h))
+                ws[i], hs[i] = ws[left] + ws[i - 1], max(hs[left], hs[i - 1])
+            stack[-1] = i
         else:
-            stack.append((None, None, None, dims[t][0], dims[t][1], t))
-    root = stack.pop()
-
-    rooms: list[Room | None] = [None] * len(dims)
-
-    def assign(node, x, y, w, h):
-        if node[0] is None:
-            idx = node[5]
-            rooms[idx] = Room(x, y, w, h, node[3], node[4])
-            return
-        op, left, right = node[0], node[1], node[2]
-        if op == "H":
-            assign(left, x, y, w, left[4])
-            assign(right, x, y + left[4], w, h - left[4])
+            ws[i], hs[i] = dims[t]
+            stack.append(i)
+    boxes = [None] * n
+    boxes[-1] = (0, 0, ws[-1], hs[-1])
+    rooms = [None] * len(dims)
+    for i in range(n - 1, -1, -1):
+        x, y, w, h = boxes[i]
+        t = expr[i]
+        if t == "H":
+            dh = hs[lefts[i]]
+            boxes[lefts[i]], boxes[i - 1] = (x, y, w, dh), (x, y + dh, w, h - dh)
+        elif t == "V":
+            dw = ws[lefts[i]]
+            boxes[lefts[i]], boxes[i - 1] = (x, y, dw, h), (x + dw, y, w - dw, h)
         else:
-            assign(left, x, y, left[3], h)
-            assign(right, x + left[3], y, w - left[3], h)
-
-    assign(root, 0, 0, root[3], root[4])
-    return Floorplan(chip_w=root[3], chip_h=root[4], rooms=tuple(rooms))
-
-
-def module_center2(room: Room) -> tuple[int, int]:
-    """Module center in doubled coordinates (stays integral)."""
-    return (2 * room.x + room.module_w, 2 * room.y + room.module_h)
+            rooms[t] = Room(x, y, w, h, ws[i], hs[i])
+    return Floorplan(chip_w=ws[-1], chip_h=hs[-1], rooms=tuple(rooms))
 
 
 def hpwl(floorplan: Floorplan, nets) -> int:
@@ -154,10 +156,11 @@ def hpwl(floorplan: Floorplan, nets) -> int:
 
 def hpwl2_per_net(floorplan: Floorplan, nets) -> list[int]:
     """Per-net Manhattan center distance in doubled coordinates."""
+    centers2 = floorplan.centers2
     out = []
     for src, dst in nets:
-        ax, ay = module_center2(floorplan.rooms[src])
-        bx, by = module_center2(floorplan.rooms[dst])
+        ax, ay = centers2[src]
+        bx, by = centers2[dst]
         out.append(abs(ax - bx) + abs(ay - by))
     return out
 

@@ -13,10 +13,13 @@ from fractions import Fraction
 
 from .errors import (
     CyclicNetlist,
+    DuplicateName,
     EmptyNet,
     NotConvex,
     NotMonotone,
     ResultNotConvex,
+    UnknownBlock,
+    ValidationError,
     WrongArity,
 )
 
@@ -243,21 +246,21 @@ def build_netlist(modules, net_name_pairs, t_cycle: int, k: int) -> Netlist:
     """Resolve name pairs to indices and validate the whole instance."""
     modules = tuple(modules)
     if t_cycle < 0:
-        raise NotMonotone("t_cycle must be nonnegative")
+        raise ValidationError("t_cycle must be nonnegative")
     index = {}
     for i, mod in enumerate(modules):
         if mod.name in index:
-            raise CyclicNetlist(f"duplicate module name {mod.name!r}")
+            raise DuplicateName(f"duplicate module name {mod.name!r}")
         if mod.width <= 0 or mod.height <= 0:
-            raise NotMonotone(f"module {mod.name!r} must have positive dimensions")
+            raise ValidationError(f"module {mod.name!r} must have positive dimensions")
         validate_dp_curve(mod.curve, k)
         index[mod.name] = i
     nets = []
     for src, dst in net_name_pairs:
         if src not in index:
-            raise CyclicNetlist(f"net references unknown module {src!r}")
+            raise UnknownBlock(f"net references unknown module {src!r}")
         if dst not in index:
-            raise CyclicNetlist(f"net references unknown module {dst!r}")
+            raise UnknownBlock(f"net references unknown module {dst!r}")
         nets.append((index[src], index[dst]))
     topological_order(len(modules), nets)
     return Netlist(modules=modules, nets=tuple(nets), t_cycle=t_cycle, k=k)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .flow import network, solve_min_cost_max_flow
-from .floorplan import Floorplan, Room, hpwl2_per_net, module_center2, whitespace_parts
+from .floorplan import Floorplan, Room, hpwl2_per_net, whitespace_parts
 from .model import ShifterSpec
 
 
@@ -111,12 +111,6 @@ def numls_from_areas(a1: int, a2: int, a3: int, a_ls: int) -> int:
     return a1 // a_ls + a2 // a_ls
 
 
-def _ends2(floorplan, shifter: Shifter):
-    """Doubled-coordinate centers of the shifter's source and sink modules."""
-    rooms = floorplan.rooms
-    return module_center2(rooms[shifter.source]), module_center2(rooms[shifter.sink])
-
-
 def _window_box2(a, b, window2: int):
     """Box around the doubled points a and b, grown by window2 on all sides."""
     (ax, ay), (bx, by) = a, b
@@ -190,9 +184,10 @@ def _window_rooms(shifters, floorplan, window):
     """Per shifter: the doubled centers of its source and sink modules and
     the indices of the rooms its window box overlaps, in room order."""
     rooms = floorplan.rooms
+    centers2 = floorplan.centers2
     out = []
     for shifter in shifters:
-        a, b = _ends2(floorplan, shifter)
+        a, b = centers2[shifter.source], centers2[shifter.sink]
         box2 = _window_box2(a, b, 2 * window)
         out.append((a, b, [r for r, room in enumerate(rooms) if _in_window(box2, room)]))
     return out
@@ -247,7 +242,7 @@ def els_place(shifter: Shifter, floorplan) -> tuple[int, int, int, int]:
     """Fallback spot: on the source module's boundary, at the point nearest
     the sink center. Pure bookkeeping; overlap is allowed."""
     room = floorplan.rooms[shifter.source]
-    sx, sy = module_center2(floorplan.rooms[shifter.sink])
+    sx, sy = floorplan.centers2[shifter.sink]
     # nearest boundary point of the module rectangle, doubled coordinates
     x0, y0 = 2 * room.x, 2 * room.y
     x1, y1 = x0 + 2 * room.module_w, y0 + 2 * room.module_h
@@ -267,8 +262,9 @@ def els_place(shifter: Shifter, floorplan) -> tuple[int, int, int, int]:
 def _detour_total2(floorplan, shifters, placements) -> int:
     """Doubled detour summed over the shifters, each net routed through the
     center of its shifter's rectangle."""
+    c = floorplan.centers2
     return sum(
-        _detour2(*_ends2(floorplan, s), _center2_of_rect(placements[s.id])) for s in shifters
+        _detour2(c[s.source], c[s.sink], _center2_of_rect(placements[s.id])) for s in shifters
     )
 
 
@@ -327,28 +323,45 @@ def assign_shifters(shifters, floorplan, spec, window: int) -> ShifterAssignment
 def _max_matching(options, caps) -> int:
     """Size of a maximum matching of items to bins: item j may go to any bin
     in options[j], and bin r holds at most caps[r] items. Each item in turn
-    takes a free bin if one of its options has one, and otherwise looks for
-    an augmenting path that moves matched items one bin along; an item
-    without one never gains one later."""
+    takes a free bin if one of its options has one, and otherwise looks,
+    depth first, for an augmenting path that moves matched items one bin
+    along; an item without one never gains one later. The path is kept on an
+    explicit stack, so its length is not bounded by the interpreter's."""
     free = list(caps)
     held = [[] for _ in caps]
 
-    def place(j, seen):
-        for r in options[j]:
-            if free[r]:
-                free[r] -= 1
-                held[r].append(j)
-                return True
+    def moves(j, seen):
+        """(bin, slot, item there) for each unseen bin of item j."""
         for r in options[j]:
             if r not in seen:
                 seen.add(r)
                 for slot, other in enumerate(held[r]):
-                    if place(other, seen):
-                        held[r][slot] = j
-                        return True
-        return False
+                    yield r, slot, other
 
-    return sum(place(j, set()) for j in range(len(options)))
+    matched = 0
+    for j in range(len(options)):
+        seen = set()
+        path = []  # per item on the path: [item, its moves left, the move it tries]
+        item = j
+        while item is not None:
+            r = next((r for r in options[item] if free[r]), None)
+            if r is not None:
+                free[r] -= 1
+                held[r].append(item)
+                for moved, _moves, (r, slot) in path:
+                    held[r][slot] = moved
+                matched += 1
+                break
+            path.append([item, moves(item, seen), None])
+            item = None
+            while path and item is None:
+                step = next(path[-1][1], None)
+                if step is None:
+                    path.pop()
+                else:
+                    path[-1][2] = step[:2]
+                    item = step[2]
+    return matched
 
 
 def unplaced_count(shifters, floorplan, spec, window: int) -> int:

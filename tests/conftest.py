@@ -7,10 +7,10 @@ import pytest
 
 from voltplan.bench import gen_spec, parse_blocks, parse_nets, parse_spec
 from voltplan.errors import TimingInfeasible
-from voltplan.floorplan import PhiWeights
+from voltplan.floorplan import Floorplan, PhiWeights, Room
 from voltplan.flow import FlowNetwork, FlowResult, residual_shortest_paths
 from voltplan.model import DPCurve, ModuleBlock, build_netlist, decompose_multipin, validate_dp_curve
-from voltplan.shifters import _center2_of_rect, _detour2, _ends2, _in_window, _window_box2, num_ls
+from voltplan.shifters import _center2_of_rect, _detour2, _in_window, _window_box2, num_ls
 from voltplan.voltage import TimingGraph, VoltageAssignment, longest_path_for
 
 DATA = Path(__file__).parent / "data"
@@ -136,6 +136,55 @@ def brute_force_assign(tg: TimingGraph, curves, *, bound: int = 8) -> VoltageAss
     power = int(powers[best])
     return VoltageAssignment(
         level=levels, total_power=power, lower_bound=power, proved_optimal=True
+    )
+
+
+def recursive_pack(expr, dims) -> Floorplan:
+    """Reference packer: the slicing tree as nested tuples, rooms assigned
+    by recursion (as deep as the tree, so only for small expressions)."""
+    # bottom-up sizes; tree nodes as (op, left, right, w, h) tuples
+    stack = []
+    for t in expr:
+        if isinstance(t, str):
+            right = stack.pop()
+            left = stack.pop()
+            if t == "H":
+                w = max(left[3], right[3])
+                h = left[4] + right[4]
+            else:
+                w = left[3] + right[3]
+                h = max(left[4], right[4])
+            stack.append((t, left, right, w, h))
+        else:
+            stack.append((None, None, None, dims[t][0], dims[t][1], t))
+    root = stack.pop()
+
+    rooms: list[Room | None] = [None] * len(dims)
+
+    def assign(node, x, y, w, h):
+        if node[0] is None:
+            idx = node[5]
+            rooms[idx] = Room(x, y, w, h, node[3], node[4])
+            return
+        op, left, right = node[0], node[1], node[2]
+        if op == "H":
+            assign(left, x, y, w, left[4])
+            assign(right, x, y + left[4], w, h - left[4])
+        else:
+            assign(left, x, y, left[3], h)
+            assign(right, x + left[3], y, w - left[3], h)
+
+    assign(root, 0, 0, root[3], root[4])
+    return Floorplan(chip_w=root[3], chip_h=root[4], rooms=tuple(rooms))
+
+
+def _ends2(floorplan, shifter):
+    """Doubled centers of the shifter's source and sink modules, from their
+    rooms (independent of Floorplan.centers2)."""
+    rooms = floorplan.rooms
+    return tuple(
+        (2 * r.x + r.module_w, 2 * r.y + r.module_h)
+        for r in (rooms[shifter.source], rooms[shifter.sink])
     )
 
 

@@ -523,6 +523,70 @@ class TestCli:
         assert "critical path" in err
         assert "sb" in err  # names modules, not indices
 
+    def _run_n10(self, tmp_path, spec, out, *flags):
+        return main([
+            "run", "--blocks", str(DATA / "n10.blocks"), "--nets", str(DATA / "n10.nets"),
+            "--spec", str(spec), "--seed", "42", "--out", str(tmp_path / out), *flags,
+        ])
+
+    def test_k_below_the_spec_levels_truncates_every_curve(self, tmp_path):
+        """--k 2 on a k 4 spec runs as the k 2 spec of the same seed, whose
+        cycle time is 91 (gen-spec nests its curves and overheads across k)."""
+        specs = {}
+        for k in (4, 2):
+            (tmp_path / f"k{k}").mkdir()
+            specs[k] = self._gen(tmp_path / f"k{k}", k=k, seed=42)
+        k4, k2 = specs[4], specs[2]
+        assert "tcycle 91\n" in k2.read_text()
+        assert self._run_n10(tmp_path, k4, "cut", "--k", "2", "--tcycle", "91",
+                             "--max-levels", "25") == 0
+        assert self._run_n10(tmp_path, k2, "k2run", "--max-levels", "25") == 0
+        cut, whole = tmp_path / "cut", tmp_path / "k2run"
+        for name in ("floorplan.txt", "shifters.txt", "layout.svg"):
+            assert (cut / name).read_bytes() == (whole / name).read_bytes()
+        # the report's last column is the run time
+        reports = [
+            [row.rsplit(",", 1)[0] for row in (out / "report.csv").read_text().splitlines()]
+            for out in (cut, whole)
+        ]
+        assert reports[0] == reports[1]
+        assert reports[0][1].startswith("n10,2,")
+
+    @pytest.mark.parametrize("k", [5, 0])
+    def test_run_k_out_of_range_exit_2(self, tmp_path, capsys, k):
+        spec = self._gen(tmp_path, k=4, seed=42)
+        capsys.readouterr()
+        assert self._run_n10(tmp_path, spec, "r", "--k", str(k)) == 2
+        assert f"k={k} not in 1..4" in capsys.readouterr().err
+
+    def test_no_feasible_candidate_exit_3(self, tmp_path, capsys):
+        """Two 4 x 4 blocks on one net fit a cycle time of 10 only without
+        wire delay: at kappa 1 every candidate's net is too long."""
+        (tmp_path / "t.blocks").write_text("a 4 4\nb 4 4\n")
+        (tmp_path / "t.nets").write_text("net a b\n")
+        (tmp_path / "t.spec").write_text(
+            "k 2\ntcycle 10\ncurve a 1 5 100 2 6 90\ncurve b 1 5 100 2 6 90\n"
+            "shifter 1 1:1 1 0 10 2 0 5\n"
+        )
+
+        def run(out, *flags):
+            return main([
+                "run", "--blocks", str(tmp_path / "t.blocks"), "--nets", str(tmp_path / "t.nets"),
+                "--spec", str(tmp_path / "t.spec"), "--seed", "1", "--out", str(tmp_path / out),
+                *flags,
+            ])
+
+        capsys.readouterr()
+        assert run("wired", "--kappa", "1") == 3
+        assert "no candidate admitted a feasible assignment" in capsys.readouterr().err
+        assert run("free") == 0
+
+    def test_negative_tcycle_exit_2(self, tmp_path, capsys):
+        spec = self._gen(tmp_path)
+        capsys.readouterr()
+        assert self._run_n10(tmp_path, spec, "r", "--tcycle", "-1") == 2
+        assert capsys.readouterr().err == "error: t_cycle must be nonnegative\n"
+
     def test_emitted_floorplan_reparses_valid(self, tmp_path):
         from test_floorplan import check_tiling
         from voltplan.pipeline import parse_floorplan

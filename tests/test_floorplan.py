@@ -29,7 +29,7 @@ from voltplan.floorplan import (
 from voltplan.model import DPCurve, ModuleBlock, build_netlist, derive_shifter_spec
 from voltplan.shifters import compute_ilo, required_shifters, wirelength_with_shifters
 
-from conftest import DATA, fixture_netlist, longest_path_delay, phi_weights
+from conftest import DATA, fixture_netlist, longest_path_delay, phi_weights, recursive_pack
 
 
 def rects_disjoint(rooms):
@@ -90,6 +90,73 @@ class TestPack:
                 expr = perturb(expr, rng.randint(1, 3), rng)
             fp = pack(expr, dims)
             check_tiling(fp)
+
+
+def check_perfect_tiling(fp: Floorplan):
+    """Linear-time tiling check for large floorplans: every room holds its
+    module inside the chip, the room areas sum to the chip area, and every
+    room corner but the chip's four is shared by an even number of rooms
+    (area plus corner parity is exact for axis-aligned rectangles)."""
+    corners = set()
+    for r in fp.rooms:
+        assert r.w >= r.module_w >= 1 and r.h >= r.module_h >= 1
+        assert 0 <= r.x and r.x + r.w <= fp.chip_w and 0 <= r.y and r.y + r.h <= fp.chip_h
+        corners ^= {(r.x, r.y), (r.x + r.w, r.y), (r.x, r.y + r.h), (r.x + r.w, r.y + r.h)}
+    assert sum(r.w * r.h for r in fp.rooms) == fp.area
+    assert corners == {(0, 0), (fp.chip_w, 0), (0, fp.chip_h), (fp.chip_w, fp.chip_h)}
+
+
+def right_deep_chain(m):
+    """Every module first, then alternating cuts: the tree leans right."""
+    return tuple(range(m)) + tuple("HV"[i % 2] for i in range(m - 1))
+
+
+class TestSweepPack:
+    """pack hands out exactly the rooms of the recursive reference packer,
+    and packs trees far deeper than the interpreter's recursion limit."""
+
+    def test_matches_the_recursive_packer(self, rng):
+        exprs = []
+        for _ in range(1000):
+            m = rng.randint(1, 60)
+            expr = initial_expr(m)
+            for _ in range(rng.randint(0, 4 * m)):
+                expr = perturb(expr, rng.randint(1, 3), rng)
+            exprs.append(expr)
+        for m in (1, 2, 3, 17, 60):
+            exprs += [initial_expr(m), right_deep_chain(m)]
+        for expr in exprs:
+            m = (len(expr) + 1) // 2
+            dims = [(rng.randint(1, 20), rng.randint(1, 20)) for _ in range(m)]
+            assert pack(expr, dims) == recursive_pack(expr, dims)
+
+    @pytest.mark.parametrize("m", [1000, 5000])
+    @pytest.mark.parametrize("chain", [initial_expr, right_deep_chain])
+    def test_deep_chains_tile(self, m, chain):
+        fp = pack(chain(m), [(1, 1)] * m)
+        check_perfect_tiling(fp)
+        if chain is initial_expr:
+            assert (fp.chip_w, fp.chip_h) == (m // 2 + 1, m // 2)
+
+    def test_perfect_tiling_check_rejects_overlap_and_gaps(self):
+        fp = pack((0, 1, "V"), [(2, 2), (2, 4)])
+        check_perfect_tiling(fp)
+        moved = fp.rooms[0]._replace(x=1)
+        with pytest.raises(AssertionError):
+            check_perfect_tiling(Floorplan(fp.chip_w, fp.chip_h, (moved, fp.rooms[1])))
+
+    def test_centers2_are_the_doubled_module_centers(self, rng):
+        expr = initial_expr(12)
+        for _ in range(40):
+            expr = perturb(expr, rng.randint(1, 3), rng)
+        fp = pack(expr, [(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(12)])
+        assert fp.centers2 == tuple(
+            (2 * r.x + r.module_w, 2 * r.y + r.module_h) for r in fp.rooms
+        )
+        # derived from the rooms: not a constructor argument, not in eq or repr
+        rebuilt = Floorplan(fp.chip_w, fp.chip_h, fp.rooms)
+        assert rebuilt == fp and rebuilt.centers2 == fp.centers2
+        assert "centers2" not in repr(fp)
 
 
 class TestWhitespaceParts:

@@ -7,10 +7,13 @@ from hypothesis import strategies as st
 
 from voltplan.errors import (
     CyclicNetlist,
+    DuplicateName,
     EmptyNet,
     NotConvex,
     NotMonotone,
     ResultNotConvex,
+    UnknownBlock,
+    ValidationError,
     WrongArity,
 )
 from voltplan.model import (
@@ -183,5 +186,23 @@ class TestNetlist:
             build_netlist(self._mods("ab"), [("a", "b"), ("b", "a")], 10, 2)
 
     def test_unknown_endpoint_rejected(self):
-        with pytest.raises(CyclicNetlist):
-            build_netlist(self._mods("ab"), [("a", "z")], 10, 2)
+        for pair in [("a", "z"), ("z", "a")]:
+            with pytest.raises(UnknownBlock, match="unknown module 'z'"):
+                build_netlist(self._mods("ab"), [pair], 10, 2)
+
+    def test_duplicate_name_rejected(self):
+        with pytest.raises(DuplicateName, match="duplicate module name 'a'"):
+            build_netlist(self._mods("aba"), [], 10, 2)
+
+    @pytest.mark.parametrize("width, height", [(0, 2), (2, 0), (-1, 2)])
+    def test_nonpositive_dimensions_rejected(self, width, height):
+        mods = self._mods("ab")
+        mods[1] = ModuleBlock(name="b", width=width, height=height, curve=mods[1].curve)
+        with pytest.raises(ValidationError, match="positive dimensions") as exc:
+            build_netlist(mods, [("a", "b")], 10, 2)
+        assert type(exc.value) is ValidationError
+
+    def test_negative_t_cycle_rejected(self):
+        with pytest.raises(ValidationError, match="t_cycle must be nonnegative") as exc:
+            build_netlist(self._mods("ab"), [("a", "b")], -1, 2)
+        assert type(exc.value) is ValidationError

@@ -13,6 +13,7 @@ from voltplan.model import derive_shifter_spec
 from voltplan.pipeline import RunConfig, run_pipeline
 from voltplan.shifters import (
     Shifter,
+    _max_matching,
     _room_slots,
     assign_shifters,
     build_assignment_network,
@@ -457,6 +458,29 @@ def test_unplaced_count_equals_the_flow_fallback_count(monkeypatch):
 
     check()
     assert paths["fallback"] >= 1 and paths["count"] >= 1
+
+
+def test_max_matching_follows_an_augmenting_path_past_the_recursion_limit():
+    """Items 0..1099 take bins 0..1099; the last item wants bin 0, which
+    frees only after every earlier item moves one bin along, into bin 1100."""
+    options = [[i, i + 1] for i in range(1100)] + [[0]]
+    assert _max_matching(options, [1] * 1101) == 1101
+    assert _max_matching(options, [1] * 1100 + [0]) == 1100
+
+
+def test_max_matching_is_maximum_on_small_instances(rng):
+    """Against exhaustive search over every choice of bin (or none) per item."""
+    for _ in range(300):
+        bins = rng.randint(1, 4)
+        caps = [rng.randint(0, 2) for _ in range(bins)]
+        items = rng.randint(0, 5)
+        options = [rng.sample(range(bins), rng.randint(0, bins)) for _ in range(items)]
+        best = 0
+        for choice in itertools.product(*[[None, *opts] for opts in options]):
+            used = [choice.count(r) for r in range(bins)]
+            if all(u <= c for u, c in zip(used, caps)):
+                best = max(best, sum(r is not None for r in choice))
+        assert _max_matching(options, caps) == best
 
 
 def test_anneal_runs_the_flow_only_on_the_start_and_final_floorplans(tmp_path, monkeypatch):

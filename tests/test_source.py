@@ -89,3 +89,48 @@ def test_every_public_name_has_a_user():
         if not path.name.startswith("test_"):
             used |= _referenced(ast.parse(path.read_text(), filename=str(path)), strings=True)
     assert [name for name in public if name.rpartition(".")[2] not in used] == []
+
+
+# functions that may call themselves, each with why its depth stays small
+RECURSION_ALLOWED = {
+    "floorplan.perturb": "move 3 falls back to move 1 once, which does not recurse",
+    "voltage._branch_and_bound.dfs": "one level per module, and the pipeline searches "
+    "only floorplans of at most EXACT_LIMIT = 16 modules",
+}
+
+
+def _calls_itself(fn) -> bool:
+    """Whether `fn` calls its own name, bare or as self.name."""
+    for sub in ast.walk(fn):
+        if isinstance(sub, ast.Call):
+            func = sub.func
+            if isinstance(func, ast.Name) and func.id == fn.name:
+                return True
+            if (isinstance(func, ast.Attribute) and func.attr == fn.name
+                    and isinstance(func.value, ast.Name) and func.value.id == "self"):
+                return True
+    return False
+
+
+def _self_calls(path, node, prefix=""):
+    """Qualified names of the functions under `node`, nested ones included,
+    that call themselves."""
+    found = []
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            name = f"{prefix}{child.name}"
+            if not isinstance(child, ast.ClassDef) and _calls_itself(child):
+                found.append(f"{path.stem}.{name}")
+            found += _self_calls(path, child, f"{name}.")
+        else:
+            found += _self_calls(path, child, prefix)
+    return found
+
+
+def test_no_unbounded_recursion():
+    """A function that calls itself is as deep as its input and ends in a
+    RecursionError on large instances; only the allow-listed ones, whose
+    depth is bounded, may."""
+    found = [name for path, tree in _trees() for name in _self_calls(path, tree)]
+    assert sorted(set(found) - RECURSION_ALLOWED.keys()) == []
+    assert sorted(RECURSION_ALLOWED.keys() - set(found)) == []
