@@ -11,13 +11,16 @@ built once, and each solve re-optimizes the last solve's circulation, of
 which only the wire costs changed, instead of solving cold. The unplaced
 shifter count is refreshed every `ls_every` accepted moves and carried
 stale in between. Phi reads only that count, so a refresh takes it from
-shifters.unplaced_count, which runs the shifter min-cost flow only where a
-room could overflow; the full assignment and placement run on the starting
-floorplan and the final one, and the overhead metrics are computed for the
-final floorplan alone. Candidates come from initial_expr and perturb, which
-only build valid expressions, so they are packed without re-validation; a
-single module takes the same path, every move returning its expression
-unchanged. Fully deterministic for a given seed.
+shifters.unplaced_count, a greedy fit of shifters to window rooms that runs
+the shifter min-cost flow only where the fit leaves a shifter without a
+room or a room could overflow; the full assignment and placement run on the
+starting floorplan and the final one, and the overhead metrics are computed
+for the final floorplan alone. The starting temperature is calibrated from
+uphill probe moves, skipped when max_levels is 0 and no level reads it.
+Candidates come from initial_expr and perturb, which only build valid
+expressions, so they are packed without re-validation; a single module
+takes the same path, every move returning its expression unchanged. Fully
+deterministic for a given seed.
 """
 
 from __future__ import annotations
@@ -271,10 +274,11 @@ def anneal(netlist: Netlist, spec: ShifterSpec, config: AnnealConfig, seed: int)
 
     phi, _, _ = ev.evaluate(expr, weights, stale_unplaced)
 
-    # temperature calibration: probe uphill deltas from the start state
+    # temperature calibration: probe uphill deltas from the start state;
+    # without levels nothing reads the temperature, so nothing is probed
     probes = []
     probe_expr = expr
-    for _ in range(max(8, 3 * m)):
+    for _ in range(max(8, 3 * m) if config.max_levels else 0):
         move = rng.randint(1, 3)
         cand = perturb(probe_expr, move, rng)
         cphi, _, _ = ev.evaluate(cand, weights, stale_unplaced)

@@ -135,6 +135,12 @@ def parse_floorplan(text) -> tuple[Floorplan, tuple[int, ...]]:
             raise ParseError(
                 f"module at ({x}, {y}) is not at its room origin ({rx}, {ry})", lineno
             )
+        if not (0 < w <= rw and 0 < h <= rh):
+            raise ParseError(
+                f"module {w}x{h} is empty or larger than its {rw}x{rh} room", lineno
+            )
+        if level < 1:
+            raise ParseError(f"voltage level must be at least 1, got {level}", lineno)
         rooms.append(Room(x=rx, y=ry, w=rw, h=rh, module_w=w, module_h=h))
         levels.append(level)
     if not rooms:

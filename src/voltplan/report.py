@@ -8,6 +8,7 @@ reproducible byte for byte (runtime excluded from any comparison).
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -100,13 +101,18 @@ def pretty_report(rows) -> str:
     return "\n".join(out) + "\n"
 
 
-_FIXED = re.compile(r"-?[0-9]+(\.[0-9]+)?")
+_DECIMAL = re.compile(r"[0-9]+(\.[0-9]+)?")
 
 
-def _fixed(text) -> Fraction:
-    if not _FIXED.fullmatch(text):
+def _decimal(text, kind):
+    """A plain nonnegative decimal, as emit_report writes one, read as kind:
+    no sign, underscore, exponent, nan or inf."""
+    if not _DECIMAL.fullmatch(text):
         raise ValueError(text)
-    return Fraction(text)
+    value = kind(text)
+    if value == math.inf:  # more digits than a float holds
+        raise ValueError(text)
+    return value
 
 
 def parse_report(text) -> list[ReportRow]:
@@ -126,12 +132,15 @@ def parse_report(text) -> list[ReportRow]:
         if len(fields) != len(COLUMNS):
             raise ParseError(f"expected {len(COLUMNS)} fields, got {line!r}", lineno)
         try:
-            rows.append(ReportRow(
+            row = ReportRow(
                 fields[0],
-                *(int(f) for f in fields[1:5]),
-                *(_fixed(f) for f in fields[5:7]),
-                float(fields[7]),
-            ))
+                *(_decimal(f, int) for f in fields[1:5]),
+                *(_decimal(f, Fraction) for f in fields[5:7]),
+                _decimal(fields[7], float),
+            )
         except ValueError:
             raise ParseError(f"bad number in {line!r}", lineno) from None
+        if row.k < 1:
+            raise ParseError(f"k must be at least 1, got {row.k}", lineno)
+        rows.append(row)
     return rows

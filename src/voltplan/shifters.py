@@ -12,9 +12,10 @@ set and is placed on the source module's boundary.
 
 The annealer's cost reads only how many shifters land in that fallback set.
 unplaced_count gives that number without the min-cost flow whenever no room
-can receive more shifters than it has spots, from a capacity-only matching;
-the full assign_shifters runs on the anneal's starting and final floorplans
-and where a room could overflow.
+can receive more shifters than it has spots and a greedy fit gives every
+shifter a window room; the full assign_shifters, the one algorithm that
+matches shifters to rooms, runs on the anneal's starting and final
+floorplans and wherever either condition fails.
 """
 
 from __future__ import annotations
@@ -320,62 +321,18 @@ def assign_shifters(shifters, floorplan, spec, window: int) -> ShifterAssignment
     return ShifterAssignment(assigned=tuple(assigned), els=tuple(els))
 
 
-def _max_matching(options, caps) -> int:
-    """Size of a maximum matching of items to bins: item j may go to any bin
-    in options[j], and bin r holds at most caps[r] items. Each item in turn
-    takes a free bin if one of its options has one, and otherwise looks,
-    depth first, for an augmenting path that moves matched items one bin
-    along; an item without one never gains one later. The path is kept on an
-    explicit stack, so its length is not bounded by the interpreter's."""
-    free = list(caps)
-    held = [[] for _ in caps]
-
-    def moves(j, seen):
-        """(bin, slot, item there) for each unseen bin of item j."""
-        for r in options[j]:
-            if r not in seen:
-                seen.add(r)
-                for slot, other in enumerate(held[r]):
-                    yield r, slot, other
-
-    matched = 0
-    for j in range(len(options)):
-        seen = set()
-        path = []  # per item on the path: [item, its moves left, the move it tries]
-        item = j
-        while item is not None:
-            r = next((r for r in options[item] if free[r]), None)
-            if r is not None:
-                free[r] -= 1
-                held[r].append(item)
-                for moved, _moves, (r, slot) in path:
-                    held[r][slot] = moved
-                matched += 1
-                break
-            path.append([item, moves(item, seen), None])
-            item = None
-            while path and item is None:
-                step = next(path[-1][1], None)
-                if step is None:
-                    path.pop()
-                else:
-                    path[-1][2] = step[:2]
-                    item = step[2]
-    return matched
-
-
 def unplaced_count(shifters, floorplan, spec, window: int) -> int:
     """len(assign_shifters(shifters, floorplan, spec, window).els), without
-    the min-cost flow where no room can overflow.
+    the min-cost flow where a greedy fit places every shifter.
 
     The flow sends room r at most min(cap_r, demand_r) shifters, where cap_r
     is num_ls and demand_r counts the shifters with r in their window, and
-    place_in_room leaves over whatever exceeds the room's spots. When
-    that bound is within the spots in every room, nothing is left over, so
-    the fallback set is exactly the shifters the flow leaves without a room:
-    N minus the maximum matching of shifters to window rooms under the room
-    capacities, a number the detour costs do not change. Otherwise the full
-    assignment counts.
+    place_in_room leaves over whatever exceeds the room's spots. When that
+    bound is within the spots in every room, each shifter in turn takes the
+    first room in its window with capacity left. If every one gets a room,
+    that is a maximum matching, so the flow also gives every shifter a room,
+    nothing is left over, and the count is 0. Otherwise, or where a room
+    could overflow, the full assignment counts.
     """
     shifters = list(shifters)
     rooms = floorplan.rooms
@@ -384,11 +341,18 @@ def unplaced_count(shifters, floorplan, spec, window: int) -> int:
     for opts in options:
         for r in opts:
             demand[r] += 1
-    caps = [0] * len(rooms)  # only rooms in some window need theirs
+    left = [0] * len(rooms)  # capacity left; only rooms in some window need theirs
     for r, d in enumerate(demand):
         if d:
             cap, spots, _grids = _room_slots(rooms[r], spec)
             if min(cap, d) > spots:
                 return len(assign_shifters(shifters, floorplan, spec, window).els)
-            caps[r] = cap
-    return len(shifters) - _max_matching(options, caps)
+            left[r] = cap
+    for opts in options:
+        for r in opts:
+            if left[r]:
+                left[r] -= 1
+                break
+        else:
+            return len(assign_shifters(shifters, floorplan, spec, window).els)
+    return 0

@@ -19,6 +19,10 @@ from voltplan.pipeline import RunConfig, parse_floorplan, parse_shifters, run_pi
 from conftest import DATA
 
 ARTIFACTS = ("floorplan.txt", "shifters.txt", "report.csv")
+REPORT_HEADER = (
+    "dataset,k,power_cost,wirelength_with_ls,ls_number,"
+    "ilo_percent,white_space_percent,runtime_seconds\n"
+)
 
 
 @pytest.fixture(scope="module")
@@ -87,11 +91,26 @@ def test_rerender_and_rereport_byte_identical(run42):
         ("floorplan.txt", "sb0 0 0 4 4 0 0 4 x 1\n", 1),
         ("floorplan.txt", "sb0 0 0 4 4 1 0 4 4 1\n", 1),
         ("floorplan.txt", "\n", 1),
+        ("floorplan.txt", "a 0 0 5 5 0 0 4 4 0\n", 1),
+        ("floorplan.txt", "sb0 0 0 4 4 0 0 4 4 1\na 4 0 5 4 4 0 4 4 1\n", 2),
+        ("floorplan.txt", "a 0 0 0 4 0 0 4 4 1\n", 1),
+        ("floorplan.txt", "a 0 0 4 0 0 0 4 4 1\n", 1),
+        ("floorplan.txt", "a 0 0 4 4 0 0 4 4 0\n", 1),
         ("shifters.txt", "0 sb0 sb1 1 2 1 1 room\n1 sb0 sb1 1 2 1 1 nowhere\n", 2),
         ("shifters.txt", "0 sb0 sb1 1 2 1 one els\n", 1),
         ("shifters.txt", "0 sb0 sb1 1 2 1 1 room\n0 sb0 sb1 1 2 1 1 room\n", 2),
-        ("report.csv", "dataset,k,power_cost,wirelength_with_ls,ls_number,"
-                       "ilo_percent,white_space_percent,runtime_seconds\nx,y\n", 2),
+        ("report.csv", REPORT_HEADER + "x,y\n", 2),
+        ("report.csv", REPORT_HEADER + "x,0,5,6,7,0.1000,2.0000,1.00\n", 2),
+        ("report.csv", REPORT_HEADER + "x,4,-5,6,7,0.1000,2.0000,1.00\n", 2),
+        ("report.csv", REPORT_HEADER + "x,4,+5,6,7,0.1000,2.0000,1.00\n", 2),
+        ("report.csv", REPORT_HEADER + "x,4,1_0,6,7,0.1000,2.0000,1.00\n", 2),
+        ("report.csv", REPORT_HEADER + "x,4,5,6,7,-0.1000,2.0000,1.00\n", 2),
+        ("report.csv", REPORT_HEADER + "x,4,5,6,7,0.1000,2e1,1.00\n", 2),
+        ("report.csv", REPORT_HEADER + "x,4,5,6,7,0.1000,2.0000,nan\n", 2),
+        ("report.csv", REPORT_HEADER + "x,4,5,6,7,0.1000,2.0000,inf\n", 2),
+        ("report.csv", REPORT_HEADER + "x,4,5,6,7,0.1000,2.0000,1e400\n", 2),
+        # a runtime with more digits than a float holds reads as inf
+        ("report.csv", REPORT_HEADER + "x,4,5,6,7,0.1000,2.0000,1" + "0" * 400 + "\n", 2),
         ("report.csv", "dataset,k\n", 1),
     ],
 )

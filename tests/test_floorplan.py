@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from voltplan.anneal import AnnealConfig, anneal
+from voltplan.cli import main
 from voltplan.errors import MalformedExpression, ValidationError
 from voltplan.floorplan import (
     Floorplan,
@@ -27,6 +28,7 @@ from voltplan.floorplan import (
     whitespace_percent,
 )
 from voltplan.model import DPCurve, ModuleBlock, build_netlist, derive_shifter_spec
+from voltplan.pipeline import RunConfig, run_pipeline
 from voltplan.shifters import compute_ilo, required_shifters, wirelength_with_shifters
 
 from conftest import DATA, fixture_netlist, longest_path_delay, phi_weights, recursive_pack
@@ -510,6 +512,50 @@ class TestAnneal:
         assert got == res.voltage
         assert got.search_nodes > 1000
         assert len(calls) <= 2
+
+    # the n10 fixture's artifacts at max_levels 0 (gen-spec seed 42, k 4,
+    # run seed 42), recorded while the anneal still ran its calibration
+    # probes, which draw from the RNG but change no artifact
+    NO_LEVELS_GOLDEN = {
+        Fraction(0): {
+            "floorplan.txt": "46698fde303f9d91b46691eb8474c91374c4adc27c964649e086b607171c97d9",
+            "shifters.txt": "873f0db88b7953560e09968059b40e3b30e8e219eb92cfe8d16dac59a159bd05",
+            "layout.svg": "92310f13a3c3eacae4d558e50f3467a918cfbd7764a9128a6a464f03640d6602",
+            "report.csv": "d6bc0e82e99de5030a86ca2281742dc672e68928478e4770458762fef6ccdb60",
+        },
+        Fraction(1, 32): {
+            "floorplan.txt": "6f1e78c4d16b6c6d5b70983b07888d9561f96a22471ac3130b83ad53a12bcee4",
+            "shifters.txt": "8fd753a654b7a7d6c37bb2b0f3ab8c2237e94bf4b6c76de17faf1bc58a8d7147",
+            "layout.svg": "7b6b21757441c4db444b1190597562f84e99fd20ea7cc275ff6eb25240c60ad9",
+            "report.csv": "572c0883f456cf0007ffe1d294b4c5e7f55164245d1e93a2feedf11da796b794",
+        },
+    }
+
+    @pytest.mark.parametrize("kappa", sorted(NO_LEVELS_GOLDEN), ids=["kappa0", "kappa1_32"])
+    def test_no_levels_evaluates_only_the_start(self, tmp_path, kappa):
+        """With max_levels 0 nothing reads the temperature, so no calibration
+        probe runs: the observer sees the starting candidate alone, and the
+        artifacts are those of the starting floorplan."""
+        spec = tmp_path / "n10.spec"
+        assert main([
+            "gen-spec", "--blocks", str(DATA / "n10.blocks"), "--nets", str(DATA / "n10.nets"),
+            "--k", "4", "--seed", "42", "-o", str(spec),
+        ]) == 0
+        out = tmp_path / "out"
+        evaluated = []
+        run_pipeline(RunConfig(
+            blocks_path=str(DATA / "n10.blocks"), nets_path=str(DATA / "n10.nets"),
+            spec_path=str(spec), seed=42, out_dir=str(out), kappa=kappa, max_levels=0,
+            observer=lambda *a: evaluated.append(a),
+        ))
+        assert len(evaluated) == 1
+        got = {name: (out / name).read_bytes() for name in self.NO_LEVELS_GOLDEN[kappa]}
+        # the report's last column is the run time
+        got["report.csv"] = "".join(
+            row.rsplit(",", 1)[0] + "\n" for row in got["report.csv"].decode().splitlines()
+        ).encode()
+        digests = {name: hashlib.sha256(data).hexdigest() for name, data in got.items()}
+        assert digests == self.NO_LEVELS_GOLDEN[kappa]
 
     def test_metrics_match_final_shifter_placements(self):
         netlist, spec = fixture_netlist(DATA / "n10.blocks", DATA / "n10.nets", 3, 77)

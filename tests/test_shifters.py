@@ -13,7 +13,6 @@ from voltplan.model import derive_shifter_spec
 from voltplan.pipeline import RunConfig, run_pipeline
 from voltplan.shifters import (
     Shifter,
-    _max_matching,
     _room_slots,
     assign_shifters,
     build_assignment_network,
@@ -433,9 +432,22 @@ _OVERFLOW = (
 )
 
 
+def _greedy_miss(n):
+    """n rooms in a row, each with one 1x2 spot beside its 2x2 module, and
+    a shifter from each module to the next, then one from module 0 to
+    itself, with window 0. No room can overflow. The greedy fit puts shifter
+    i in room i and finds room 0 full for the last shifter; the flow moves
+    every shifter one room along and places them all."""
+    rooms = tuple(Room(3 * i, 0, 3, 2, 2, 2) for i in range(n))
+    shifters = [Shifter(i, i, i, i + 1, 2) for i in range(n - 1)]
+    shifters.append(Shifter(n - 1, n - 1, 0, 0, 2))
+    spec = derive_shifter_spec(2, Fraction(1, 2), [(1, 0, 0)])
+    return shifters, Floorplan(chip_w=3 * n, chip_h=2, rooms=rooms), spec, 0
+
+
 def test_unplaced_count_equals_the_flow_fallback_count(monkeypatch):
     """unplaced_count is exactly len(assign_shifters(...).els), on the
-    matching path and on the fallback path, which runs at least once."""
+    greedy-fit path and on the fallback path, which runs at least once."""
     flow = shifters_mod.assign_shifters
     paths = {"count": 0, "fallback": 0}
 
@@ -448,6 +460,8 @@ def test_unplaced_count_equals_the_flow_fallback_count(monkeypatch):
     @settings(max_examples=400, deadline=None)
     @given(inst=_count_instance())
     @example(inst=_OVERFLOW)
+    @example(inst=_greedy_miss(4))
+    @example(inst=_greedy_miss(300))  # the flow augments through all 300 rooms
     def check(inst):
         shifters, fp, spec, window = inst
         before = paths["fallback"]
@@ -460,27 +474,18 @@ def test_unplaced_count_equals_the_flow_fallback_count(monkeypatch):
     assert paths["fallback"] >= 1 and paths["count"] >= 1
 
 
-def test_max_matching_follows_an_augmenting_path_past_the_recursion_limit():
-    """Items 0..1099 take bins 0..1099; the last item wants bin 0, which
-    frees only after every earlier item moves one bin along, into bin 1100."""
-    options = [[i, i + 1] for i in range(1100)] + [[0]]
-    assert _max_matching(options, [1] * 1101) == 1101
-    assert _max_matching(options, [1] * 1100 + [0]) == 1100
-
-
-def test_max_matching_is_maximum_on_small_instances(rng):
-    """Against exhaustive search over every choice of bin (or none) per item."""
-    for _ in range(300):
-        bins = rng.randint(1, 4)
-        caps = [rng.randint(0, 2) for _ in range(bins)]
-        items = rng.randint(0, 5)
-        options = [rng.sample(range(bins), rng.randint(0, bins)) for _ in range(items)]
-        best = 0
-        for choice in itertools.product(*[[None, *opts] for opts in options]):
-            used = [choice.count(r) for r in range(bins)]
-            if all(u <= c for u, c in zip(used, caps)):
-                best = max(best, sum(r is not None for r in choice))
-        assert _max_matching(options, caps) == best
+def test_greedy_miss_instance_falls_back_and_places_every_shifter(monkeypatch):
+    """The _greedy_miss instance does what its examples are for: no room
+    can overflow, the greedy fit misses, and the flow places every shifter."""
+    shifters, fp, spec, window = _greedy_miss(4)
+    for room in fp.rooms:
+        assert _room_slots(room, spec)[:2] == (1, 1)
+    flow = shifters_mod.assign_shifters
+    calls = []
+    monkeypatch.setattr(shifters_mod, "assign_shifters", lambda *a: calls.append(a) or flow(*a))
+    assert unplaced_count(shifters, fp, spec, window) == 0
+    assert len(calls) == 1
+    assert len(flow(shifters, fp, spec, window).assigned) == 4
 
 
 def test_anneal_runs_the_flow_only_on_the_start_and_final_floorplans(tmp_path, monkeypatch):

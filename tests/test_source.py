@@ -72,23 +72,58 @@ def _referenced(node, strings=False) -> set[str]:
     return found
 
 
-def test_every_public_name_has_a_user():
-    """Each public top-level def or class under src/voltplan is used by the
-    package itself (outside its own body), exported by __init__, or used by
-    the benchmark harness; what only the tests need lives in the tests."""
-    public = []
+_DEFS = (ast.FunctionDef, ast.ClassDef)
+
+
+def _defined(node):
+    """The name a top-level def, class or single-name assignment defines;
+    None for any other statement."""
+    if isinstance(node, _DEFS):
+        return node.name
+    if isinstance(node, ast.Assign):
+        targets = node.targets
+    elif isinstance(node, ast.AnnAssign):
+        targets = [node.target]
+    else:
+        return None
+    if len(targets) == 1 and isinstance(targets[0], ast.Name):
+        return targets[0].id
+    return None
+
+
+def _unread(select):
+    """`module.name` of each top-level definition under src/voltplan that
+    select(name, node) picks and that nothing reads outside its own
+    definition: no other part of the package and no non-test perfbench/
+    module (the benchmark harness)."""
+    picked = []
     used = set()
     for path, tree in _trees():
         for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
-                public.append(f"{path.stem}.{node.name}")
-                used |= _referenced(node) - {node.name}
+            name = _defined(node)
+            if name is not None and select(name, node):
+                picked.append((f"{path.stem}.{name}", name))
+                used |= _referenced(node) - {name}
             else:
                 used |= _referenced(node)
     for path in sorted((SRC.parents[1] / "perfbench").glob("*.py")):
         if not path.name.startswith("test_"):
             used |= _referenced(ast.parse(path.read_text(), filename=str(path)), strings=True)
-    assert [name for name in public if name.rpartition(".")[2] not in used] == []
+    return [qualified for qualified, name in picked if name not in used]
+
+
+def test_every_public_name_has_a_user():
+    """Each public top-level def or class under src/voltplan is used by the
+    package itself (outside its own body), exported by __init__, or used by
+    the benchmark harness; what only the tests need lives in the tests."""
+    assert _unread(lambda name, node: isinstance(node, _DEFS) and not name.startswith("_")) == []
+
+
+def test_every_private_name_has_a_user():
+    """Each private top-level def, class or constant under src/voltplan is
+    read by the package outside its own definition or by the benchmark
+    harness: a helper whose last caller went is deleted with it."""
+    assert _unread(lambda name, node: name.startswith("_") and not name.startswith("__")) == []
 
 
 # functions that may call themselves, each with why its depth stays small
