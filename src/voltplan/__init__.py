@@ -7,7 +7,7 @@ to room assignment via min-cost max-flow over a whitespace capacity model.
 
 __version__ = "0.1.0"
 
-from .anneal import AnnealConfig, AnnealResult, anneal
+from .anneal import AnnealConfig, AnnealResult
 from .floorplan import Floorplan, PhiWeights, Room, pack
 from .model import (
     DPCurve,
@@ -41,7 +41,6 @@ __all__ = [
     "ShifterSpec",
     "TimingGraph",
     "VoltageAssignment",
-    "anneal",
     "assign_voltages",
     "build_netlist",
     "build_timing_graph",

@@ -1,7 +1,15 @@
 """Simulated-annealing outer loop tying the two flow phases together.
 
-Every candidate floorplan is packed and costed with the weighted sum of
-area, wirelength, power, voltage-island count and unplaced-shifter count.
+Every floorplan the anneal visits (the start, the temperature probes and
+the moves) is scored by _Evaluator.score with the weighted sum of area,
+wirelength, power, voltage-island count and unplaced-shifter count. The
+weights are calibrated once, on the starting floorplan (_default_weights).
+score takes each floorplan's per-net lengths once, for the wire delays and
+for the wirelength. The start is packed and
+validated by pack; the other candidates come from initial_expr and
+perturb, which only build valid expressions, so they are packed without
+re-validation. A single module takes the same path, every move returning
+its expression unchanged.
 Voltage assignment runs on every candidate, cached per wire-delay vector:
 the timing graph is built and solved only on a cache miss, so with the
 default zero wire-delay factor both happen once per anneal (plus once for
@@ -17,10 +25,7 @@ room or a room could overflow; the full assignment and placement run on the
 starting floorplan and the final one, and the overhead metrics are computed
 for the final floorplan alone. The starting temperature is calibrated from
 uphill probe moves, skipped when max_levels is 0 and no level reads it.
-Candidates come from initial_expr and perturb, which only build valid
-expressions, so they are packed without re-validation; a single module
-takes the same path, every move returning its expression unchanged. Fully
-deterministic for a given seed.
+Fully deterministic for a given seed.
 """
 
 from __future__ import annotations
@@ -73,7 +78,6 @@ class AnnealConfig:
     ls_every: int = 5  # shifter refresh cadence, in accepted moves
     kappa: Fraction = Fraction(0)  # wire delay per unit wirelength
     window: int | None = None  # shifter search window; None = auto
-    weights: PhiWeights | None = None  # None = calibrated defaults
     max_levels: int = 400
     observer: object = None  # callable(floorplan, assignment, phi) per candidate
 
@@ -92,8 +96,6 @@ class AnnealConfig:
             raise ValidationError(f"kappa must be nonnegative, got {self.kappa}")
         if self.max_levels < 0:
             raise ValidationError(f"max_levels must be nonnegative, got {self.max_levels}")
-        if self.weights is not None:
-            self.weights.validate()
 
 
 @dataclass(frozen=True)
@@ -123,15 +125,15 @@ def modified_curves(netlist: Netlist, spec: ShifterSpec):
     return [modify_dp_curve(mod.curve, spec) for mod in netlist.modules]
 
 
-def _wire_delays(netlist, floorplan, kappa: Fraction):
+def _wire_delays(per_net2, kappa: Fraction):
+    """Each net's wire delay, ceil(kappa * d2 / 2), from its doubled length d2."""
     if kappa == 0:
-        return (0,) * len(netlist.nets)
-    per_net2 = hpwl2_per_net(floorplan, netlist.nets)
-    return tuple(-((-d2 * kappa) // 2) for d2 in per_net2)  # ceil(kappa * d2/2)
+        return (0,) * len(per_net2)
+    return tuple(-((-d2 * kappa) // 2) for d2 in per_net2)
 
 
 class _Evaluator:
-    """Packs, assigns voltages (cached) and scores one expression.
+    """Assigns voltages (cached) to floorplans and scores them.
 
     In-loop solves skip the exact refinement (round-down is always feasible
     and cheap; candidate ranking does not need the last watt); the final
@@ -145,10 +147,8 @@ class _Evaluator:
         self.config = config
         self.cache = {}
         self.warm = WarmStart()
-        self.feasible_seen = False
 
-    def voltage_for(self, floorplan, exact=False):
-        delays = _wire_delays(self.netlist, floorplan, self.config.kappa)
+    def voltage_for(self, delays, exact=False):
         if exact:
             tg = build_timing_graph(self.netlist, delays)
             return assign_voltages(tg, self.curves, exact_limit=EXACT_LIMIT, warm=self.warm)
@@ -162,18 +162,18 @@ class _Evaluator:
         self.cache[delays] = assignment
         return assignment
 
-    def evaluate(self, expr, weights, stale_unplaced):
-        """Return (phi, floorplan, assignment) or (None, floorplan, None)
-        when the candidate has no feasible voltage assignment."""
-        floorplan = _pack(expr, self.dims)
+    def score(self, floorplan, weights, stale_unplaced):
+        """Return (phi, assignment), or (None, None) when the floorplan has
+        no feasible voltage assignment. The per-net lengths are taken once,
+        for the wire delays and for the wirelength."""
+        per_net2 = hpwl2_per_net(floorplan, self.netlist.nets)
         try:
-            assignment = self.voltage_for(floorplan)
+            assignment = self.voltage_for(_wire_delays(per_net2, self.config.kappa))
         except TimingInfeasible:
-            return None, floorplan, None
-        self.feasible_seen = True
+            return None, None
         phi = cost_phi(
             floorplan.area,
-            hpwl(floorplan, self.netlist.nets),
+            sum(per_net2) // 2,
             assignment.total_power,
             voltage_islands(floorplan, assignment.level),
             stale_unplaced,
@@ -181,10 +181,14 @@ class _Evaluator:
         )
         if self.config.observer is not None:
             self.config.observer(floorplan, assignment, phi)
-        return phi, floorplan, assignment
+        return phi, assignment
 
 
 def _default_weights(area, wl, power, islands, m) -> PhiWeights:
+    """The cost's weights, calibrated on the starting floorplan: there the
+    wirelength term equals the area, one island per module costs a tenth of
+    it, and one unplaced shifter costs ten times the rest of phi. Every
+    weight is positive."""
     lam_w = Fraction(area, wl) if wl > 0 else Fraction(1)
     lam_r = Fraction(area, 10 * m)
     phi0 = area + lam_w * wl + power + lam_r * islands
@@ -197,20 +201,9 @@ def _default_weights(area, wl, power, islands, m) -> PhiWeights:
     )
 
 
-def _place_shifters(netlist, spec, floorplan, assignment, window):
-    """The shifters the levels require, and their assignment and placement."""
-    shifters = required_shifters(netlist.nets, assignment.level)
-    return shifters, assign_shifters(shifters, floorplan, spec, window=window)
-
-
-def _unplaced(netlist, spec, floorplan, assignment, window):
-    """How many of the shifters the levels require land in the fallback set."""
-    shifters = required_shifters(netlist.nets, assignment.level)
-    return unplaced_count(shifters, floorplan, spec, window)
-
-
 def _full_metrics(netlist, spec, floorplan, assignment, weights, window):
-    shifters, sa = _place_shifters(netlist, spec, floorplan, assignment, window)
+    shifters = required_shifters(netlist.nets, assignment.level)
+    sa = assign_shifters(shifters, floorplan, spec, window=window)
     placements = sa.placements()
     wl = hpwl(floorplan, netlist.nets)
     wl_ls = wirelength_with_shifters(floorplan, netlist.nets, shifters, placements)
@@ -242,37 +235,25 @@ def anneal(netlist: Netlist, spec: ShifterSpec, config: AnnealConfig, seed: int)
     expr = initial_expr(m)
 
     fp0 = pack(expr, ev.dims)
+    window = default_window(fp0) if config.window is None else config.window
+    per_net2 = hpwl2_per_net(fp0, netlist.nets)
+    wl0 = sum(per_net2) // 2
+    stale_unplaced = 0
     try:
-        asg0 = ev.voltage_for(fp0)
+        asg0 = ev.voltage_for(_wire_delays(per_net2, config.kappa))
     except TimingInfeasible:
         if config.kappa == 0:
-            raise
-        asg0 = None
-
-    window = config.window
-    if window is None:
-        window = default_window(fp0)
-
-    weights = config.weights
-    stale_unplaced = 0
-    if asg0 is not None:
+            raise  # every candidate has these zero wire delays
+        weights = _default_weights(fp0.area, wl0, 0, 1, m)
+    else:
         # the starting floorplan, like the final one, gets the full
         # assignment: one flow solve per anneal, and perfbench's tracer,
         # which spans anneal.assign_shifters, sees both ends of the anneal
-        _, sa0 = _place_shifters(netlist, spec, fp0, asg0, window)
-        stale_unplaced = len(sa0.els)
-        if weights is None:
-            weights = _default_weights(
-                fp0.area,
-                hpwl(fp0, netlist.nets),
-                asg0.total_power,
-                voltage_islands(fp0, asg0.level),
-                m,
-            )
-    elif weights is None:
-        weights = _default_weights(fp0.area, hpwl(fp0, netlist.nets), 0, 1, m)
-
-    phi, _, _ = ev.evaluate(expr, weights, stale_unplaced)
+        shifters0 = required_shifters(netlist.nets, asg0.level)
+        stale_unplaced = len(assign_shifters(shifters0, fp0, spec, window=window).els)
+        islands0 = voltage_islands(fp0, asg0.level)
+        weights = _default_weights(fp0.area, wl0, asg0.total_power, islands0, m)
+    phi, _ = ev.score(fp0, weights, stale_unplaced)
 
     # temperature calibration: probe uphill deltas from the start state;
     # without levels nothing reads the temperature, so nothing is probed
@@ -280,11 +261,10 @@ def anneal(netlist: Netlist, spec: ShifterSpec, config: AnnealConfig, seed: int)
     probe_expr = expr
     for _ in range(max(8, 3 * m) if config.max_levels else 0):
         move = rng.randint(1, 3)
-        cand = perturb(probe_expr, move, rng)
-        cphi, _, _ = ev.evaluate(cand, weights, stale_unplaced)
+        probe_expr = perturb(probe_expr, move, rng)
+        cphi, _ = ev.score(_pack(probe_expr, ev.dims), weights, stale_unplaced)
         if cphi is not None and phi is not None and cphi > phi:
             probes.append(float(cphi - phi))
-        probe_expr = cand
     if probes:
         t0 = (sum(probes) / len(probes)) / math.log(1.0 / config.accept_target)
     else:
@@ -301,7 +281,8 @@ def anneal(netlist: Netlist, spec: ShifterSpec, config: AnnealConfig, seed: int)
         for _step in range(config.beta * m):
             move = rng.randint(1, 3)
             cand = perturb(expr, move, rng)
-            cand_phi, cand_fp, cand_asg = ev.evaluate(cand, weights, stale_unplaced)
+            cand_fp = _pack(cand, ev.dims)
+            cand_phi, cand_asg = ev.score(cand_fp, weights, stale_unplaced)
             if cand_phi is None:
                 continue
             if cur_phi is None:
@@ -317,7 +298,8 @@ def anneal(netlist: Netlist, spec: ShifterSpec, config: AnnealConfig, seed: int)
                 accepted_here += 1
                 accepted_total += 1
                 if accepted_total % config.ls_every == 0:
-                    stale_unplaced = _unplaced(netlist, spec, cand_fp, cand_asg, window)
+                    shifters = required_shifters(netlist.nets, cand_asg.level)
+                    stale_unplaced = unplaced_count(shifters, cand_fp, spec, window)
                 if best_phi is None or cur_phi < best_phi:
                     best_phi = cur_phi
                     best_expr = expr
@@ -326,11 +308,12 @@ def anneal(netlist: Netlist, spec: ShifterSpec, config: AnnealConfig, seed: int)
         if idle_levels >= 2 or temp < t0 * T_STOP_RATIO:
             break
 
-    if not ev.feasible_seen:
+    if best_phi is None:
         raise TimingInfeasible("no candidate admitted a feasible assignment")
 
     final_fp = _pack(best_expr, ev.dims)
-    final_asg = ev.voltage_for(final_fp, exact=True)
+    final_delays = _wire_delays(hpwl2_per_net(final_fp, netlist.nets), config.kappa)
+    final_asg = ev.voltage_for(final_delays, exact=True)
     sa, metrics = _full_metrics(netlist, spec, final_fp, final_asg, weights, window)
     return AnnealResult(
         floorplan=final_fp,

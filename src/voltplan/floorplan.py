@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
 
-from .errors import MalformedExpression, ValidationError
+from .errors import MalformedExpression
 
 OPS = ("H", "V")
 
@@ -218,14 +218,6 @@ class PhiWeights:
     islands: Fraction
     unplaced: Fraction
 
-    def validate(self):
-        vals = (self.area, self.wirelength, self.power, self.islands, self.unplaced)
-        if any(v < 0 for v in vals):
-            raise ValidationError("weights must be nonnegative")
-        if all(v == 0 for v in vals):
-            raise ValidationError("at least one weight must be positive")
-        return self
-
 
 def cost_phi(area, wirelength, power, islands, unplaced, weights: PhiWeights) -> Fraction:
     """Weighted floorplan cost, exact rational arithmetic."""
@@ -291,6 +283,15 @@ def perturb(expr: tuple, move: int, rng) -> tuple:
     (falls back to move 1 after a few failed tries).
     """
     tokens = list(expr)
+    if move == 3:
+        if len(tokens) < 2:
+            return expr
+        for _ in range(16):
+            i = rng.randrange(len(tokens) - 1)
+            if _can_swap(expr, i):
+                tokens[i], tokens[i + 1] = tokens[i + 1], tokens[i]
+                return tuple(tokens)
+        move = 1
     if move == 1:
         operands = [i for i, t in enumerate(tokens) if not isinstance(t, str)]
         if len(operands) < 2:
@@ -307,13 +308,4 @@ def perturb(expr: tuple, move: int, rng) -> tuple:
         for i in range(lo, hi + 1):
             tokens[i] = _complement(tokens[i])
         return tuple(tokens)
-    if move == 3:
-        if len(tokens) < 2:
-            return expr
-        for _ in range(16):
-            i = rng.randrange(len(tokens) - 1)
-            if _can_swap(expr, i):
-                tokens[i], tokens[i + 1] = tokens[i + 1], tokens[i]
-                return tuple(tokens)
-        return perturb(expr, 1, rng)
     raise ValueError(f"unknown move {move}")

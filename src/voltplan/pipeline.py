@@ -19,7 +19,7 @@ from pathlib import Path
 
 from .anneal import AnnealConfig, AnnealResult, anneal
 from .bench import parse_blocks, parse_nets, parse_spec
-from .errors import ParseError, TimingInfeasible
+from .errors import ParseError, TimingInfeasible, ValidationError
 from .floorplan import Floorplan, Room
 from .model import DPCurve, ModuleBlock, build_netlist, decompose_multipin
 from .render import render_svg
@@ -167,6 +167,10 @@ def parse_shifters(text) -> dict[int, tuple[int, int, int, int]]:
 def run_pipeline(config: RunConfig):
     """Execute a full run; returns (ReportRow, AnnealResult) and writes artifacts."""
     started = time.perf_counter()
+    dataset = config.dataset or Path(config.blocks_path).stem
+    # report.csv separates fields with commas and is read back line by line
+    if "," in dataset or "".join(dataset.splitlines()) != dataset:
+        raise ValidationError(f"dataset name {dataset!r} holds a comma or a line break")
     netlist, spec, k = load_instance(config)
     try:
         result = anneal(netlist, spec, config, config.seed)
@@ -179,7 +183,6 @@ def run_pipeline(config: RunConfig):
         raise TimingInfeasible(str(exc), critical_path=names or exc.critical_path) from exc
     runtime = time.perf_counter() - started
 
-    dataset = config.dataset or Path(config.blocks_path).stem
     row = ReportRow(
         dataset=dataset,
         k=k,

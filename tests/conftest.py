@@ -52,7 +52,7 @@ def phi_weights(area=1, wirelength=1, power=1, islands=0, unplaced=0) -> PhiWeig
         power=Fraction(power),
         islands=Fraction(islands),
         unplaced=Fraction(unplaced),
-    ).validate()
+    )
 
 
 def random_curve(rng, k):

@@ -276,6 +276,29 @@ class TestCli:
         assert rc == 0
         ET.fromstring(rendered.read_text())
 
+    @pytest.mark.parametrize(
+        "blocks_name, dataset",
+        [("n10.blocks", "a,b"), ("x,y.blocks", None), ("n10.blocks", "a\rb")],
+        ids=["comma-flag", "comma-stem", "carriage-return-flag"],
+    )
+    def test_dataset_name_report_cannot_hold_exit_2(self, tmp_path, capsys, blocks_name, dataset):
+        # report.csv is split on commas and by str.splitlines when read back
+        spec = self._gen(tmp_path)
+        blocks = tmp_path / blocks_name
+        blocks.write_text((DATA / "n10.blocks").read_text())
+        out = tmp_path / "run"
+        argv = [
+            "run", "--blocks", str(blocks), "--nets", str(DATA / "n10.nets"),
+            "--spec", str(spec), "--seed", "5", "--out", str(out), "--max-levels", "2",
+        ]
+        if dataset is not None:
+            argv += ["--dataset", dataset]
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: dataset name ") and err.count("\n") == 1
+        assert not (out / "report.csv").exists()
+
     def test_parse_error_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.blocks"
         bad.write_text("sb0 x y\n")
@@ -661,7 +684,7 @@ class TestCliOptions:
             assert getattr(default, field) != parsed, flag
         assert {f.name for f in fields(RunConfig)} == (
             self.REQUIRED.keys() | {f for _, f, _ in self.OPTIONAL.values()}
-            | {"weights", "observer"}
+            | {"observer"}
         )
 
     GEN = ["gen-spec", "--blocks", str(DATA / "n10.blocks"), "--nets", str(DATA / "n10.nets"),

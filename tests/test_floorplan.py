@@ -1,5 +1,5 @@
 import hashlib
-import importlib
+import inspect
 import itertools
 import random
 from fractions import Fraction
@@ -9,12 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import voltplan.anneal as anneal_mod
 from voltplan.anneal import AnnealConfig, anneal
 from voltplan.cli import main
-from voltplan.errors import MalformedExpression, ValidationError
+from voltplan.errors import MalformedExpression
 from voltplan.floorplan import (
     Floorplan,
-    PhiWeights,
     Room,
     _can_swap,
     check_expr,
@@ -424,22 +424,11 @@ class TestAnneal:
         from voltplan.anneal import modified_curves
 
         nl = tiny_netlist(m=1)
-        weights = phi_weights(area=1, wirelength=0, power=1, islands=0, unplaced=0)
-        res = anneal(nl, tiny_shifter(), AnnealConfig(weights=weights), seed=1)
+        res = anneal(nl, tiny_shifter(), AnnealConfig(), seed=1)
         curve = modified_curves(nl, tiny_shifter())[0]
-        assert res.metrics.phi == res.floorplan.area + curve.power(curve.k)
-
-    @pytest.mark.parametrize(
-        "weights, message",
-        [
-            ((-1, 0, 0, 0, 0), "weights must be nonnegative"),
-            ((1, 1, 1, 1, Fraction(-1, 2)), "weights must be nonnegative"),
-            ((0, 0, 0, 0, 0), "at least one weight must be positive"),
-        ],
-    )
-    def test_invalid_weights_rejected(self, weights, message):
-        with pytest.raises(ValidationError, match=f"^{message}$"):
-            AnnealConfig(weights=PhiWeights(*map(Fraction, weights)))
+        # no nets and one island: the island weight is area / (10 * m)
+        area = res.floorplan.area
+        assert res.metrics.phi == area + curve.power(curve.k) + Fraction(area, 10)
 
     def test_whitespace_percent_formula(self):
         fp = pack((0, 1, "V"), [(2, 2), (2, 4)])
@@ -463,10 +452,57 @@ class TestAnneal:
         assert all(b1 >= b2 for b1, b2 in zip(best, best[1:]))
         assert res.metrics.phi <= phis[0] or res.metrics.phi <= best[-1] * Fraction(11, 10)
 
+    @staticmethod
+    def _count_calls(monkeypatch, module, name, calls=None):
+        """Wrap module.name so that each call appends to calls (a new list
+        unless given); return the list."""
+        calls = [] if calls is None else calls
+        original = getattr(module, name)
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counting)
+        return calls
+
+    def test_start_is_packed_once(self, monkeypatch):
+        packs = self._count_calls(monkeypatch, anneal_mod, "pack")
+        unchecked = self._count_calls(monkeypatch, anneal_mod, "_pack")
+        netlist, spec = fixture_netlist(DATA / "n10.blocks", DATA / "n10.nets", 3, 77)
+        anneal(netlist, spec, AnnealConfig(max_levels=0), seed=3)
+        # the starting floorplan by pack, the final one by _pack
+        assert (len(packs), len(unchecked)) == (1, 1)
+
+    def test_net_lengths_taken_once_per_scored_floorplan(self, monkeypatch):
+        from voltplan import floorplan, shifters
+
+        lengths = []
+        for module in (floorplan, anneal_mod, shifters):
+            self._count_calls(monkeypatch, module, "hpwl2_per_net", lengths)
+        # every candidate of this instance is feasible, so each is scored
+        netlist, spec = fixture_netlist(DATA / "n10.blocks", DATA / "n10.nets", 4, 42)
+        scored = []
+        cfg = AnnealConfig(
+            kappa=Fraction(1, 32), max_levels=5, observer=lambda *a: scored.append(a)
+        )
+        anneal(netlist, spec, cfg, seed=42)
+        assert len(scored) > 100
+        # besides the scores: the start's weights, and the final floorplan's
+        # wire delays, hpwl, wirelength through shifters and ILO
+        assert len(lengths) == len(scored) + 5
+
+    def test_patching_the_anneal_module_reaches_the_anneal(self, monkeypatch):
+        # anneal_mod comes from `import voltplan.anneal as anneal_mod`
+        assert inspect.ismodule(anneal_mod)
+        refreshes = self._count_calls(monkeypatch, anneal_mod, "unplaced_count")
+        netlist, spec = fixture_netlist(DATA / "n10.blocks", DATA / "n10.nets", 3, 77)
+        anneal(netlist, spec, AnnealConfig(max_levels=5), seed=3)
+        assert len(refreshes) > 0
+
     def test_timing_graph_built_only_on_cache_miss(self, monkeypatch):
         # at kappa 0 every candidate has the same wire delays: one miss, and
         # one more graph for the exact solve of the final floorplan
-        anneal_mod = importlib.import_module("voltplan.anneal")
         build, solve = anneal_mod.build_timing_graph, anneal_mod.assign_voltages
         graphs, exact = [], []
 

@@ -1,4 +1,3 @@
-import importlib
 import itertools
 import random
 from fractions import Fraction
@@ -6,6 +5,7 @@ from fractions import Fraction
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import voltplan.anneal as anneal_mod
 from voltplan import shifters as shifters_mod
 from voltplan.cli import main
 from voltplan.floorplan import Floorplan, Room, initial_expr, pack, perturb
@@ -523,7 +523,7 @@ def test_anneal_runs_the_flow_only_on_the_start_and_final_floorplans(tmp_path, m
     assert len(solves) == 2
 
     monkeypatch.setattr(
-        importlib.import_module("voltplan.anneal"), "unplaced_count",
+        anneal_mod, "unplaced_count",
         lambda sh, fp, sp, window: len(assign_shifters(sh, fp, sp, window).els),
     )
     want = run(tmp_path / "flow")
