@@ -1,15 +1,16 @@
-"""Flow kernels in pure Python.
+"""The flow kernel in pure Python.
 
 Graphs arrive as flat arc arrays (tails, heads, caps, costs); arcs are
 stored with paired reverse edges (edge 2i forward, 2i+1 backward). Every
-arc carries flow in [0, cap]: there are no lower bounds. mcmf starts from
-given arc flows and node potentials (zero by default) and needs every
-residual edge's reduced cost to be nonnegative under them; the residual
-Bellman-Ford takes any costs.
+arc carries flow in [0, cap]: there are no lower bounds. Both entry points
+take arc flows and node potentials that leave every residual edge a
+nonnegative reduced cost cost + pot[tail] - pot[head], and run one Dijkstra
+over those reduced costs: mcmf once per augmenting path, returning such
+potentials for its final flow, and shortest_paths once.
 
-Both kernels mark "not reached yet" with an integer sentinel computed per
-call from the costs (and the potentials), strictly above every distance
-the call can produce, so a solve stays exact at any magnitude.
+Dijkstra marks "not reached yet" with an integer sentinel computed per call
+from the costs and the potentials, strictly above every distance the call
+can produce, so a solve stays exact at any magnitude.
 """
 
 from __future__ import annotations
@@ -39,41 +40,52 @@ def _build(n, tails, heads, caps, costs, flows=None):
     return to, cap, cst, nxt, first
 
 
-def _bellman_ford(n, to, cap, cst, nxt, first, src):
-    """Distances from src over positive-capacity edges; (dist, has_neg_cycle),
-    None in dist for a node src does not reach."""
-    # The first distance a node gets is at most the cost of a simple path
-    # from src, and distances only fall; so every distance, and every
-    # relaxation into a node not reached yet, stays within the sum of the
-    # |costs|.
-    inf = 1 + sum(map(abs, cst))
-    dist = [inf] * n
-    dist[src] = 0
-    changed = True
-    rounds = 0
-    while changed and rounds <= n:
-        changed = False
-        rounds += 1
-        for u in range(n):
-            du = dist[u]
-            if du == inf:
-                continue
-            e = first[u]
-            while e != -1:
-                if cap[e] > 0 and du + cst[e] < dist[to[e]]:
-                    dist[to[e]] = du + cst[e]
-                    changed = True
-                e = nxt[e]
-    return [None if d == inf else d for d in dist], changed
+def _dijkstra(n, to, cap, cst, nxt, first, pot, s, inf):
+    """Reduced distances from s over the edges with positive capacity.
 
-
-def shortest_paths(n, tails, heads, caps, costs, flows, src):
-    """Residual Bellman-Ford distances from src given per-arc flow.
-
-    Residual forward capacity is cap - flow, backward is flow.
-    Returns (dist list with None for unreachable, neg_cycle flag).
+    Returns (dist, prev, top): inf in dist for a node s does not reach, the
+    edge into each reached node on its shortest path in prev, and top, the
+    largest distance settled (the last one, since they come in order).
     """
-    return _bellman_ford(n, *_build(n, tails, heads, caps, costs, flows), src)
+    dist = [inf] * n
+    dist[s] = 0
+    prev = [-1] * n
+    done = [False] * n
+    heap = [(0, s)]
+    top = 0
+    while heap:
+        d, u = heappop(heap)
+        if done[u]:
+            continue
+        done[u] = True
+        top = d
+        pu = pot[u]
+        e = first[u]
+        while e != -1:
+            v = to[e]
+            if cap[e] > 0 and not done[v]:
+                nd = d + cst[e] + pu - pot[v]
+                if nd < dist[v]:
+                    dist[v] = nd
+                    prev[v] = e
+                    heappush(heap, (nd, v))
+            e = nxt[e]
+    return dist, prev, top
+
+
+def shortest_paths(n, tails, heads, caps, costs, flows, pot, src):
+    """Residual distances from src given per-arc flow and potentials that
+    leave every residual edge a nonnegative reduced cost.
+
+    Residual forward capacity is cap - flow, backward is flow. Returns the
+    distance list, None for a node src does not reach.
+    """
+    # a tentative distance is the reduced length of a simple path from src:
+    # its cost, at most the sum of the |costs|, plus pot[src] - pot[v]
+    inf = 1 + sum(map(abs, costs)) + max(pot, default=0) - min(pot, default=0)
+    dist = _dijkstra(n, *_build(n, tails, heads, caps, costs, flows), pot, src, inf)[0]
+    ps = pot[src]
+    return [None if d == inf else d - ps + p for d, p in zip(dist, pot)]
 
 
 def mcmf(n, tails, heads, caps, costs, s, t, limit, flows=None, pot=None):
@@ -83,7 +95,8 @@ def mcmf(n, tails, heads, caps, costs, s, t, limit, flows=None, pot=None):
     residual edge must have a nonnegative reduced cost
     cost + pot[tail] - pot[head], so Dijkstra is valid from the first pass;
     with zero flows and potentials (the default) that means nonnegative
-    costs. Returns (value pushed, final flows per input arc).
+    costs. Returns (value pushed, final flows per input arc, potentials
+    under which the final flow keeps that property).
     """
     m = len(tails)
     to, cap, cst, nxt, first = _build(n, tails, heads, caps, costs, flows)
@@ -95,47 +108,26 @@ def mcmf(n, tails, heads, caps, costs, s, t, limit, flows=None, pot=None):
     # pot[s]; so inf lies above every tentative distance of every pass.
     inf = 1 + 2 * sum(map(abs, costs)) + max(pot, default=0) - min(pot, default=0)
     value = 0
-    prev = [-1] * n
     while limit > 0:
-        dist = [inf] * n
-        dist[s] = 0
-        done = [False] * n
-        heap = [(0, s)]
-        while heap:
-            d, u = heappop(heap)
-            if done[u]:
-                continue
-            done[u] = True
-            pu = pot[u]
-            e = first[u]
-            while e != -1:
-                v = to[e]
-                if cap[e] > 0 and not done[v]:
-                    nd = d + cst[e] + pu - pot[v]
-                    if nd < dist[v]:
-                        dist[v] = nd
-                        prev[v] = e
-                        heappush(heap, (nd, v))
-                e = nxt[e]
+        dist, prev, top = _dijkstra(n, to, cap, cst, nxt, first, pot, s, inf)
         if dist[t] == inf:
             break
-        for v in range(n):
-            if dist[v] < inf:
-                pot[v] += dist[v]
-        bottleneck = limit
+        # A node the pass did not reach rises by the largest distance it
+        # settled: an edge into a reached node then keeps a nonnegative
+        # reduced cost, and no positive-capacity edge leads out of the
+        # reached set. Such a node is never reached again, so no path
+        # choice reads its potential.
+        pot = [p + (d if d < inf else top) for p, d in zip(pot, dist)]
+        path = []
         v = t
         while v != s:
-            e = prev[v]
-            if cap[e] < bottleneck:
-                bottleneck = cap[e]
-            v = to[e ^ 1]
-        v = t
-        while v != s:
-            e = prev[v]
+            path.append(prev[v])
+            v = to[prev[v] ^ 1]
+        bottleneck = min(limit, *(cap[e] for e in path))
+        for e in path:
             cap[e] -= bottleneck
             cap[e ^ 1] += bottleneck
-            v = to[e ^ 1]
         value += bottleneck
         limit -= bottleneck
     flows = [cap[2 * i + 1] for i in range(m)]
-    return value, flows
+    return value, flows, pot

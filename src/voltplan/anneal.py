@@ -129,7 +129,8 @@ def _wire_delays(per_net2, kappa: Fraction):
     """Each net's wire delay, ceil(kappa * d2 / 2), from its doubled length d2."""
     if kappa == 0:
         return (0,) * len(per_net2)
-    return tuple(-((-d2 * kappa) // 2) for d2 in per_net2)
+    num, den = kappa.numerator, 2 * kappa.denominator
+    return tuple(-((-d2 * num) // den) for d2 in per_net2)
 
 
 class _Evaluator:

@@ -66,7 +66,7 @@ class SolverError(VoltplanError):
 
 
 class NegativeResidualCycle(SolverError):
-    """The flow passed in was not optimal."""
+    """A flow solver returned a flow its potentials do not certify."""
 
 
 class TimingInfeasible(VoltplanError):

@@ -3,7 +3,9 @@
 Provides min-cost circulation (negative arc costs allowed), min-cost max
 flow, and residual shortest-path distances. Every arc carries flow in
 [0, upper]; there are no lower bounds. The solver core is successive
-shortest augmenting paths with node potentials.
+shortest augmenting paths with node potentials. Every solve returns the
+kernel's final potentials once they pass a check that proves its flow
+optimal; the residual distances are one Dijkstra over them.
 
 A circulation solve re-optimizes from a start: a flow within the bounds
 and node potentials, as left by an optimal solve of the same network under
@@ -19,17 +21,17 @@ optimum leaves little to ship (Ahuja, Magnanti & Orlin, Network Flows,
 A FlowNetwork stores its arcs as four equal-length integer columns,
 tails, heads, costs and uppers, with arc i at index i of each. Builders
 pass (tail, head, cost, upper) rows to network(), which transposes them
-once; the solvers hand the columns to the kernels as they are, and every
+once; the solvers hand the columns to the kernel as they are, and every
 flow vector is indexed by the same arc order.
 
-The kernels live in _speedups_py and are always called through that module
-attribute, so a caller can wrap them there. They run on Python ints, so
-every solve stays exact at any magnitude.
+The kernel lives in _speedups_py and is always called through that module
+attribute, so a caller can wrap it there. It runs on Python ints, so every
+solve stays exact at any magnitude.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from operator import mul
 
 from . import _speedups_py
@@ -76,9 +78,23 @@ def network(n_nodes, arcs) -> FlowNetwork:
 
 @dataclass(frozen=True)
 class FlowResult:
+    """A solve's flow, its cost, node potentials that certify it optimal
+    (one of many, so not compared), and for a max flow its value."""
+
     flow: tuple[int, ...]
     objective: int
+    potentials: tuple[int, ...] = field(compare=False)
     value: int | None = None
+
+
+def _certified(net: FlowNetwork, flow, pot, value=None) -> FlowResult:
+    """The result of a solve, once its potentials leave every residual arc a
+    nonnegative reduced cost; raises NegativeResidualCycle otherwise."""
+    for i, (t, h, c, u, f) in enumerate(zip(net.tails, net.heads, net.costs, net.uppers, flow)):
+        rc = c + pot[t] - pot[h]
+        if (rc < 0 and f < u) or (rc > 0 and f > 0):
+            raise NegativeResidualCycle(f"arc {i}: flow {f} of {u} at reduced cost {rc}")
+    return FlowResult(tuple(flow), sum(map(mul, net.costs, flow)), tuple(pot), value)
 
 
 def solve_min_cost_circulation(net: FlowNetwork, start=None) -> FlowResult:
@@ -87,8 +103,7 @@ def solve_min_cost_circulation(net: FlowNetwork, start=None) -> FlowResult:
     start is any per-arc flow within [0, upper] and any per-node integer
     potentials; None means zero flow and zero potentials (the cold solve).
     The closer start is to an optimum for these costs, the less is left to
-    ship. The residual network of the returned flow contains no negative
-    cycle.
+    ship.
     """
     n, n_arcs = net.n_nodes, len(net.tails)
     if start is None:
@@ -130,16 +145,14 @@ def solve_min_cost_circulation(net: FlowNetwork, start=None) -> FlowResult:
         flows.append(0)
     pot += [max(pot, default=0), min(pot, default=0)]
 
-    value, kflows = _speedups_py.mcmf(
+    value, kflows, kpot = _speedups_py.mcmf(
         n + 2, tails, heads, caps, costs, s_node, t_node, supply, flows, pot
     )
     # returning every arc to zero flow would ship the whole supply, so this
     # never fails
     if value != supply:
         raise SolverError(f"circulation kernel shipped {value} of {supply}")
-
-    flow = tuple(kflows[:n_arcs])
-    return FlowResult(flow=flow, objective=sum(map(mul, net.costs, flow)))
+    return _certified(net, kflows[:n_arcs], kpot[:n])
 
 
 def solve_min_cost_max_flow(net: FlowNetwork, s: int, t: int) -> FlowResult:
@@ -147,23 +160,20 @@ def solve_min_cost_max_flow(net: FlowNetwork, s: int, t: int) -> FlowResult:
     if min(net.costs, default=0) < 0:
         raise ValueError("min-cost max-flow expects nonnegative arc costs")
     # no flow exceeds the total capacity, so that limit never binds
-    value, flows = _speedups_py.mcmf(
+    value, flows, pot = _speedups_py.mcmf(
         net.n_nodes, net.tails, net.heads, net.uppers, net.costs, s, t, sum(net.uppers)
     )
-    objective = sum(map(mul, net.costs, flows))
-    return FlowResult(flow=tuple(flows), objective=objective, value=value)
+    return _certified(net, flows, pot, value)
 
 
 def residual_shortest_paths(net: FlowNetwork, result: FlowResult, src: int):
     """Shortest distances from src in the residual network of `result`.
 
     Distances satisfy d(head) <= d(tail) + cost over every residual arc with
-    positive residual capacity; unreachable nodes are None. Raises
-    NegativeResidualCycle when the flow passed in was not optimal.
+    positive residual capacity; unreachable nodes are None. The result's
+    certified potentials make it one Dijkstra.
     """
-    dist, neg = _speedups_py.shortest_paths(
-        net.n_nodes, net.tails, net.heads, net.uppers, net.costs, result.flow, src
+    return _speedups_py.shortest_paths(
+        net.n_nodes, net.tails, net.heads, net.uppers, net.costs, result.flow,
+        result.potentials, src,
     )
-    if neg:
-        raise NegativeResidualCycle("negative residual cycle reachable from source")
-    return dist

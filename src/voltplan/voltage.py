@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import ceil, lcm
+from math import lcm
 
 from .errors import SolverError, TimingInfeasible
 from .flow import FlowNetwork, network, residual_shortest_paths, solve_min_cost_circulation
@@ -188,9 +188,8 @@ class WarmStart:
     and one set of curves, such as one anneal's candidates.
 
     It keeps the curve-dependent part of the expanded network, built once,
-    and the last optimal circulation with its residual distances from s.
-    When every node was reachable those distances are valid potentials, so
-    the next solve re-optimizes from that circulation instead of solving
+    and the last optimal circulation with the potentials that certify it,
+    so the next solve re-optimizes from that circulation instead of solving
     cold. Any optimal circulation gives the same residual distances, so the
     levels do not depend on where a solve started.
     """
@@ -214,9 +213,9 @@ class WarmStart:
             return None
         return self.start
 
-    def remember(self, net: FlowNetwork, flow, dist):
+    def remember(self, net: FlowNetwork, result):
         self._ends = (net.tails, net.heads)
-        self.start = None if None in dist else (flow, tuple(dist))
+        self.start = (result.flow, result.potentials)
 
 
 @dataclass(frozen=True)
@@ -306,7 +305,7 @@ def assign_voltages(
     net, scale, slowest_power = build_expanded_network(tg, curves, warm.level_arcs(tg, curves))
     result = solve_min_cost_circulation(net, warm.start_for(net))
     dist = residual_shortest_paths(net, result, tg.S)
-    warm.remember(net, result.flow, dist)
+    warm.remember(net, result)
     levels = []
     for i, curve in enumerate(curves):
         din = dist[tg.node_in(i)]
@@ -317,8 +316,8 @@ def assign_voltages(
     power = sum(c.power(q) for c, q in zip(curves, levels))
 
     # relaxation value: all-slowest power minus the circulation objective,
-    # rescaled back from the capacity scaling
-    bound = ceil(Fraction(slowest_power) - Fraction(result.objective, scale))
+    # rescaled back from the capacity scaling and rounded up
+    bound = slowest_power - result.objective // scale
     proved = power <= bound
     nodes = 0
     if not proved and tg.m <= exact_limit:

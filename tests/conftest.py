@@ -6,9 +6,8 @@ import numpy as np
 import pytest
 
 from voltplan.bench import gen_spec, parse_blocks, parse_nets, parse_spec
-from voltplan.errors import TimingInfeasible
+from voltplan.errors import NegativeResidualCycle, TimingInfeasible
 from voltplan.floorplan import Floorplan, PhiWeights, Room
-from voltplan.flow import FlowNetwork, FlowResult, residual_shortest_paths
 from voltplan.model import DPCurve, ModuleBlock, build_netlist, decompose_multipin, validate_dp_curve
 from voltplan.shifters import _center2_of_rect, _detour2, _in_window, _window_box2, num_ls
 from voltplan.voltage import TimingGraph, VoltageAssignment, longest_path_for
@@ -21,23 +20,44 @@ def arcs_of(net):
     return list(zip(net.tails, net.heads, net.costs, net.uppers))
 
 
-def certify_optimal(net, result) -> tuple[int, ...]:
-    """Potentials valid over the whole residual graph of `result`.
-
-    Bellman-Ford from a virtual source wired to every node at cost 0; that
-    they exist proves there is no negative residual cycle, i.e. the flow is
-    optimal. Raises NegativeResidualCycle otherwise.
+def residual_bellman_ford(net, flow, src=None):
+    """Oracle: shortest distances in the residual network of `flow`, by
+    Bellman-Ford from src, or from a virtual source wired to every node at
+    cost 0 when src is None. None marks a node src does not reach. Raises
+    NegativeResidualCycle when a negative cycle is reachable.
     """
+    edges = []
+    for t, h, c, u, f in zip(net.tails, net.heads, net.costs, net.uppers, flow):
+        if f < u:
+            edges.append((t, h, c))
+        if f > 0:
+            edges.append((h, t, -c))
     n = net.n_nodes
-    virtual = FlowNetwork(
-        n + 1,
-        net.tails + (n,) * n,
-        net.heads + tuple(range(n)),
-        net.costs + (0,) * n,
-        net.uppers + (1,) * n,
-    )
-    flow = FlowResult(flow=result.flow + (0,) * n, objective=result.objective)
-    return tuple(residual_shortest_paths(virtual, flow, n)[:n])
+    if src is None:
+        dist = [0] * n
+    else:
+        dist = [None] * n
+        dist[src] = 0
+    # a shortest path has fewer than n edges, so without a negative cycle
+    # round n changes nothing
+    for _ in range(n + 1):
+        changed = False
+        for t, h, c in edges:
+            if dist[t] is not None and (dist[h] is None or dist[t] + c < dist[h]):
+                dist[h] = dist[t] + c
+                changed = True
+        if not changed:
+            return dist
+    raise NegativeResidualCycle("negative residual cycle")
+
+
+def certify_optimal(net, result) -> tuple[int, ...]:
+    """Potentials valid over the whole residual graph of `result`, from the
+    Bellman-Ford oracle; that they exist proves there is no negative
+    residual cycle, i.e. the flow is optimal. Raises NegativeResidualCycle
+    otherwise.
+    """
+    return tuple(residual_bellman_ford(net, result.flow))
 
 
 def longest_path_delay(tg, curves, levels) -> int:

@@ -4,6 +4,7 @@ import itertools
 import random
 from fractions import Fraction
 from itertools import accumulate
+from math import ceil
 
 import pytest
 from hypothesis import given, settings
@@ -301,6 +302,18 @@ class TestVoltageIslands:
         )
         # diagonal corners share only a point, not a boundary segment
         assert voltage_islands(fp, (1, 2, 2, 1)) == 4
+
+
+class TestWireDelays:
+    def test_integer_ceiling_matches_fractions(self, rng):
+        for _ in range(2000):
+            kappa = Fraction(rng.randint(1, 2**20), rng.randint(1, 2**20))
+            per_net2 = [rng.randint(0, 2 ** rng.randint(1, 72)) for _ in range(5)]
+            want = tuple(ceil(kappa * d2 / 2) for d2 in per_net2)
+            assert anneal_mod._wire_delays(per_net2, kappa) == want
+
+    def test_zero_kappa(self):
+        assert anneal_mod._wire_delays([3, 2**72], Fraction(0)) == (0, 0)
 
 
 class TestCostPhi:

@@ -7,14 +7,13 @@ from voltplan import _speedups_py
 from voltplan.errors import NegativeResidualCycle, SolverError
 from voltplan.flow import (
     FlowNetwork,
-    FlowResult,
     network,
     residual_shortest_paths,
     solve_min_cost_circulation,
     solve_min_cost_max_flow,
 )
 
-from conftest import arcs_of, certify_optimal
+from conftest import arcs_of, certify_optimal, residual_bellman_ford
 
 
 def enumerate_min_circulation(net):
@@ -115,8 +114,8 @@ class TestCirculation:
         real = _speedups_py.mcmf
 
         def short(*args):
-            value, flows = real(*args)
-            return value - 1, flows
+            value, flows, pot = real(*args)
+            return value - 1, flows, pot
 
         monkeypatch.setattr(_speedups_py, "mcmf", short)
         net = network(3, [(0, 1, -5, 2), (1, 2, 1, 2), (2, 0, 1, 2)])
@@ -271,7 +270,8 @@ class TestMaxFlow:
 class TestResidualShortestPaths:
     def test_plain_shortest_paths_on_empty_flow(self):
         net = network(3, [(0, 1, 4, 2), (1, 2, 1, 2), (0, 2, 9, 2)])
-        res = FlowResult(flow=(0, 0, 0), objective=0)
+        res = solve_min_cost_circulation(net)
+        assert res.flow == (0, 0, 0)
         dist = residual_shortest_paths(net, res, 0)
         assert dist == [0, 4, 5]
 
@@ -290,21 +290,16 @@ class TestResidualShortestPaths:
     def test_distances_past_2_pow_62(self):
         big = 2**70
         net = network(4, [(0, 1, big, 1), (1, 2, big, 1), (2, 3, -3 * big, 1)])
-        res = FlowResult(flow=(0, 0, 0), objective=0)
+        res = solve_min_cost_circulation(net)
+        assert res.flow == (0, 0, 0)
         assert residual_shortest_paths(net, res, 0) == [0, big, 2 * big, -big]
 
     def test_unreachable_flagged(self):
         net = network(3, [(0, 1, 1, 1)])
-        res = FlowResult(flow=(0,), objective=0)
+        res = solve_min_cost_circulation(net)
+        assert res.flow == (0,)
         dist = residual_shortest_paths(net, res, 0)
         assert dist[2] is None
-
-    def test_nonoptimal_flow_detected(self):
-        net = network(3, [(0, 1, -5, 2), (1, 2, 1, 2), (2, 0, 1, 2)])
-        bad = FlowResult(flow=(0, 0, 0), objective=0)
-        with pytest.raises(NegativeResidualCycle):
-            residual_shortest_paths(net, bad, 0)
-
 
 class TestReducedCostCertificates:
     def test_random_networks_pass_reduced_cost_check(self, rng):
@@ -324,3 +319,59 @@ class TestReducedCostCertificates:
                 if f > 0:
                     assert -c + pot[h] - pot[t] >= 0
 
+    @staticmethod
+    def _random_network(rng, low):
+        n = rng.randint(2, 6)
+        arcs = []
+        for _ in range(rng.randint(1, 10)):
+            a, b = rng.sample(range(n), 2)
+            arcs.append((a, b, rng.randint(low, 8), rng.randint(0, 3)))
+        return network(n, arcs)
+
+    @staticmethod
+    def _check_certifies(net, res):
+        pot = res.potentials
+        assert len(pot) == net.n_nodes
+        for (t, h, c, u), f in zip(arcs_of(net), res.flow):
+            if f < u:
+                assert c + pot[t] - pot[h] >= 0
+            if f > 0:
+                assert c + pot[t] - pot[h] <= 0
+
+    def test_cold_solves_return_potentials_that_certify_them(self, rng):
+        # the cold solve never reaches node 2, whose potential must still
+        # leave arc 2 -> 0 a nonnegative reduced cost
+        net = network(3, [(0, 1, -3, 2), (2, 0, 0, 1)])
+        self._check_certifies(net, solve_min_cost_circulation(net))
+        for _ in range(60):
+            net = self._random_network(rng, -5)
+            self._check_certifies(net, solve_min_cost_circulation(net))
+            net = self._random_network(rng, 0)
+            self._check_certifies(net, solve_min_cost_max_flow(net, 0, net.n_nodes - 1))
+
+    def test_residual_distances_match_bellman_ford(self, rng):
+        for _ in range(60):
+            circ = self._random_network(rng, -5)
+            maxf = self._random_network(rng, 0)
+            for net, res in (
+                (circ, solve_min_cost_circulation(circ)),
+                (maxf, solve_min_cost_max_flow(maxf, 0, 1)),
+            ):
+                for src in range(net.n_nodes):
+                    want = residual_bellman_ford(net, res.flow, src)
+                    assert residual_shortest_paths(net, res, src) == want
+
+    def test_uncertified_kernel_potentials_rejected(self, monkeypatch):
+        real = _speedups_py.mcmf
+
+        def zero_potentials(n, *args):
+            value, flows, _ = real(n, *args)
+            return value, flows, [0] * n
+
+        monkeypatch.setattr(_speedups_py, "mcmf", zero_potentials)
+        net = network(3, [(0, 1, -5, 2), (1, 2, 1, 2), (2, 0, 1, 2)])
+        with pytest.raises(NegativeResidualCycle):
+            solve_min_cost_circulation(net)
+        net = network(3, [(0, 1, 5, 2), (1, 2, 1, 2), (2, 0, 1, 2)])
+        with pytest.raises(NegativeResidualCycle):
+            solve_min_cost_max_flow(net, 0, 2)

@@ -1,6 +1,12 @@
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
+from math import ceil
 from operator import mul
+from pathlib import Path
 
 import pytest
 
@@ -30,12 +36,14 @@ from voltplan.voltage import (
 )
 
 from conftest import (
+    DATA,
     arcs_of,
     brute_force_assign,
     certify_optimal,
     longest_path_delay,
     random_curve,
     random_timing_instance,
+    residual_bellman_ford,
 )
 
 
@@ -221,6 +229,31 @@ class TestAssign:
             ]
             assert assign_voltages(big_tg, big_curves) == assign_voltages(tg, curves)
 
+    def test_lower_bound_is_the_relaxation_rounded_up(self, rng):
+        # rational slopes make the capacity scale exceed 1; power drops
+        # past 2**70 put the objective there too
+        scaled = huge = 0
+        for _ in range(40):
+            tg, shapes = random_timing_instance(rng)
+            curves = []
+            for c in shapes:
+                powers = [rng.randint(0, 2**72)]
+                slope = Fraction(0)
+                for q in range(c.k, 1, -1):
+                    gap = c.delay(q) - c.delay(q - 1)
+                    drop = int(slope * gap) + rng.randint(1, 2**72)
+                    slope = Fraction(drop, gap)
+                    powers.insert(0, powers[0] + drop)
+                points = tuple((q, c.delay(q), p) for q, p in enumerate(powers, 1))
+                curves.append(DPCurve(points))
+            net, scale, slowest = build_expanded_network(tg, curves)
+            objective = solve_min_cost_circulation(net).objective
+            got = assign_voltages(tg, curves, exact_limit=0)
+            assert got.lower_bound == ceil(Fraction(slowest) - Fraction(objective, scale))
+            scaled += scale > 1
+            huge += abs(objective) > 2**70
+        assert scaled > 10 and huge > 10
+
     def test_always_meets_cycle_time(self, rng):
         for _ in range(150):
             tg, curves = random_timing_instance(rng)
@@ -311,10 +344,13 @@ class TestWarmStart:
                 got = assign_voltages(tg, curves, exact_limit=0, warm=warm)
                 assert got == cold
                 ref = solve_min_cost_circulation(net)
-                flow, dist = warm.start
+                flow, potentials = warm.start
                 assert sum(map(mul, net.costs, flow)) == ref.objective
-                assert list(dist) == residual_shortest_paths(net, ref, tg.S)
-                certify_optimal(net, FlowResult(flow=flow, objective=ref.objective))
+                dist = residual_shortest_paths(net, ref, tg.S)
+                assert residual_bellman_ford(net, flow, tg.S) == dist
+                warm_res = FlowResult(flow, ref.objective, potentials)
+                assert residual_shortest_paths(net, warm_res, tg.S) == dist
+                certify_optimal(net, warm_res)
                 solved += 1
         assert solved >= 200 and infeasible > 0
         assert warm_used >= solved - 12
@@ -527,3 +563,37 @@ class TestInternalErrors:
         with pytest.raises(VoltplanError) as info:
             assign_voltages(tg, curves)
         self._check(info)
+
+    def test_uncertified_kernel_exits_4_under_python_o(self, tmp_path):
+        # python -O strips assert statements; the certificate check must
+        # still turn a kernel's wrong potentials into a solver error
+        script = textwrap.dedent("""
+            import sys
+            from voltplan import _speedups_py, cli
+
+            blocks, nets, spec, out = sys.argv[1:]
+            files = ["--blocks", blocks, "--nets", nets]
+            if cli.main(["gen-spec", *files, "--seed", "1", "-o", spec]) != 0:
+                sys.exit("gen-spec failed")
+            real = _speedups_py.mcmf
+
+            def zero_potentials(n, *args):
+                value, flows, _ = real(n, *args)
+                return value, flows, [0] * n
+
+            _speedups_py.mcmf = zero_potentials
+            sys.exit(cli.main(["run", *files, "--spec", spec, "--seed", "1", "--out", out]))
+        """)
+        src = Path(voltage.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(src), os.environ.get("PYTHONPATH")])
+        ))
+        argv = [DATA / "n10.blocks", DATA / "n10.nets", tmp_path / "n10.spec", tmp_path / "r"]
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script, *map(str, argv)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 4, proc.stderr
+        assert proc.stderr.count("\n") == 1
+        assert proc.stderr.startswith("internal solver error: ")
+        assert "Traceback" not in proc.stderr
