@@ -1,15 +1,18 @@
 """Simulated-annealing outer loop tying the two flow phases together.
 
 Every floorplan the anneal visits (the start, the temperature probes and
-the moves) is scored by _Evaluator.score with the weighted sum of area,
-wirelength, power, voltage-island count and unplaced-shifter count. The
-weights are calibrated once, on the starting floorplan (_default_weights).
-score takes each floorplan's per-net lengths once, for the wire delays and
-for the wirelength. The start is packed and
-validated by pack; the other candidates come from initial_expr and
-perturb, which only build valid expressions, so they are packed without
-re-validation. A single module takes the same path, every move returning
-its expression unchanged.
+the moves) is scored with the weighted sum of area, wirelength, power,
+voltage-island count and unplaced-shifter count. The weights are
+calibrated once, on the starting floorplan (_default_weights), and fix a
+common denominator: phi is an integer over it, so candidates compare and
+subtract as integers, and only the observer gets the exact Fraction.
+_Evaluator.score takes each floorplan's per-net lengths once, for the wire
+delays and for the wirelength; the start's phi comes from the numbers
+taken to calibrate the weights. The start is packed and validated by pack;
+the other candidates come from initial_expr and perturb, which only build
+valid expressions, so they are packed without re-validation, into the flat
+columns that the scoring reads. A single module takes the same path, every
+move returning its expression unchanged.
 Voltage assignment runs on every candidate, cached per wire-delay vector:
 the timing graph is built and solved only on a cache miss, so with the
 default zero wire-delay factor both happen once per anneal (plus once for
@@ -143,7 +146,7 @@ class _Evaluator:
 
     def __init__(self, netlist, curves, config):
         self.netlist = netlist
-        self.dims = [(mod.width, mod.height) for mod in netlist.modules]
+        self.dims = tuple((mod.width, mod.height) for mod in netlist.modules)
         self.curves = curves
         self.config = config
         self.cache = {}
@@ -172,17 +175,19 @@ class _Evaluator:
             assignment = self.voltage_for(_wire_delays(per_net2, self.config.kappa))
         except TimingInfeasible:
             return None, None
+        islands = voltage_islands(floorplan, assignment.level)
+        phi = self.phi(floorplan, sum(per_net2) // 2, assignment, islands, stale_unplaced, weights)
+        return phi, assignment
+
+    def phi(self, floorplan, wirelength, assignment, islands, unplaced, weights) -> int:
+        """The cost phi of a feasible floorplan, as cost_phi's integer over
+        weights.denominator; the observer gets it as the exact Fraction."""
         phi = cost_phi(
-            floorplan.area,
-            sum(per_net2) // 2,
-            assignment.total_power,
-            voltage_islands(floorplan, assignment.level),
-            stale_unplaced,
-            weights,
+            floorplan.area, wirelength, assignment.total_power, islands, unplaced, weights
         )
         if self.config.observer is not None:
-            self.config.observer(floorplan, assignment, phi)
-        return phi, assignment
+            self.config.observer(floorplan, assignment, Fraction(phi, weights.denominator))
+        return phi
 
 
 def _default_weights(area, wl, power, islands, m) -> PhiWeights:
@@ -193,12 +198,8 @@ def _default_weights(area, wl, power, islands, m) -> PhiWeights:
     lam_w = Fraction(area, wl) if wl > 0 else Fraction(1)
     lam_r = Fraction(area, 10 * m)
     phi0 = area + lam_w * wl + power + lam_r * islands
-    return PhiWeights(
-        area=Fraction(1),
-        wirelength=lam_w,
-        power=Fraction(1),
-        islands=lam_r,
-        unplaced=10 * phi0,
+    return PhiWeights.over_common_denominator(
+        area=1, wirelength=lam_w, power=1, islands=lam_r, unplaced=10 * phi0
     )
 
 
@@ -222,7 +223,7 @@ def _full_metrics(netlist, spec, floorplan, assignment, weights, window):
         els_count=len(sa.els),
         ilo_percent=compute_ilo(shifters, placements, floorplan, netlist.nets),
         whitespace_percent=whitespace_percent(floorplan),
-        phi=phi,
+        phi=Fraction(phi, weights.denominator),
     )
     return sa, metrics
 
@@ -246,15 +247,20 @@ def anneal(netlist: Netlist, spec: ShifterSpec, config: AnnealConfig, seed: int)
         if config.kappa == 0:
             raise  # every candidate has these zero wire delays
         weights = _default_weights(fp0.area, wl0, 0, 1, m)
+        phi = None
     else:
         # the starting floorplan, like the final one, gets the full
         # assignment: one flow solve per anneal, and perfbench's tracer,
-        # which spans anneal.assign_shifters, sees both ends of the anneal
+        # which spans anneal.assign_shifters, sees both ends of the anneal;
+        # its phi comes from the numbers taken for the weights
         shifters0 = required_shifters(netlist.nets, asg0.level)
         stale_unplaced = len(assign_shifters(shifters0, fp0, spec, window=window).els)
         islands0 = voltage_islands(fp0, asg0.level)
         weights = _default_weights(fp0.area, wl0, asg0.total_power, islands0, m)
-    phi, _ = ev.score(fp0, weights, stale_unplaced)
+        phi = ev.phi(fp0, wl0, asg0, islands0, stale_unplaced, weights)
+    # phi is an integer over this; int true division rounds correctly, so
+    # delta / scale is the float of the exact rational delta
+    scale = weights.denominator
 
     # temperature calibration: probe uphill deltas from the start state;
     # without levels nothing reads the temperature, so nothing is probed
@@ -265,7 +271,7 @@ def anneal(netlist: Netlist, spec: ShifterSpec, config: AnnealConfig, seed: int)
         probe_expr = perturb(probe_expr, move, rng)
         cphi, _ = ev.score(_pack(probe_expr, ev.dims), weights, stale_unplaced)
         if cphi is not None and phi is not None and cphi > phi:
-            probes.append(float(cphi - phi))
+            probes.append((cphi - phi) / scale)
     if probes:
         t0 = (sum(probes) / len(probes)) / math.log(1.0 / config.accept_target)
     else:
@@ -291,7 +297,7 @@ def anneal(netlist: Netlist, spec: ShifterSpec, config: AnnealConfig, seed: int)
             else:
                 delta = cand_phi - cur_phi
                 accept = delta <= 0 or rng.random() < math.exp(
-                    -float(delta) / max(temp, 1e-12)
+                    -(delta / scale) / max(temp, 1e-12)
                 )
             if accept:
                 expr = cand

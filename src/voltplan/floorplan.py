@@ -10,8 +10,9 @@ exactly; the extra space always goes to the right/top child.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import NamedTuple
 
 from .errors import MalformedExpression
@@ -57,9 +58,10 @@ class Room(NamedTuple):
     """One tile of the floorplan: the module sits at the room origin.
 
     Whitespace splits into the right strip beside the module, the top strip
-    above it, and the corner rectangle between them. A named tuple because
-    pack builds one per module per candidate: it is immutable like a frozen
-    dataclass and several times cheaper to build.
+    above it, and the corner rectangle between them. A named tuple: it is
+    immutable like a frozen dataclass and several times cheaper to build.
+    Floorplan.rooms builds them on first use; the anneal's candidates never
+    need them.
     """
 
     x: int
@@ -80,21 +82,79 @@ def whitespace_parts(room: Room):
     return p1, p2, p3
 
 
-@dataclass(frozen=True)
 class Floorplan:
-    chip_w: int
-    chip_h: int
-    rooms: tuple[Room, ...]  # indexed by module
-    # per module: its center in doubled coordinates (stays integral)
-    centers2: tuple[tuple[int, int], ...] = field(init=False, repr=False, compare=False)
+    """A packed floorplan as flat integer columns, indexed by module: each
+    room's origin (xs, ys) and size (ws, hs), and each module's (w, h) in
+    dims. pack writes the columns and shares its dims, and the anneal scores
+    its candidates from the columns alone.
 
-    def __post_init__(self):
-        centers2 = tuple((2 * r.x + r.module_w, 2 * r.y + r.module_h) for r in self.rooms)
-        object.__setattr__(self, "centers2", centers2)
+    The Room records are built on first use and kept, the doubled module
+    centers on each use. Floorplan(chip_w, chip_h, rooms) builds one from
+    its rooms; equality, hash and repr go by (chip_w, chip_h, rooms). Not to
+    be mutated.
+    """
+
+    __slots__ = ("chip_w", "chip_h", "xs", "ys", "ws", "hs", "dims", "_rooms")
+
+    def __init__(self, chip_w: int, chip_h: int, rooms):
+        rooms = tuple(rooms)
+        self.chip_w, self.chip_h = chip_w, chip_h
+        self.xs = [r.x for r in rooms]
+        self.ys = [r.y for r in rooms]
+        self.ws = [r.w for r in rooms]
+        self.hs = [r.h for r in rooms]
+        self.dims = tuple((r.module_w, r.module_h) for r in rooms)
+        self._rooms = rooms
+
+    @classmethod
+    def _of_columns(cls, chip_w, chip_h, xs, ys, ws, hs, dims) -> Floorplan:
+        fp = cls.__new__(cls)
+        fp.chip_w, fp.chip_h, fp.xs, fp.ys, fp.ws, fp.hs, fp.dims = (
+            chip_w, chip_h, xs, ys, ws, hs, dims
+        )
+        fp._rooms = None
+        return fp
+
+    @property
+    def rooms(self) -> tuple[Room, ...]:
+        """One Room per module."""
+        if self._rooms is None:
+            self._rooms = tuple(
+                Room(x, y, w, h, mw, mh)
+                for x, y, w, h, (mw, mh) in zip(self.xs, self.ys, self.ws, self.hs, self.dims)
+            )
+        return self._rooms
+
+    def room(self, i: int) -> Room:
+        """Module i's Room, without building the others."""
+        if self._rooms is not None:
+            return self._rooms[i]
+        return Room(self.xs[i], self.ys[i], self.ws[i], self.hs[i], *self.dims[i])
+
+    def center2(self, i: int) -> tuple[int, int]:
+        """Module i's center in doubled coordinates (stays integral)."""
+        mw, mh = self.dims[i]
+        return (2 * self.xs[i] + mw, 2 * self.ys[i] + mh)
+
+    @property
+    def centers2(self) -> tuple[tuple[int, int], ...]:
+        """center2 of every module."""
+        return tuple(map(self.center2, range(len(self.xs))))
 
     @property
     def area(self) -> int:
         return self.chip_w * self.chip_h
+
+    def __eq__(self, other):
+        if other.__class__ is not Floorplan:
+            return NotImplemented
+        return (self.chip_w, self.chip_h, self.rooms) == (other.chip_w, other.chip_h, other.rooms)
+
+    def __hash__(self):
+        return hash((self.chip_w, self.chip_h, self.rooms))
+
+    def __repr__(self):
+        return f"Floorplan(chip_w={self.chip_w!r}, chip_h={self.chip_h!r}, rooms={self.rooms!r})"
 
 
 def pack(expr, dims) -> Floorplan:
@@ -103,35 +163,45 @@ def pack(expr, dims) -> Floorplan:
     dims: one (w, h) pair per module.
     """
     check_expr(expr, len(dims))
-    return _pack(expr, dims)
+    return _pack(expr, tuple(dims))
 
 
 def _pack(expr, dims) -> Floorplan:
     """pack without validating the expression, for expressions that
-    initial_expr or perturb built over len(dims) modules.
+    initial_expr or perturb built over len(dims) modules; the floorplan
+    shares dims, which must not change afterwards.
 
     A forward sweep sizes each subtree (an operator's right child is the
-    token before it), and a backward sweep hands out the boxes, since in
-    postfix order a node comes after its children.
+    token before it, its left child the stack entry below that), and a
+    backward sweep hands out the boxes, since in postfix order a node comes
+    after its children. Each leaf's box goes straight into the module's
+    columns.
     """
     n = len(expr)
     ws, hs, lefts = [0] * n, [0] * n, [0] * n
     stack = []  # the subtrees not yet combined
     for i, t in enumerate(expr):
-        if isinstance(t, str):
+        if t == "H":
             stack.pop()  # the right child, i - 1
             left = lefts[i] = stack[-1]
-            if t == "H":
-                ws[i], hs[i] = max(ws[left], ws[i - 1]), hs[left] + hs[i - 1]
-            else:
-                ws[i], hs[i] = ws[left] + ws[i - 1], max(hs[left], hs[i - 1])
+            a, b = ws[left], ws[i - 1]
+            ws[i] = a if a > b else b
+            hs[i] = hs[left] + hs[i - 1]
+            stack[-1] = i
+        elif t == "V":
+            stack.pop()
+            left = lefts[i] = stack[-1]
+            ws[i] = ws[left] + ws[i - 1]
+            a, b = hs[left], hs[i - 1]
+            hs[i] = a if a > b else b
             stack[-1] = i
         else:
             ws[i], hs[i] = dims[t]
             stack.append(i)
+    m = len(dims)
+    xs, ys, room_w, room_h = [0] * m, [0] * m, [0] * m, [0] * m
     boxes = [None] * n
     boxes[-1] = (0, 0, ws[-1], hs[-1])
-    rooms = [None] * len(dims)
     for i in range(n - 1, -1, -1):
         x, y, w, h = boxes[i]
         t = expr[i]
@@ -142,8 +212,8 @@ def _pack(expr, dims) -> Floorplan:
             dw = ws[lefts[i]]
             boxes[lefts[i]], boxes[i - 1] = (x, y, dw, h), (x + dw, y, w - dw, h)
         else:
-            rooms[t] = Room(x, y, w, h, ws[i], hs[i])
-    return Floorplan(chip_w=ws[-1], chip_h=hs[-1], rooms=tuple(rooms))
+            xs[t], ys[t], room_w[t], room_h[t] = x, y, w, h
+    return Floorplan._of_columns(ws[-1], hs[-1], xs, ys, room_w, room_h, dims)
 
 
 def hpwl(floorplan: Floorplan, nets) -> int:
@@ -156,12 +226,11 @@ def hpwl(floorplan: Floorplan, nets) -> int:
 
 def hpwl2_per_net(floorplan: Floorplan, nets) -> list[int]:
     """Per-net Manhattan center distance in doubled coordinates."""
-    centers2 = floorplan.centers2
+    xs, ys, dims = floorplan.xs, floorplan.ys, floorplan.dims
     out = []
     for src, dst in nets:
-        ax, ay = centers2[src]
-        bx, by = centers2[dst]
-        out.append(abs(ax - bx) + abs(ay - by))
+        (aw, ah), (bw, bh) = dims[src], dims[dst]
+        out.append(abs(2 * (xs[src] - xs[dst]) + aw - bw) + abs(2 * (ys[src] - ys[dst]) + ah - bh))
     return out
 
 
@@ -175,16 +244,16 @@ def voltage_islands(floorplan: Floorplan, levels) -> int:
     (top) edge line. Holds for any set of rooms of positive size, slicing or
     not.
     """
-    rooms = floorplan.rooms
+    xs, ys, ws, hs = floorplan.xs, floorplan.ys, floorplan.ws, floorplan.hs
+    m = len(xs)
     # edge line -> (level, span start, span end, room) per room on it
     by_left = {}
     by_bottom = {}
-    for i, (x, y, w, h, _mw, _mh) in enumerate(rooms):
-        by_left.setdefault(x, []).append((levels[i], y, y + h, i))
-        by_bottom.setdefault(y, []).append((levels[i], x, x + w, i))
+    for i, x, y, w, h, level in zip(range(m), xs, ys, ws, hs, levels):
+        by_left.setdefault(x, []).append((level, y, y + h, i))
+        by_bottom.setdefault(y, []).append((level, x, x + w, i))
     pairs = []
-    for i, (x, y, w, h, _mw, _mh) in enumerate(rooms):
-        level = levels[i]
+    for i, x, y, w, h, level in zip(range(m), xs, ys, ws, hs, levels):
         right = x + w
         top = y + h
         for lv, lo, hi, j in by_left.get(right, ()):
@@ -194,8 +263,8 @@ def voltage_islands(floorplan: Floorplan, levels) -> int:
             if lv == level and lo < right and x < hi:
                 pairs.append((i, j))
 
-    parent = list(range(len(rooms)))
-    islands = len(rooms)
+    parent = list(range(m))
+    islands = m
     for i, j in pairs:
         while parent[i] != i:
             parent[i] = i = parent[parent[i]]
@@ -210,17 +279,28 @@ def voltage_islands(floorplan: Floorplan, levels) -> int:
 @dataclass(frozen=True)
 class PhiWeights:
     """Weights of the floorplan cost: area, wirelength, power, power-network
-    resource (island count) and unplaced-shifter count."""
+    resource (island count) and unplaced-shifter count, each the integer
+    numerator of a rational weight over the common denominator."""
 
-    area: Fraction
-    wirelength: Fraction
-    power: Fraction
-    islands: Fraction
-    unplaced: Fraction
+    area: int
+    wirelength: int
+    power: int
+    islands: int
+    unplaced: int
+    denominator: int = 1
+
+    @classmethod
+    def over_common_denominator(cls, area, wirelength, power, islands, unplaced) -> PhiWeights:
+        """The rational weights given, scaled by the least common multiple
+        of their denominators."""
+        weights = [Fraction(w) for w in (area, wirelength, power, islands, unplaced)]
+        den = lcm(*(w.denominator for w in weights))
+        return cls(*(w.numerator * (den // w.denominator) for w in weights), denominator=den)
 
 
-def cost_phi(area, wirelength, power, islands, unplaced, weights: PhiWeights) -> Fraction:
-    """Weighted floorplan cost, exact rational arithmetic."""
+def cost_phi(area, wirelength, power, islands, unplaced, weights: PhiWeights) -> int:
+    """Weighted floorplan cost times weights.denominator: an exact integer,
+    so candidates compare and subtract without rational arithmetic."""
     return (
         weights.area * area
         + weights.wirelength * wirelength
@@ -231,7 +311,7 @@ def cost_phi(area, wirelength, power, islands, unplaced, weights: PhiWeights) ->
 
 
 def whitespace_percent(floorplan: Floorplan) -> Fraction:
-    used = sum(r.module_w * r.module_h for r in floorplan.rooms)
+    used = sum(w * h for w, h in floorplan.dims)
     if floorplan.area == 0:
         return Fraction(0)
     return Fraction(floorplan.area - used, floorplan.area) * 100

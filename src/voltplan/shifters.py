@@ -139,20 +139,12 @@ def _center2_of_rect(rect) -> tuple[int, int]:
     return (2 * x + w, 2 * y + h)
 
 
-def _in_window(bbox2, room: Room) -> bool:
-    """Room overlaps a doubled-coordinate box from _window_box2."""
-    x0, y0, x1, y1 = bbox2
-    rx0, ry0 = 2 * room.x, 2 * room.y
-    rx1, ry1 = 2 * (room.x + room.w), 2 * (room.y + room.h)
-    return rx0 <= x1 and x0 <= rx1 and ry0 <= y1 and y0 <= ry1
-
-
 def default_window(floorplan: Floorplan) -> int:
     """Half the mean room dimension."""
-    m = len(floorplan.rooms)
+    m = len(floorplan.ws)
     if m == 0:
         return 0
-    return sum(r.w + r.h for r in floorplan.rooms) // (4 * m)
+    return (sum(floorplan.ws) + sum(floorplan.hs)) // (4 * m)
 
 
 @dataclass(frozen=True)
@@ -183,14 +175,24 @@ class ShifterAssignment:
 
 def _window_rooms(shifters, floorplan, window):
     """Per shifter: the doubled centers of its source and sink modules and
-    the indices of the rooms its window box overlaps, in room order."""
-    rooms = floorplan.rooms
-    centers2 = floorplan.centers2
+    the indices of the rooms its window box overlaps or touches, in room
+    order, tested on the rooms' doubled edges."""
+    xs, ys = floorplan.xs, floorplan.ys
+    edges2 = list(zip(
+        range(len(xs)),
+        [2 * x for x in xs],
+        [2 * y for y in ys],
+        [2 * (x + w) for x, w in zip(xs, floorplan.ws)],
+        [2 * (y + h) for y, h in zip(ys, floorplan.hs)],
+    ))
     out = []
     for shifter in shifters:
-        a, b = centers2[shifter.source], centers2[shifter.sink]
-        box2 = _window_box2(a, b, 2 * window)
-        out.append((a, b, [r for r, room in enumerate(rooms) if _in_window(box2, room)]))
+        a, b = floorplan.center2(shifter.source), floorplan.center2(shifter.sink)
+        x0, y0, x1, y1 = _window_box2(a, b, 2 * window)
+        out.append((a, b, [
+            r for r, rx0, ry0, rx1, ry1 in edges2
+            if rx0 <= x1 and x0 <= rx1 and ry0 <= y1 and y0 <= ry1
+        ]))
     return out
 
 
@@ -242,8 +244,8 @@ def place_in_room(room: Room, shifters, spec: ShifterSpec):
 def els_place(shifter: Shifter, floorplan) -> tuple[int, int, int, int]:
     """Fallback spot: on the source module's boundary, at the point nearest
     the sink center. Pure bookkeeping; overlap is allowed."""
-    room = floorplan.rooms[shifter.source]
-    sx, sy = floorplan.centers2[shifter.sink]
+    room = floorplan.room(shifter.source)
+    sx, sy = floorplan.center2(shifter.sink)
     # nearest boundary point of the module rectangle, doubled coordinates
     x0, y0 = 2 * room.x, 2 * room.y
     x1, y1 = x0 + 2 * room.module_w, y0 + 2 * room.module_h
@@ -335,16 +337,16 @@ def unplaced_count(shifters, floorplan, spec, window: int) -> int:
     could overflow, the full assignment counts.
     """
     shifters = list(shifters)
-    rooms = floorplan.rooms
     options = [opts for _a, _b, opts in _window_rooms(shifters, floorplan, window)]
-    demand = [0] * len(rooms)
+    m = len(floorplan.xs)
+    demand = [0] * m
     for opts in options:
         for r in opts:
             demand[r] += 1
-    left = [0] * len(rooms)  # capacity left; only rooms in some window need theirs
+    left = [0] * m  # capacity left; only rooms in some window need theirs
     for r, d in enumerate(demand):
         if d:
-            cap, spots, _grids = _room_slots(rooms[r], spec)
+            cap, spots, _grids = _room_slots(floorplan.room(r), spec)
             if min(cap, d) > spots:
                 return len(assign_shifters(shifters, floorplan, spec, window).els)
             left[r] = cap

@@ -9,7 +9,7 @@ from voltplan.bench import gen_spec, parse_blocks, parse_nets, parse_spec
 from voltplan.errors import NegativeResidualCycle, TimingInfeasible
 from voltplan.floorplan import Floorplan, PhiWeights, Room
 from voltplan.model import DPCurve, ModuleBlock, build_netlist, decompose_multipin, validate_dp_curve
-from voltplan.shifters import _center2_of_rect, _detour2, _in_window, _window_box2, num_ls
+from voltplan.shifters import _center2_of_rect, _detour2, _window_box2, num_ls
 from voltplan.voltage import TimingGraph, VoltageAssignment, longest_path_for
 
 DATA = Path(__file__).parent / "data"
@@ -66,13 +66,7 @@ def longest_path_delay(tg, curves, levels) -> int:
 
 
 def phi_weights(area=1, wirelength=1, power=1, islands=0, unplaced=0) -> PhiWeights:
-    return PhiWeights(
-        area=Fraction(area),
-        wirelength=Fraction(wirelength),
-        power=Fraction(power),
-        islands=Fraction(islands),
-        unplaced=Fraction(unplaced),
-    )
+    return PhiWeights.over_common_denominator(area, wirelength, power, islands, unplaced)
 
 
 def random_curve(rng, k):
@@ -208,10 +202,18 @@ def _ends2(floorplan, shifter):
     )
 
 
+def in_window(bbox2, room: Room) -> bool:
+    """Room overlaps (or touches) a doubled-coordinate box from _window_box2."""
+    x0, y0, x1, y1 = bbox2
+    rx0, ry0 = 2 * room.x, 2 * room.y
+    rx1, ry1 = 2 * (room.x + room.w), 2 * (room.y + room.h)
+    return rx0 <= x1 and x0 <= rx1 and ry0 <= y1 and y0 <= ry1
+
+
 def feasible(shifter, room, floorplan, spec, window) -> bool:
     """Room can host the shifter: capacity >= 1 and the room lies within the
     source-sink bounding box expanded by `window` on all sides."""
-    return num_ls(room, spec) >= 1 and _in_window(
+    return num_ls(room, spec) >= 1 and in_window(
         _window_box2(*_ends2(floorplan, shifter), 2 * window), room
     )
 

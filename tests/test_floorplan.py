@@ -16,11 +16,14 @@ from voltplan.cli import main
 from voltplan.errors import MalformedExpression
 from voltplan.floorplan import (
     Floorplan,
+    PhiWeights,
     Room,
     _can_swap,
+    _pack,
     check_expr,
     cost_phi,
     hpwl,
+    hpwl2_per_net,
     initial_expr,
     pack,
     perturb,
@@ -160,6 +163,41 @@ class TestSweepPack:
         rebuilt = Floorplan(fp.chip_w, fp.chip_h, fp.rooms)
         assert rebuilt == fp and rebuilt.centers2 == fp.centers2
         assert "centers2" not in repr(fp)
+
+
+class TestColumns:
+    """The candidate path reads flat columns: pack writes the rooms'
+    origins and sizes per module and shares dims, and the scoring
+    functions build no Room."""
+
+    def test_columns_match_the_recursive_packer(self, rng):
+        for _ in range(300):
+            m = rng.randint(1, 60)
+            expr = initial_expr(m)
+            for _ in range(rng.randint(0, 4 * m)):
+                expr = perturb(expr, rng.randint(1, 3), rng)
+            dims = tuple((rng.randint(1, 20), rng.randint(1, 20)) for _ in range(m))
+            fp = _pack(expr, dims)
+            want = recursive_pack(expr, dims)
+            assert (fp.chip_w, fp.chip_h) == (want.chip_w, want.chip_h)
+            assert (fp.xs, fp.ys, fp.ws, fp.hs) == tuple(
+                [getattr(r, f) for r in want.rooms] for f in ("x", "y", "w", "h")
+            )
+            assert fp.dims is dims
+            nets = [(rng.randrange(m), rng.randrange(m)) for _ in range(m)]
+            levels = [rng.randint(1, 3) for _ in range(m)]
+            assert hpwl2_per_net(fp, nets) == hpwl2_per_net(want, nets)
+            assert voltage_islands(fp, levels) == voltage_islands(want, levels)
+            assert fp._rooms is None
+            assert [fp.room(i) for i in range(m)] == list(want.rooms)
+            assert fp._rooms is None
+            assert fp == want and hash(fp) == hash(want) and repr(fp) == repr(want)
+
+    def test_rooms_built_once(self):
+        fp = pack((0, 1, "V"), [(2, 2), (2, 4)])
+        assert fp.rooms is fp.rooms
+        assert fp.rooms == (Room(0, 0, 2, 4, 2, 2), Room(2, 0, 2, 4, 2, 4))
+        assert fp.centers2 == ((2, 2), (6, 4))
 
 
 class TestWhitespaceParts:
@@ -336,6 +374,20 @@ class TestCostPhi:
             bumped[i] += 3
             assert cost_phi(*bumped, w) >= phi0
 
+    def test_common_denominator(self):
+        w = PhiWeights.over_common_denominator(1, Fraction(3, 4), 2, Fraction(1, 6), 0)
+        assert w == PhiWeights(12, 9, 24, 2, 0, denominator=12)
+        assert cost_phi(10, 4, 1, 3, 5, w) == 12 * 10 + 9 * 4 + 24 + 2 * 3
+
+    def test_scaled_delta_is_the_float_of_the_exact_delta(self, rng):
+        """The anneal's uphill test divides integer phis by the common
+        denominator; int true division rounds correctly, so the result is
+        the float of the exact rational."""
+        for _ in range(5000):
+            den = rng.randint(1, 2 ** rng.randint(1, 90))
+            delta = rng.randint(-(2 ** 120), 2 ** 120) >> rng.randint(0, 119)
+            assert delta / den == float(Fraction(delta, den))
+
 
 class TestPerturb:
     def test_m2_involution(self):
@@ -501,9 +553,57 @@ class TestAnneal:
         )
         anneal(netlist, spec, cfg, seed=42)
         assert len(scored) > 100
-        # besides the scores: the start's weights, and the final floorplan's
-        # wire delays, hpwl, wirelength through shifters and ILO
-        assert len(lengths) == len(scored) + 5
+        # the start is scored from the lengths taken for its weights; besides
+        # the scores: the final floorplan's wire delays, hpwl, wirelength
+        # through shifters and ILO
+        assert len(lengths) == len(scored) + 4
+
+    @pytest.mark.parametrize("kappa", [Fraction(0), Fraction(1, 32)], ids=["kappa0", "kappa1_32"])
+    def test_observer_phi_is_the_exact_cost(self, monkeypatch, kappa):
+        """The anneal ranks candidates by integer phis over the weights'
+        common denominator; the observer sees each as the exact rational
+        cost, cost_phi with the weights as Fractions, of the metrics of the
+        candidate and the unplaced count then in use."""
+        netlist, spec = fixture_netlist(DATA / "n10.blocks", DATA / "n10.nets", 4, 42)
+        weights, unplaced, seen = [], [0], []
+        calibrate, assign, count = (
+            anneal_mod._default_weights, anneal_mod.assign_shifters, anneal_mod.unplaced_count
+        )
+
+        def calibrating(*args):
+            weights.append(calibrate(*args))
+            return weights[-1]
+
+        def assigning(*args, **kwargs):
+            sa = assign(*args, **kwargs)
+            unplaced[0] = len(sa.els)
+            return sa
+
+        def counting(*args):
+            unplaced[0] = count(*args)
+            return unplaced[0]
+
+        monkeypatch.setattr(anneal_mod, "_default_weights", calibrating)
+        monkeypatch.setattr(anneal_mod, "assign_shifters", assigning)
+        monkeypatch.setattr(anneal_mod, "unplaced_count", counting)
+        cfg = AnnealConfig(
+            kappa=kappa, max_levels=5,
+            observer=lambda fp, asg, phi: seen.append((fp, asg, phi, unplaced[0])),
+        )
+        anneal(netlist, spec, cfg, seed=42)
+        (w,) = weights
+        assert w.denominator > 1
+        exact = PhiWeights(*(
+            Fraction(v, w.denominator)
+            for v in (w.area, w.wirelength, w.power, w.islands, w.unplaced)
+        ))
+        assert len(seen) > 100
+        for fp, asg, phi, stale in seen:
+            assert isinstance(phi, Fraction)
+            assert phi == cost_phi(
+                fp.area, hpwl(fp, netlist.nets), asg.total_power,
+                voltage_islands(fp, asg.level), stale, exact,
+            )
 
     def test_patching_the_anneal_module_reaches_the_anneal(self, monkeypatch):
         # anneal_mod comes from `import voltplan.anneal as anneal_mod`

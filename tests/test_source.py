@@ -1,8 +1,11 @@
 import ast
+import importlib
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import voltplan
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "voltplan"
 
@@ -53,6 +56,30 @@ def test_import_leaves_numpy_unloaded():
         env=env, capture_output=True, text=True, check=True,
     )
     assert out.stdout == "False\n"
+
+
+def test_bench_import_leaves_the_annealer_unloaded():
+    """The exports resolve lazily: the input parsers load without the
+    annealer, and each name in __all__ is its submodule's object."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")])
+    ))
+    code = (
+        "import sys, voltplan, voltplan.bench\n"
+        "print(sorted(n for n in ('anneal', 'floorplan', 'shifters', 'pipeline')"
+        " if 'voltplan.' + n in sys.modules))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout == "[]\n"
+    assert set(dir(voltplan)) >= set(voltplan.__all__)
+    for name in voltplan.__all__:
+        if name == "__version__":
+            continue
+        module = importlib.import_module(f"voltplan.{voltplan._EXPORTS[name]}")
+        assert getattr(voltplan, name) is getattr(module, name)
+    assert set(voltplan.__all__) == {*voltplan._EXPORTS, "__version__"}
 
 
 def test_no_export_shadows_a_submodule():
