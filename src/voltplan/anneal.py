@@ -85,6 +85,14 @@ class AnnealConfig:
     observer: object = None  # callable(floorplan, assignment, phi) per candidate
 
     def __post_init__(self):
+        for name in ("beta", "ls_every", "max_levels", "window"):
+            value = getattr(self, name)
+            if not isinstance(value, int) and not (name == "window" and value is None):
+                raise ValidationError(f"{name} must be an integer, got {value!r}")
+        try:
+            self.kappa = Fraction(self.kappa)  # exact, a float included
+        except (TypeError, ValueError, OverflowError):
+            raise ValidationError(f"kappa must be a finite number, got {self.kappa!r}") from None
         if not 0 < self.alpha < 1:
             raise ValidationError(f"alpha must lie in (0, 1), got {self.alpha}")
         if self.beta < 1:

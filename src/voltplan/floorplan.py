@@ -58,10 +58,11 @@ class Room(NamedTuple):
     """One tile of the floorplan: the module sits at the room origin.
 
     Whitespace splits into the right strip beside the module, the top strip
-    above it, and the corner rectangle between them. A named tuple: it is
-    immutable like a frozen dataclass and several times cheaper to build.
-    Floorplan.rooms builds them on first use; the anneal's candidates never
-    need them.
+    above it, and the corner rectangle between them; shifters._whitespace
+    models it from the sizes alone. A named tuple: it is immutable like a
+    frozen dataclass and several times cheaper to build. Floorplan.rooms
+    builds them on first use; the anneal's candidates, its refresh count and
+    the shifter network never need them.
     """
 
     x: int
@@ -70,16 +71,6 @@ class Room(NamedTuple):
     h: int
     module_w: int
     module_h: int
-
-
-def whitespace_parts(room: Room):
-    """The three whitespace rectangles (x, y, w, h); zero-sized parts allowed."""
-    sw = room.w - room.module_w
-    sh = room.h - room.module_h
-    p1 = (room.x + room.module_w, room.y, sw, room.module_h)
-    p2 = (room.x, room.y + room.module_h, room.module_w, sh)
-    p3 = (room.x + room.module_w, room.y + room.module_h, sw, sh)
-    return p1, p2, p3
 
 
 class Floorplan:

@@ -5,10 +5,13 @@ one (level 1 is the highest voltage, so source level index > sink level
 index). Room capacity follows the whitespace model: the corner part merges
 into whichever strip wastes more area modulo the shifter footprint, strips
 too narrow to hold the shifter in either orientation count as zero, and the
-capacity is the floor-sum of the two resulting areas. Assignment of shifters
-to rooms is a min-cost max-flow over a bipartite network with detour costs;
-whatever cannot be assigned (or packed geometrically) lands in the fallback
-set and is placed on the source module's boundary.
+capacity is the floor-sum of the two resulting areas; _whitespace applies
+it to a room's four sizes, which the flow network and the refresh count
+read from the floorplan's columns for the rooms some window reaches.
+Assignment of shifters to rooms is a min-cost max-flow over a bipartite
+network with detour costs; whatever cannot be assigned (or packed
+geometrically) lands in the fallback set and is placed on the source
+module's boundary.
 
 The annealer's cost reads only how many shifters land in that fallback set.
 unplaced_count gives that number without the min-cost flow whenever no room
@@ -24,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .flow import network, solve_min_cost_max_flow
-from .floorplan import Floorplan, Room, hpwl2_per_net, whitespace_parts
+from .floorplan import Floorplan, Room, hpwl2_per_net
 from .model import ShifterSpec
 
 
@@ -55,52 +58,32 @@ def required_shifters(nets, levels) -> list[Shifter]:
     return out
 
 
-def _fits(w, h, sw, sh) -> bool:
-    return (w >= sw and h >= sh) or (w >= sh and h >= sw)
-
-
-def _room_slots(room: Room, spec: ShifterSpec):
-    """A room's whitespace model: (capacity, spots, spot grids).
-
-    Capacity: zero too-narrow strips, merge the corner into the strip with
-    the larger area remainder mod the shifter area (ties: top strip), and
-    floor-sum the two areas. The spot grids are what place_in_room fills,
-    one per post-merge region: (x, y, cols, rows, w, h), a cols x rows grid
-    of w x h spots from (x, y), in the orientation that holds more (ties:
-    unrotated); spots is their total.
+def _whitespace(w: int, h: int, mw: int, mh: int, spec: ShifterSpec):
+    """The whitespace model above for a w x h room around its mw x mh
+    module: (capacity, spots, regions). regions are the two post-merge
+    rectangles (dx, dy, w, h) from the room origin, the right one first;
+    spots is how many shifters they hold, each in the orientation that
+    holds more (ties: unrotated).
     """
-    p1, p2, p3 = whitespace_parts(room)
-    a1 = p1[2] * p1[3]
-    a2 = p2[2] * p2[3]
-    a3 = p3[2] * p3[3]
-    if not _fits(p1[2], p1[3], spec.width, spec.height):
-        a1 = 0
-    if not _fits(p2[2], p2[3], spec.width, spec.height):
-        a2 = 0
-    a = spec.area
-    if a1 % a > a2 % a:
-        regions = ((p1[0], p1[1], p1[2], room.h), p2)  # full right strip
+    sw, sh = spec.width, spec.height
+    rw, th = w - mw, h - mh
+    a1 = rw * mh if (rw >= sw and mh >= sh) or (rw >= sh and mh >= sw) else 0
+    a2 = mw * th if (mw >= sw and th >= sh) or (mw >= sh and th >= sw) else 0
+    if a1 % spec.area > a2 % spec.area:
+        regions = ((mw, 0, rw, h), (0, mh, mw, th))  # full right strip
     else:
-        regions = (p1, (p2[0], p2[1], room.w, p2[3]))  # full top strip
-    grids = []
-    spots = 0
-    for rx, ry, rw, rh in regions:
-        if rw <= 0 or rh <= 0:
-            continue
-        straight = (rw // spec.width) * (rh // spec.height)
-        rotated = (rw // spec.height) * (rh // spec.width)
-        if rotated > straight:
-            cw, ch = spec.height, spec.width
-        else:
-            cw, ch = spec.width, spec.height
-        grids.append((rx, ry, rw // cw, rh // ch, cw, ch))
-        spots += max(straight, rotated)
-    return numls_from_areas(a1, a2, a3, a), spots, grids
+        regions = ((mw, 0, rw, mh), (0, mh, w, th))  # full top strip
+    (_, _, w1, h1), (_, _, w2, h2) = regions
+    spots = (
+        max((w1 // sw) * (h1 // sh), (w1 // sh) * (h1 // sw))
+        + max((w2 // sw) * (h2 // sh), (w2 // sh) * (h2 // sw))
+    )
+    return numls_from_areas(a1, a2, rw * th, spec.area), spots, regions
 
 
 def num_ls(room: Room, spec: ShifterSpec) -> int:
     """How many shifters the room's whitespace can hold (area model)."""
-    return _room_slots(room, spec)[0]
+    return _whitespace(room.w, room.h, room.module_w, room.module_h, spec)[0]
 
 
 def numls_from_areas(a1: int, a2: int, a3: int, a_ls: int) -> int:
@@ -196,44 +179,65 @@ def _window_rooms(shifters, floorplan, window):
     return out
 
 
+def _window_slots(shifters, floorplan, spec, window):
+    """_window_rooms' per-shifter (a, b, window rooms), and for each room in
+    some window, keyed by index in first-seen order, its (capacity, spots)
+    from the floorplan's columns."""
+    windows = _window_rooms(shifters, floorplan, window)
+    ws, hs, dims = floorplan.ws, floorplan.hs, floorplan.dims
+    slots = {}
+    for _a, _b, rooms in windows:
+        for r in rooms:
+            if r not in slots:
+                slots[r] = _whitespace(ws[r], hs[r], *dims[r], spec)[:2]
+    return windows, slots
+
+
 def build_assignment_network(shifters, floorplan, spec, window):
     """Bipartite network: s -> shifters (cap 1) -> feasible rooms (cap 1,
     detour cost) -> t (cap = room capacity). Returns (net, s, t, arc map).
 
-    Each room's center and capacity are taken once."""
+    Room r is node 2 + len(shifters) + r; only rooms in some window get a
+    capacity, a center and an arc to t, since no other room can take flow."""
     n_ls = len(shifters)
-    rooms = floorplan.rooms
-    m = len(rooms)
     s_node = 0
     t_node = 1
     ls_base = 2
     room_base = 2 + n_ls
     arcs = [(s_node, ls_base + j, 0, 1) for j in range(n_ls)]
     pair_arcs = {}
-    caps = [num_ls(room, spec) for room in rooms]
-    centers = [_center2_of_rect(room) for room in rooms]
-    for j, (a, b, window_rooms) in enumerate(_window_rooms(shifters, floorplan, window)):
+    windows, slots = _window_slots(shifters, floorplan, spec, window)
+    xs, ys, ws, hs = floorplan.xs, floorplan.ys, floorplan.ws, floorplan.hs
+    centers = {r: (2 * xs[r] + ws[r], 2 * ys[r] + hs[r]) for r in slots}
+    for j, (a, b, window_rooms) in enumerate(windows):
         for r in window_rooms:
-            if caps[r] >= 1:
+            if slots[r][0] >= 1:
                 pair_arcs[(j, r)] = len(arcs)
                 arcs.append((ls_base + j, room_base + r, _detour2(a, b, centers[r]), 1))
-    for r, cap in enumerate(caps):
-        if cap > 0:
-            arcs.append((room_base + r, t_node, 0, cap))
-    net = network(2 + n_ls + m, arcs)
+    for r in sorted(slots):
+        if slots[r][0]:
+            arcs.append((room_base + r, t_node, 0, slots[r][0]))
+    net = network(room_base + len(floorplan.xs), arcs)
     return net, s_node, t_node, pair_arcs
 
 
 def place_in_room(room: Room, shifters, spec: ShifterSpec):
     """Greedy row-major packing of shifter rectangles into the room's
-    whitespace (post-merge geometry, best orientation per part).
+    whitespace (post-merge regions, best orientation per region).
 
     Returns (placed rectangles, leftover shifters)."""
+    _cap, _spots, regions = _whitespace(room.w, room.h, room.module_w, room.module_h, spec)
+
     def spots():
-        for rx, ry, cols, rows, cw, ch in _room_slots(room, spec)[2]:
-            for row in range(rows):
-                for col in range(cols):
-                    yield (rx + col * cw, ry + row * ch, cw, ch)
+        for dx, dy, rw, rh in regions:
+            cw, ch = spec.width, spec.height
+            if (rw // ch) * (rh // cw) > (rw // cw) * (rh // ch):
+                cw, ch = ch, cw
+            cols = rw // cw
+            # row-major; a region narrower than one spot yields none, however tall
+            for i in range(cols * (rh // ch)):
+                row, col = divmod(i, cols)
+                yield (room.x + dx + col * cw, room.y + dy + row * ch, cw, ch)
 
     # zip stops at the last shifter, so no spot past it is generated
     shifters = list(shifters)
@@ -311,9 +315,7 @@ def assign_shifters(shifters, floorplan, spec, window: int) -> ShifterAssignment
             unassigned.append(shifter)
     assigned = []
     for room_idx in sorted(by_room):
-        placed, leftover = place_in_room(
-            floorplan.rooms[room_idx], by_room[room_idx], spec
-        )
+        placed, leftover = place_in_room(floorplan.room(room_idx), by_room[room_idx], spec)
         for shifter, rect in placed:
             assigned.append((shifter, room_idx, rect))
         unassigned.extend(leftover)
@@ -328,7 +330,7 @@ def unplaced_count(shifters, floorplan, spec, window: int) -> int:
     the min-cost flow where a greedy fit places every shifter.
 
     The flow sends room r at most min(cap_r, demand_r) shifters, where cap_r
-    is num_ls and demand_r counts the shifters with r in their window, and
+    is its capacity and demand_r counts the shifters with r in their window, and
     place_in_room leaves over whatever exceeds the room's spots. When that
     bound is within the spots in every room, each shifter in turn takes the
     first room in its window with capacity left. If every one gets a room,
@@ -337,20 +339,17 @@ def unplaced_count(shifters, floorplan, spec, window: int) -> int:
     could overflow, the full assignment counts.
     """
     shifters = list(shifters)
-    options = [opts for _a, _b, opts in _window_rooms(shifters, floorplan, window)]
-    m = len(floorplan.xs)
-    demand = [0] * m
-    for opts in options:
+    windows, slots = _window_slots(shifters, floorplan, spec, window)
+    demand = dict.fromkeys(slots, 0)
+    for _a, _b, opts in windows:
         for r in opts:
             demand[r] += 1
-    left = [0] * m  # capacity left; only rooms in some window need theirs
-    for r, d in enumerate(demand):
-        if d:
-            cap, spots, _grids = _room_slots(floorplan.room(r), spec)
-            if min(cap, d) > spots:
-                return len(assign_shifters(shifters, floorplan, spec, window).els)
-            left[r] = cap
-    for opts in options:
+    left = {}  # capacity left in each room in some window
+    for r, (cap, spots) in slots.items():
+        if min(cap, demand[r]) > spots:
+            return len(assign_shifters(shifters, floorplan, spec, window).els)
+        left[r] = cap
+    for _a, _b, opts in windows:
         for r in opts:
             if left[r]:
                 left[r] -= 1

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 
-from .errors import SolverError, TimingInfeasible
+from .errors import SolverError, TimingInfeasible, ValidationError
 from .flow import FlowNetwork, network, residual_shortest_paths, solve_min_cost_circulation
 from .model import DPCurve, Netlist, topological_order
 
@@ -92,13 +92,13 @@ class TimingGraph:
 def build_timing_graph(netlist: Netlist, wire_delays) -> TimingGraph:
     """Translate a netlist into the split-node timing graph.
 
-    wire_delays maps net index -> nonnegative integer delay.
+    wire_delays maps net index -> nonnegative integer delay, else ValidationError.
     """
     wires = []
     for idx, (src, dst) in enumerate(netlist.nets):
-        d = int(wire_delays[idx])
-        if d < 0:
-            raise ValueError(f"net {idx}: negative wire delay")
+        d = wire_delays[idx]
+        if not isinstance(d, int) or d < 0:
+            raise ValidationError(f"net {idx}: wire delay must be a nonnegative integer, got {d!r}")
         wires.append((src, dst, d))
     return TimingGraph(m=netlist.m, wires=tuple(wires), t_cycle=netlist.t_cycle)
 

@@ -9,7 +9,8 @@ from voltplan.bench import gen_spec, parse_blocks, parse_nets, parse_spec
 from voltplan.errors import NegativeResidualCycle, TimingInfeasible
 from voltplan.floorplan import Floorplan, PhiWeights, Room
 from voltplan.model import DPCurve, ModuleBlock, build_netlist, decompose_multipin, validate_dp_curve
-from voltplan.shifters import _center2_of_rect, _detour2, _window_box2, num_ls
+from voltplan.flow import network
+from voltplan.shifters import _center2_of_rect, _detour2, _window_box2, _window_rooms
 from voltplan.voltage import TimingGraph, VoltageAssignment, longest_path_for
 
 DATA = Path(__file__).parent / "data"
@@ -192,6 +193,94 @@ def recursive_pack(expr, dims) -> Floorplan:
     return Floorplan(chip_w=root[3], chip_h=root[4], rooms=tuple(rooms))
 
 
+def whitespace_parts(room: Room):
+    """Oracle: the three whitespace rectangles (x, y, w, h) of a room, the
+    right strip, the top strip and the corner; zero-sized parts allowed."""
+    sw = room.w - room.module_w
+    sh = room.h - room.module_h
+    p1 = (room.x + room.module_w, room.y, sw, room.module_h)
+    p2 = (room.x, room.y + room.module_h, room.module_w, sh)
+    p3 = (room.x + room.module_w, room.y + room.module_h, sw, sh)
+    return p1, p2, p3
+
+
+def _fits(w, h, sw, sh) -> bool:
+    return (w >= sw and h >= sh) or (w >= sh and h >= sw)
+
+
+def room_slots(room: Room, spec):
+    """Oracle whitespace model on a Room: (capacity, spots, spot grids).
+
+    Capacity: zero too-narrow strips, merge the corner into the strip with
+    the larger area remainder mod the shifter area (ties: top strip), and
+    floor-sum the two areas. The spot grids are what place_in_room fills,
+    one per post-merge region: (x, y, cols, rows, w, h), a cols x rows grid
+    of w x h spots from (x, y), in the orientation that holds more (ties:
+    unrotated); spots is their total.
+    """
+    p1, p2, p3 = whitespace_parts(room)
+    a1 = p1[2] * p1[3]
+    a2 = p2[2] * p2[3]
+    a3 = p3[2] * p3[3]
+    if not _fits(p1[2], p1[3], spec.width, spec.height):
+        a1 = 0
+    if not _fits(p2[2], p2[3], spec.width, spec.height):
+        a2 = 0
+    a = spec.area
+    if a1 % a > a2 % a:
+        regions = ((p1[0], p1[1], p1[2], room.h), p2)  # full right strip
+        a1 += a3
+    else:
+        regions = (p1, (p2[0], p2[1], room.w, p2[3]))  # full top strip
+        a2 += a3
+    grids = []
+    spots = 0
+    for rx, ry, rw, rh in regions:
+        if rw <= 0 or rh <= 0:
+            continue
+        straight = (rw // spec.width) * (rh // spec.height)
+        rotated = (rw // spec.height) * (rh // spec.width)
+        if rotated > straight:
+            cw, ch = spec.height, spec.width
+        else:
+            cw, ch = spec.width, spec.height
+        grids.append((rx, ry, rw // cw, rh // ch, cw, ch))
+        spots += max(straight, rotated)
+    return a1 // a + a2 // a, spots, grids
+
+
+def room_spot_rects(room: Room, spec) -> list:
+    """Oracle: every spot rectangle of the room, in the row-major order
+    place_in_room fills them."""
+    return [
+        (rx + col * cw, ry + row * ch, cw, ch)
+        for rx, ry, cols, rows, cw, ch in room_slots(room, spec)[2]
+        for row in range(rows)
+        for col in range(cols)
+    ]
+
+
+def all_rooms_network(shifters, floorplan, spec, window):
+    """Oracle for build_assignment_network: the same network with every
+    room's capacity and center taken from its Room, and an arc to t for
+    every room with capacity, in a window or not."""
+    n_ls = len(shifters)
+    rooms = floorplan.rooms
+    room_base = 2 + n_ls
+    arcs = [(0, 2 + j, 0, 1) for j in range(n_ls)]
+    pair_arcs = {}
+    caps = [room_slots(room, spec)[0] for room in rooms]
+    for j, (a, b, window_rooms) in enumerate(_window_rooms(shifters, floorplan, window)):
+        for r in window_rooms:
+            if caps[r] >= 1:
+                pair_arcs[(j, r)] = len(arcs)
+                arcs.append((2 + j, room_base + r, _detour2(a, b, _center2_of_rect(rooms[r])), 1))
+    for r, cap in enumerate(caps):
+        if cap > 0:
+            arcs.append((room_base + r, 1, 0, cap))
+    return network(room_base + len(rooms), arcs), 0, 1, pair_arcs
+
+
 def _ends2(floorplan, shifter):
     """Doubled centers of the shifter's source and sink modules, from their
     rooms (independent of Floorplan.centers2)."""
@@ -213,7 +302,7 @@ def in_window(bbox2, room: Room) -> bool:
 def feasible(shifter, room, floorplan, spec, window) -> bool:
     """Room can host the shifter: capacity >= 1 and the room lies within the
     source-sink bounding box expanded by `window` on all sides."""
-    return num_ls(room, spec) >= 1 and in_window(
+    return room_slots(room, spec)[0] >= 1 and in_window(
         _window_box2(*_ends2(floorplan, shifter), 2 * window), room
     )
 

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import voltplan.anneal as anneal_mod
 from voltplan.anneal import AnnealConfig, anneal
 from voltplan.cli import main
-from voltplan.errors import MalformedExpression
+from voltplan.errors import MalformedExpression, ValidationError
 from voltplan.floorplan import (
     Floorplan,
     PhiWeights,
@@ -28,14 +28,20 @@ from voltplan.floorplan import (
     pack,
     perturb,
     voltage_islands,
-    whitespace_parts,
     whitespace_percent,
 )
 from voltplan.model import DPCurve, ModuleBlock, build_netlist, derive_shifter_spec
 from voltplan.pipeline import RunConfig, run_pipeline
 from voltplan.shifters import compute_ilo, required_shifters, wirelength_with_shifters
 
-from conftest import DATA, fixture_netlist, longest_path_delay, phi_weights, recursive_pack
+from conftest import (
+    DATA,
+    fixture_netlist,
+    longest_path_delay,
+    phi_weights,
+    recursive_pack,
+    whitespace_parts,
+)
 
 
 def rects_disjoint(rooms):
@@ -198,30 +204,6 @@ class TestColumns:
         assert fp.rooms is fp.rooms
         assert fp.rooms == (Room(0, 0, 2, 4, 2, 2), Room(2, 0, 2, 4, 2, 4))
         assert fp.centers2 == ((2, 2), (6, 4))
-
-
-class TestWhitespaceParts:
-    def test_exact_fit_all_empty(self):
-        room = Room(x=0, y=0, w=5, h=4, module_w=5, module_h=4)
-        for part in whitespace_parts(room):
-            assert part[2] * part[3] == 0
-
-    def test_frozen_example(self):
-        room = Room(x=0, y=0, w=10, h=10, module_w=8, module_h=8)
-        p1, p2, p3 = whitespace_parts(room)
-        assert p1 == (8, 0, 2, 8)
-        assert p2 == (0, 8, 8, 2)
-        assert p3 == (8, 8, 2, 2)
-
-    @given(
-        st.integers(1, 30), st.integers(1, 30), st.integers(0, 10), st.integers(0, 10)
-    )
-    @settings(max_examples=80)
-    def test_areas_sum_to_slack(self, mw, mh, sw, sh):
-        room = Room(x=3, y=5, w=mw + sw, h=mh + sh, module_w=mw, module_h=mh)
-        parts = whitespace_parts(room)
-        slack = (mw + sw) * (mh + sh) - mw * mh
-        assert sum(p[2] * p[3] for p in parts) == slack
 
 
 class TestHpwl:
@@ -499,6 +481,34 @@ class TestAnneal:
         fp = pack((0, 1, "V"), [(2, 2), (2, 4)])
         # chip 4x4 = 16, modules 4 + 8 = 12 used
         assert whitespace_percent(fp) == Fraction(16 - 12, 16) * 100
+
+    def test_float_kappa_is_taken_exactly(self):
+        """A float kappa runs as the Fraction of its exact value."""
+        assert AnnealConfig(kappa=0.1).kappa == Fraction(0.1)
+        config = RunConfig(
+            blocks_path="b", nets_path="n", spec_path="s", seed=1, out_dir="o", kappa=0.5
+        )
+        assert config.kappa == Fraction(1, 2) and isinstance(config.kappa, Fraction)
+        nl = tiny_netlist()
+        got = anneal(nl, tiny_shifter(), AnnealConfig(kappa=0.03125, max_levels=5), seed=4)
+        want = anneal(nl, tiny_shifter(), AnnealConfig(kappa=Fraction(1, 32), max_levels=5), seed=4)
+        assert (got.metrics, got.expr) == (want.metrics, want.expr)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("kappa", float("nan")), ("kappa", float("inf")), ("kappa", "fast"), ("kappa", None),
+            ("beta", 2.5), ("ls_every", 5.0), ("max_levels", "400"), ("window", 1.5),
+        ],
+    )
+    def test_config_rejects_a_value_of_the_wrong_type(self, field, value):
+        with pytest.raises(ValidationError, match=field):
+            AnnealConfig(**{field: value})
+        with pytest.raises(ValidationError, match=field):
+            RunConfig(
+                blocks_path="b", nets_path="n", spec_path="s", seed=1, out_dir="o",
+                **{field: value},
+            )
 
     def test_deterministic_across_runs(self):
         nl = tiny_netlist()

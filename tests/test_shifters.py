@@ -13,10 +13,12 @@ from voltplan.model import derive_shifter_spec
 from voltplan.pipeline import RunConfig, run_pipeline
 from voltplan.shifters import (
     Shifter,
-    _room_slots,
+    ShifterAssignment,
+    _whitespace,
     assign_shifters,
     build_assignment_network,
     compute_ilo,
+    default_window,
     els_place,
     num_ls,
     numls_from_areas,
@@ -26,7 +28,15 @@ from voltplan.shifters import (
     wirelength_with_shifters,
 )
 
-from conftest import DATA, arcs_of, assign_cost, feasible
+from conftest import (
+    DATA,
+    all_rooms_network,
+    arcs_of,
+    assign_cost,
+    feasible,
+    room_slots,
+    room_spot_rects,
+)
 
 
 def spec_square(area=4, k=1):
@@ -116,6 +126,66 @@ class TestNumLs:
             spec = spec_square(rng.choice([1, 2, 4, 6, 9]))
             slack = (mw + sw) * (mh + sh) - mw * mh
             assert num_ls(room, spec) <= slack // spec.area
+
+
+RATIOS = (Fraction(1), Fraction(2, 3), Fraction(1, 3), Fraction(5, 2), Fraction(4))
+
+
+class TestWhitespace:
+    """_whitespace: a room's capacity, spots and post-merge regions from its
+    four sizes."""
+
+    def test_exact_fit_leaves_the_regions_empty(self, rng):
+        for _ in range(200):
+            mw, mh = rng.randint(1, 30), rng.randint(1, 30)
+            spec = derive_shifter_spec(rng.randint(1, 12), rng.choice(RATIOS), [(1, 0, 0)])
+            cap, spots, regions = _whitespace(mw, mh, mw, mh, spec)
+            assert (cap, spots) == (0, 0)
+            assert [w * h for _dx, _dy, w, h in regions] == [0, 0]
+
+    def test_frozen_examples(self):
+        # equal remainders: the corner joins the top strip
+        assert _whitespace(10, 10, 8, 8, spec_square(4)) == (
+            9, 9, ((8, 0, 2, 8), (0, 8, 10, 2))
+        )
+        # a 5x2 shifter: the right strip 6x3 (rem 8) beats the top 5x2 (rem
+        # 0), so it takes the corner and runs the room's full height
+        spec = derive_shifter_spec(10, Fraction(5, 2), [(1, 0, 0)])
+        assert _whitespace(11, 5, 5, 3, spec) == (4, 4, ((5, 0, 6, 5), (0, 3, 5, 2)))
+
+    @given(
+        st.integers(1, 30), st.integers(1, 30), st.integers(0, 10), st.integers(0, 10),
+        st.integers(1, 12), st.sampled_from(RATIOS),
+    )
+    @settings(max_examples=80)
+    def test_region_areas_sum_to_the_slack(self, mw, mh, sw, sh, area, ratio):
+        spec = derive_shifter_spec(area, ratio, [(1, 0, 0)])
+        _cap, _spots, regions = _whitespace(mw + sw, mh + sh, mw, mh, spec)
+        assert sum(w * h for _dx, _dy, w, h in regions) == (mw + sw) * (mh + sh) - mw * mh
+        for dx, dy, w, h in regions:
+            assert 0 <= dx and dx + w <= mw + sw and 0 <= dy and dy + h <= mh + sh
+            assert w * h == 0 or dx >= mw or dy >= mh  # off the module
+
+    def test_equals_the_room_oracle(self, rng):
+        """Capacity and spots equal the Room-based oracle's, and place_in_room
+        fills the oracle's spots in the oracle's order, on rooms at nonzero
+        origins with square, non-square and rotated shifters."""
+        for _ in range(3000):
+            mw, mh = rng.randint(1, 14), rng.randint(1, 14)
+            room = Room(
+                rng.randint(0, 60), rng.randint(0, 60),
+                mw + rng.randint(0, 12), mh + rng.randint(0, 12), mw, mh,
+            )
+            spec = derive_shifter_spec(rng.randint(1, 30), rng.choice(RATIOS), [(1, 0, 0)])
+            cap, spots, _grids = room_slots(room, spec)
+            assert _whitespace(room.w, room.h, mw, mh, spec)[:2] == (cap, spots)
+            assert num_ls(room, spec) == cap
+            rects = room_spot_rects(room, spec)
+            many = [Shifter(i, i, 0, 1, 2) for i in range(spots + 2)]
+            placed, leftover = place_in_room(room, many, spec)
+            assert [r for _s, r in placed] == rects and leftover == many[spots:]
+            k = rng.randint(0, spots)
+            assert [r for _s, r in place_in_room(room, many[:k], spec)[0]] == rects[:k]
 
 
 class TestFeasible:
@@ -229,6 +299,15 @@ class TestPlaceInRoom:
             (7, 0, 2, 3), (0, 3, 3, 2), (3, 3, 3, 2), (6, 3, 3, 2),
         ]
 
+    def test_a_strip_too_narrow_for_a_column_is_skipped(self):
+        """A right strip 2**40 tall but narrower than the shifter holds no
+        spot, and the packing goes on to the top strip at once."""
+        spec = spec_square(4)
+        s = Shifter(0, 0, 0, 1, 2)
+        for rw in (0, 1):
+            room = Room(0, 0, 3 + rw, 2**40 + 4, 3, 2**40)
+            assert place_in_room(room, [s], spec) == ([(s, (0, 2**40, 2, 2))], [])
+
     def test_spots_equal_what_place_in_room_packs(self, rng):
         for _ in range(2000):
             mw, mh = rng.randint(1, 14), rng.randint(1, 14)
@@ -239,7 +318,7 @@ class TestPlaceInRoom:
                 [(1, 0, 0)],
             )
             many = [Shifter(i, i, 0, 1, 2) for i in range((sw + 1) * (sh + 1) * (mw + mh))]
-            cap, spots, _grids = _room_slots(room, spec)
+            cap, spots, _regions = _whitespace(room.w, room.h, mw, mh, spec)
             assert cap == num_ls(room, spec)
             assert spots == len(place_in_room(room, many, spec)[0])
 
@@ -479,7 +558,7 @@ def test_greedy_miss_instance_falls_back_and_places_every_shifter(monkeypatch):
     can overflow, the greedy fit misses, and the flow places every shifter."""
     shifters, fp, spec, window = _greedy_miss(4)
     for room in fp.rooms:
-        assert _room_slots(room, spec)[:2] == (1, 1)
+        assert _whitespace(room.w, room.h, room.module_w, room.module_h, spec)[:2] == (1, 1)
     flow = shifters_mod.assign_shifters
     calls = []
     monkeypatch.setattr(shifters_mod, "assign_shifters", lambda *a: calls.append(a) or flow(*a))
@@ -529,3 +608,62 @@ def test_anneal_runs_the_flow_only_on_the_start_and_final_floorplans(tmp_path, m
     want = run(tmp_path / "flow")
     assert len(solves) > 4
     assert got == want
+
+
+def _random_instance(rng):
+    """A packed floorplan of 2 to 30 modules after random moves, with its
+    shifters from random levels and nets, a shifter footprint and a window:
+    (shifters, floorplan, spec, window)."""
+    m = rng.randint(2, 30)
+    dims = [(rng.randint(1, 12), rng.randint(1, 12)) for _ in range(m)]
+    expr = initial_expr(m)
+    for _ in range(rng.randint(0, 3 * m)):
+        expr = perturb(expr, rng.randint(1, 3), rng)
+    fp = pack(expr, dims)
+    levels = [rng.randint(1, 3) for _ in range(m)]
+    nets = [tuple(rng.sample(range(m), 2)) for _ in range(rng.randint(1, 3 * m))]
+    spec = derive_shifter_spec(rng.randint(1, 12), rng.choice(RATIOS), [(1, 0, 0)])
+    window = rng.choice([0, 1, 3, default_window(fp)])
+    return required_shifters(nets, levels), fp, spec, window
+
+
+def test_assignment_equals_the_all_rooms_network(monkeypatch, rng):
+    """The network holds only the rooms in some window; the assignment on it
+    equals the one on conftest's all-rooms network, fallback shifters
+    included."""
+    with_els = fewer_arcs = 0
+    instances = [_random_instance(rng) for _ in range(300)] + [_OVERFLOW, _greedy_miss(4)]
+    for shifters, fp, spec, window in instances:
+        got = assign_shifters(shifters, fp, spec, window)
+        with monkeypatch.context() as patch:
+            patch.setattr(shifters_mod, "build_assignment_network", all_rooms_network)
+            want = assign_shifters(shifters, fp, spec, window)
+        assert got == want
+        with_els += bool(got.els)
+        fewer_arcs += len(build_assignment_network(shifters, fp, spec, window)[0].tails) < len(
+            all_rooms_network(shifters, fp, spec, window)[0].tails
+        )
+    assert with_els >= 10 and fewer_arcs >= 10
+
+
+def test_count_and_network_build_no_room(monkeypatch, rng):
+    """unplaced_count and build_assignment_network read the floorplan's
+    columns: with Floorplan.room and Floorplan.rooms raising, both run, on
+    the greedy-fit path and up to the fallback."""
+    def no_room(*_args):
+        raise AssertionError("a Room was built")
+
+    fallbacks = []
+
+    def fallback(*args):
+        fallbacks.append(args)
+        return ShifterAssignment(assigned=(), els=())
+
+    instances = [_random_instance(rng) for _ in range(200)] + [_OVERFLOW, _greedy_miss(4)]
+    monkeypatch.setattr(Floorplan, "room", no_room)
+    monkeypatch.setattr(Floorplan, "rooms", property(no_room))
+    monkeypatch.setattr(shifters_mod, "assign_shifters", fallback)
+    for shifters, fp, spec, window in instances:
+        unplaced_count(shifters, fp, spec, window)
+        build_assignment_network(shifters, fp, spec, window)
+    assert 1 <= len(fallbacks) < len(instances)

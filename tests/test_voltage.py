@@ -97,6 +97,13 @@ class TestTimingGraph:
 
             build_timing_graph(FakeNetlist(), [0, 0])
 
+    @pytest.mark.parametrize("delay", [2.7, "3", -1], ids=["fraction", "string", "negative"])
+    def test_wire_delay_must_be_a_nonnegative_integer(self, delay):
+        c = curve((1, 1, 10), (2, 3, 4))
+        nl = netlist_of([c, c], [(0, 1)], 9)
+        with pytest.raises(ValidationError, match="net 0: wire delay"):
+            build_timing_graph(nl, [delay])
+
     def test_hand_built_cycle_rejected(self):
         with pytest.raises(CyclicNetlist):
             TimingGraph(m=2, wires=((0, 1, 0), (1, 0, 0)), t_cycle=5)
