@@ -1,42 +1,57 @@
 """Simulated-annealing outer loop tying the two flow phases together.
 
 Every floorplan the anneal visits (the start, the temperature probes and
-the moves) is scored with the weighted sum of area, wirelength, power,
+the moves) is priced by the weighted sum of area, wirelength, power,
 voltage-island count and unplaced-shifter count. The weights are
 calibrated once, on the starting floorplan (_default_weights), and fix a
 common denominator: phi is an integer over it, so candidates compare and
-subtract as integers, and only the observer gets the exact Fraction.
-_Evaluator.score takes each floorplan's per-net lengths once, for the wire
-delays and for the wirelength; the start's phi comes from the numbers
-taken to calibrate the weights. The start is packed and validated by pack;
-the other candidates come from initial_expr and perturb, which only build
-valid expressions, so they are packed without re-validation, into the flat
+subtract as integers, and only the observer gets the exact Fraction. Each
+floorplan's per-net lengths are taken once, for the wire delays and for
+the wirelength; the start's phi comes from the numbers taken to calibrate
+the weights. The start is packed and validated by pack; the other
+candidates come from initial_expr and perturb, which only build valid
+expressions, so they are packed without re-validation, into the flat
 columns that the scoring reads. A single module takes the same path, every
 move returning its expression unchanged.
-Voltage assignment runs on every candidate, cached per wire-delay vector:
-the timing graph is built and solved only on a cache miss, so with the
-default zero wire-delay factor both happen once per anneal (plus once for
-the exact solve of the final floorplan). Each anneal keeps one
-voltage.WarmStart across its solves: the curve part of the flow network is
-built once, and each solve re-optimizes the last solve's circulation, of
-which only the wire costs changed, instead of solving cold. The unplaced
-shifter count is refreshed every `ls_every` accepted moves and carried
-stale in between. Phi reads only that count, so a refresh takes it from
-shifters.unplaced_count, a greedy fit of shifters to window rooms that runs
-the shifter min-cost flow only where the fit leaves a shifter without a
-room or a room could overflow; the full assignment and placement run on the
-starting floorplan and the final one, and the overhead metrics are computed
-for the final floorplan alone. The starting temperature is calibrated from
-uphill probe moves, skipped when max_levels is 0 and no level reads it.
-Fully deterministic for a given seed.
+
+The start and the probes are scored in full (_Evaluator.score). A move is
+decided with the least exact work (_Evaluator.decide): after the pack and
+the net lengths, an integer floor of phi takes the power from the voltage
+cache, or else from the LP bound at zero wire delays, and the islands as
+the assignment's distinct levels, or else 1. An uphill floor takes the
+move's one draw, and a draw the floor rejects skips the voltage solve, the
+island count or both; otherwise the solve tightens the floor and the same
+draw is tested again before the islands are counted. Every draw and every
+decision is that of full scoring. A cache miss is first tested for timing
+at the fastest levels (voltage.fastest_finish), the test assign_voltages
+raises TimingInfeasible on, so an infeasible move draws nothing.
+
+Voltage assignment is cached per wire-delay vector: the timing graph is
+built and solved only on a cache miss, so with the default zero wire-delay
+factor both happen once per anneal (plus once for the exact solve of the
+final floorplan). Each anneal keeps one voltage.WarmStart across its
+solves: the curve part of the flow network is built once, and each solve
+re-optimizes the last solve's circulation, of which only the wire costs
+changed, instead of solving cold. The unplaced shifter count is refreshed
+every `ls_every` accepted moves and carried stale in between. Phi reads
+only that count, so a refresh takes it from shifters.unplaced_count, a
+greedy fit of shifters to window rooms that runs the shifter min-cost flow
+only where the fit leaves a shifter without a room or a room could
+overflow; the full assignment and placement run on the starting floorplan
+and the final one, and the overhead metrics are computed for the final
+floorplan alone. The starting temperature is calibrated from uphill probe
+moves, skipped when max_levels is 0 and no level reads it. Fully
+deterministic for a given seed.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import TimingInfeasible, ValidationError
 from .floorplan import (
@@ -52,7 +67,7 @@ from .floorplan import (
     voltage_islands,
     whitespace_percent,
 )
-from .model import Netlist, ShifterSpec, modify_dp_curve
+from .model import Netlist, ShifterSpec, modify_dp_curve, topological_order
 from .shifters import (
     assign_shifters,
     compute_ilo,
@@ -67,6 +82,8 @@ from .voltage import (
     WarmStart,
     assign_voltages,
     build_timing_graph,
+    fanin_of,
+    fastest_finish,
 )
 
 # the anneal stops once the temperature falls below this fraction of t0
@@ -82,13 +99,20 @@ class AnnealConfig:
     kappa: Fraction = Fraction(0)  # wire delay per unit wirelength
     window: int | None = None  # shifter search window; None = auto
     max_levels: int = 400
-    observer: object = None  # callable(floorplan, assignment, phi) per candidate
+    # callable(floorplan, assignment, phi), once per feasible candidate; phi
+    # is None for a move rejected on its floor of phi, and assignment is
+    # None when that rejection came before the voltage solve
+    observer: object = None
 
     def __post_init__(self):
         for name in ("beta", "ls_every", "max_levels", "window"):
             value = getattr(self, name)
             if not isinstance(value, int) and not (name == "window" and value is None):
                 raise ValidationError(f"{name} must be an integer, got {value!r}")
+        for name in ("alpha", "accept_target"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Real):
+                raise ValidationError(f"{name} must be a number, got {value!r}")
         try:
             self.kappa = Fraction(self.kappa)  # exact, a float included
         except (TypeError, ValueError, OverflowError):
@@ -150,6 +174,20 @@ class _Evaluator:
     In-loop solves skip the exact refinement (round-down is always feasible
     and cheap; candidate ranking does not need the last watt); the final
     assignment is re-solved with exact_limit=EXACT_LIMIT.
+
+    score prices a floorplan in full; decide settles a move with the least
+    exact work. Its floor of phi takes the power from the cached
+    assignment, or else power_floor, and the islands as the assignment's
+    distinct levels, or else 1. Every weight is nonnegative, so the floor's
+    delta is at most the real delta, and a positive floor delta means a
+    positive real delta, for which full scoring takes the same one draw.
+    Int true division rounds correctly, and dividing by the positive
+    temperature and exp are monotone, so the floor's acceptance
+    probability is at least the real one: a draw at or above it is at or
+    above the real one too, and full scoring rejects the move as well. A
+    floor that does not reject is tightened by the solve, then replaced by
+    phi, and the same draw decides, so every draw and every decision is
+    that of full scoring.
     """
 
     def __init__(self, netlist, curves, config):
@@ -159,6 +197,10 @@ class _Evaluator:
         self.config = config
         self.cache = {}
         self.warm = WarmStart()
+        # for the all-fastest finish test; neither depends on the delays
+        self.order = topological_order(netlist.m, netlist.nets)
+        self.fanin = fanin_of(netlist.m, netlist.nets)
+        self.fastest = [c.delay(1) for c in curves]
 
     def voltage_for(self, delays, exact=False):
         if exact:
@@ -174,6 +216,15 @@ class _Evaluator:
         self.cache[delays] = assignment
         return assignment
 
+    @cached_property
+    def power_floor(self) -> int:
+        """A floor on the in-loop power at any wire delays: the LP bound at
+        zero delays. More wire delay only tightens timing, so the bound at
+        any delays is at least this one, and the rounded-down power there
+        is at least that bound. Read only after some delays met timing, so
+        zero delays meet it too."""
+        return self.voltage_for((0,) * len(self.netlist.nets)).lower_bound
+
     def score(self, floorplan, weights, stale_unplaced):
         """Return (phi, assignment), or (None, None) when the floorplan has
         no feasible voltage assignment. The per-net lengths are taken once,
@@ -187,15 +238,68 @@ class _Evaluator:
         phi = self.phi(floorplan, sum(per_net2) // 2, assignment, islands, stale_unplaced, weights)
         return phi, assignment
 
+    def decide(self, floorplan, weights, stale_unplaced, cur_phi, temp, rng):
+        """Return (phi, assignment) if the move from cur_phi to floorplan is
+        accepted at temperature temp, else (None, None): the floorplan has
+        no feasible assignment, or its phi is higher and the move's one draw
+        rng.random() rejects it."""
+        per_net2 = hpwl2_per_net(floorplan, self.netlist.nets)
+        wirelength = sum(per_net2) // 2
+        delays = _wire_delays(per_net2, self.config.kappa)
+        assignment = self.cache.get(delays)
+        if assignment is None and fastest_finish(
+            self.order, self.fanin, self.fastest, delays
+        ) > self.netlist.t_cycle:
+            return None, None  # assign_voltages would raise TimingInfeasible
+        # the uphill test is draw < exp(-(delta / den) / temp), on the draw
+        # taken when the delta, or its floor, is first positive; phi is an
+        # integer over den and int true division rounds correctly, so the
+        # quotient is the float of the exact rational delta
+        den, temp = weights.denominator, max(temp, 1e-12)
+        # phi's delta but for its power and island terms
+        delta = cost_phi(floorplan.area, wirelength, 0, 0, stale_unplaced, weights) - cur_phi
+        draw = None
+        if assignment is None:
+            floor = delta + weights.power * self.power_floor + weights.islands
+            if floor > 0:
+                draw = rng.random()
+                if not draw < math.exp(-(floor / den) / temp):
+                    self._show(floorplan, None, None, den)
+                    return None, None
+            assignment = self.voltage_for(delays)
+        delta += weights.power * assignment.total_power
+        floor = delta + weights.islands * len(set(assignment.level))
+        if floor > 0:
+            if draw is None:
+                draw = rng.random()
+            if not draw < math.exp(-(floor / den) / temp):
+                self._show(floorplan, assignment, None, den)
+                return None, None
+        delta += weights.islands * voltage_islands(floorplan, assignment.level)
+        self._show(floorplan, assignment, cur_phi + delta, den)
+        if delta > 0:
+            if draw is None:
+                draw = rng.random()
+            if not draw < math.exp(-(delta / den) / temp):
+                return None, None
+        return cur_phi + delta, assignment
+
     def phi(self, floorplan, wirelength, assignment, islands, unplaced, weights) -> int:
         """The cost phi of a feasible floorplan, as cost_phi's integer over
-        weights.denominator; the observer gets it as the exact Fraction."""
+        weights.denominator."""
         phi = cost_phi(
             floorplan.area, wirelength, assignment.total_power, islands, unplaced, weights
         )
-        if self.config.observer is not None:
-            self.config.observer(floorplan, assignment, Fraction(phi, weights.denominator))
+        self._show(floorplan, assignment, phi, weights.denominator)
         return phi
+
+    def _show(self, floorplan, assignment, phi, den):
+        """Call the observer on a feasible candidate, with phi, an integer
+        over den, as the exact Fraction, or None for a move rejected on its
+        floor of phi."""
+        if self.config.observer is not None:
+            exact = None if phi is None else Fraction(phi, den)
+            self.config.observer(floorplan, assignment, exact)
 
 
 def _default_weights(area, wl, power, islands, m) -> PhiWeights:
@@ -266,9 +370,6 @@ def anneal(netlist: Netlist, spec: ShifterSpec, config: AnnealConfig, seed: int)
         islands0 = voltage_islands(fp0, asg0.level)
         weights = _default_weights(fp0.area, wl0, asg0.total_power, islands0, m)
         phi = ev.phi(fp0, wl0, asg0, islands0, stale_unplaced, weights)
-    # phi is an integer over this; int true division rounds correctly, so
-    # delta / scale is the float of the exact rational delta
-    scale = weights.denominator
 
     # temperature calibration: probe uphill deltas from the start state;
     # without levels nothing reads the temperature, so nothing is probed
@@ -279,7 +380,7 @@ def anneal(netlist: Netlist, spec: ShifterSpec, config: AnnealConfig, seed: int)
         probe_expr = perturb(probe_expr, move, rng)
         cphi, _ = ev.score(_pack(probe_expr, ev.dims), weights, stale_unplaced)
         if cphi is not None and phi is not None and cphi > phi:
-            probes.append((cphi - phi) / scale)
+            probes.append((cphi - phi) / weights.denominator)
     if probes:
         t0 = (sum(probes) / len(probes)) / math.log(1.0 / config.accept_target)
     else:
@@ -297,27 +398,25 @@ def anneal(netlist: Netlist, spec: ShifterSpec, config: AnnealConfig, seed: int)
             move = rng.randint(1, 3)
             cand = perturb(expr, move, rng)
             cand_fp = _pack(cand, ev.dims)
-            cand_phi, cand_asg = ev.score(cand_fp, weights, stale_unplaced)
+            if cur_phi is None:
+                # nothing feasible accepted yet: any feasible candidate is
+                cand_phi, cand_asg = ev.score(cand_fp, weights, stale_unplaced)
+            else:
+                cand_phi, cand_asg = ev.decide(
+                    cand_fp, weights, stale_unplaced, cur_phi, temp, rng
+                )
             if cand_phi is None:
                 continue
-            if cur_phi is None:
-                accept = True
-            else:
-                delta = cand_phi - cur_phi
-                accept = delta <= 0 or rng.random() < math.exp(
-                    -(delta / scale) / max(temp, 1e-12)
-                )
-            if accept:
-                expr = cand
-                cur_phi = cand_phi
-                accepted_here += 1
-                accepted_total += 1
-                if accepted_total % config.ls_every == 0:
-                    shifters = required_shifters(netlist.nets, cand_asg.level)
-                    stale_unplaced = unplaced_count(shifters, cand_fp, spec, window)
-                if best_phi is None or cur_phi < best_phi:
-                    best_phi = cur_phi
-                    best_expr = expr
+            expr = cand
+            cur_phi = cand_phi
+            accepted_here += 1
+            accepted_total += 1
+            if accepted_total % config.ls_every == 0:
+                shifters = required_shifters(netlist.nets, cand_asg.level)
+                stale_unplaced = unplaced_count(shifters, cand_fp, spec, window)
+            if best_phi is None or cur_phi < best_phi:
+                best_phi = cur_phi
+                best_expr = expr
         temp *= config.alpha
         idle_levels = idle_levels + 1 if accepted_here == 0 else 0
         if idle_levels >= 2 or temp < t0 * T_STOP_RATIO:

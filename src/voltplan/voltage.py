@@ -58,6 +58,10 @@ class TimingGraph:
     sources: tuple[int, ...] = field(init=False, repr=False, compare=False)  # no fan-in
     sinks: tuple[int, ...] = field(init=False, repr=False, compare=False)  # no fan-out
     order: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    # per module: (src module, wire index) of each incoming wire, in wire order
+    fanin: tuple[tuple[tuple[int, int], ...], ...] = field(
+        init=False, repr=False, compare=False
+    )
     # per module: (src module, wire delay) of each incoming wire, in wire order
     preds: tuple[tuple[tuple[int, int], ...], ...] = field(
         init=False, repr=False, compare=False
@@ -68,15 +72,16 @@ class TimingGraph:
 
     def __post_init__(self):
         order = topological_order(self.m, self.wires)
-        preds = [[] for _ in range(self.m)]
+        fanin = fanin_of(self.m, self.wires)
         has_out = [False] * self.m
-        for src, dst, w in self.wires:
-            preds[dst].append((src, w))
+        for src, _dst, _w in self.wires:
             has_out[src] = True
-        object.__setattr__(self, "sources", tuple(i for i in range(self.m) if not preds[i]))
+        preds = tuple(tuple((src, self.wires[w][2]) for src, w in row) for row in fanin)
+        object.__setattr__(self, "sources", tuple(i for i in range(self.m) if not fanin[i]))
         object.__setattr__(self, "sinks", tuple(i for i in range(self.m) if not has_out[i]))
         object.__setattr__(self, "order", tuple(order))
-        object.__setattr__(self, "preds", tuple(map(tuple, preds)))
+        object.__setattr__(self, "fanin", fanin)
+        object.__setattr__(self, "preds", preds)
 
     @property
     def n_nodes(self) -> int:
@@ -87,6 +92,35 @@ class TimingGraph:
 
     def node_out(self, i: int) -> int:
         return 3 + 2 * i
+
+
+def fanin_of(m, wires) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Per module, (src module, wire index) of each incoming wire, in wire
+    order; wires are (src, dst, ...) rows, a netlist's nets among them."""
+    fanin = [[] for _ in range(m)]
+    for w, (src, dst, *_) in enumerate(wires):
+        fanin[dst].append((src, w))
+    return tuple(map(tuple, fanin))
+
+
+def fastest_finish(order, fanin, fastest, wire_delays) -> int:
+    """The longest s-to-t path with module i at delay fastest[i], its
+    fastest level: no level vector finishes sooner. order is a topological
+    order of the modules, fanin is fanin_of the wires and wire_delays[w] is
+    wire w's delay. With nonnegative delays the latest module output is a
+    sink's, so the longest path is the latest output."""
+    out = [0] * len(fastest)
+    finish = 0
+    for i in order:
+        arrive = 0
+        for src, w in fanin[i]:
+            at = out[src] + wire_delays[w]
+            if at > arrive:
+                arrive = at
+        out[i] = done = arrive + fastest[i]
+        if done > finish:
+            finish = done
+    return finish
 
 
 def build_timing_graph(netlist: Netlist, wire_delays) -> TimingGraph:
@@ -292,8 +326,8 @@ def assign_voltages(
     if len(curves) != tg.m:
         raise ValueError("one curve per module required")
     fastest = [c.delay(1) for c in curves]
-    worst, path = longest_path_for(tg, fastest)
-    if worst > tg.t_cycle:
+    if fastest_finish(tg.order, tg.fanin, fastest, [w for _, _, w in tg.wires]) > tg.t_cycle:
+        worst, path = longest_path_for(tg, fastest)
         raise TimingInfeasible(
             f"critical path {worst} exceeds cycle time {tg.t_cycle} "
             f"even at the fastest levels",

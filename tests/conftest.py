@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -5,12 +6,40 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from voltplan.anneal import (
+    T_STOP_RATIO,
+    AnnealResult,
+    _default_weights,
+    _Evaluator,
+    _full_metrics,
+    _wire_delays,
+    modified_curves,
+)
 from voltplan.bench import gen_spec, parse_blocks, parse_nets, parse_spec
 from voltplan.errors import NegativeResidualCycle, TimingInfeasible
-from voltplan.floorplan import Floorplan, PhiWeights, Room
+from voltplan.floorplan import (
+    Floorplan,
+    PhiWeights,
+    Room,
+    _pack,
+    hpwl2_per_net,
+    initial_expr,
+    pack,
+    perturb,
+    voltage_islands,
+)
 from voltplan.model import DPCurve, ModuleBlock, build_netlist, decompose_multipin, validate_dp_curve
 from voltplan.flow import network
-from voltplan.shifters import _center2_of_rect, _detour2, _window_box2, _window_rooms
+from voltplan.shifters import (
+    _center2_of_rect,
+    _detour2,
+    _window_box2,
+    _window_rooms,
+    assign_shifters,
+    default_window,
+    required_shifters,
+    unplaced_count,
+)
 from voltplan.voltage import TimingGraph, VoltageAssignment, longest_path_for
 
 DATA = Path(__file__).parent / "data"
@@ -317,6 +346,27 @@ def fixture_netlist(path_blocks, path_nets, k, seed, slack=Fraction(1, 2)):
     """A blocks/nets pair with a spec generated for k levels from seed."""
     blocks = parse_blocks(Path(path_blocks).read_text())
     nets = parse_nets(Path(path_nets).read_text(), [b[0] for b in blocks])
+    return generated_netlist(blocks, nets, k, seed, slack)
+
+
+def layered_blocks_nets(m, seed):
+    """Random block sizes, each block driving up to two of the next seven."""
+    rng = random.Random(seed)
+    blocks = [(f"b{i}", rng.randint(8, 40), rng.randint(8, 40)) for i in range(m)]
+    nets = []
+    for i in range(m):
+        fanout = rng.randint(0, 2)
+        sinks = [j for j in range(i + 1, min(m, i + 8))]
+        rng.shuffle(sinks)
+        take = sinks[:fanout]
+        if take:
+            nets.append((f"b{i}", [f"b{j}" for j in take]))
+    return blocks, nets
+
+
+def generated_netlist(blocks, nets, k, seed, slack=Fraction(1, 2)):
+    """The netlist of parsed blocks and nets, with a spec generated for k
+    levels from seed, and its shifter spec."""
     text = gen_spec(seed, blocks, nets, k, timing_slack=slack)
     curves, spec, t_cycle, _ = parse_spec(text)
     modules = [
@@ -324,6 +374,119 @@ def fixture_netlist(path_blocks, path_nets, k, seed, slack=Fraction(1, 2)):
     ]
     netlist = build_netlist(modules, decompose_multipin(nets), t_cycle, k)
     return netlist, spec
+
+
+class RecordingRandom(random.Random):
+    """random.Random that appends each draw to log: random() as its float,
+    getrandbits(k), under randint and the rest, as (k, bits)."""
+
+    def __init__(self, seed, log):
+        self.log = log
+        super().__init__(seed)
+
+    def random(self):
+        draw = super().random()
+        self.log.append(draw)
+        return draw
+
+    def getrandbits(self, k):
+        bits = super().getrandbits(k)
+        self.log.append((k, bits))
+        return bits
+
+
+def anneal_reference(netlist, spec, config, seed, rng=None):
+    """Oracle: the annealer that scores every candidate in full (voltage
+    solve, island count, phi) before its accept test, as the anneal did
+    before it rejected moves on a floor of phi. rng, when given, replaces
+    random.Random(seed)."""
+    rng = random.Random(seed) if rng is None else rng
+    curves = modified_curves(netlist, spec)
+    ev = _Evaluator(netlist, curves, config)
+    m = netlist.m
+    expr = initial_expr(m)
+
+    fp0 = pack(expr, ev.dims)
+    window = default_window(fp0) if config.window is None else config.window
+    per_net2 = hpwl2_per_net(fp0, netlist.nets)
+    wl0 = sum(per_net2) // 2
+    stale_unplaced = 0
+    try:
+        asg0 = ev.voltage_for(_wire_delays(per_net2, config.kappa))
+    except TimingInfeasible:
+        if config.kappa == 0:
+            raise
+        weights = _default_weights(fp0.area, wl0, 0, 1, m)
+        phi = None
+    else:
+        shifters0 = required_shifters(netlist.nets, asg0.level)
+        stale_unplaced = len(assign_shifters(shifters0, fp0, spec, window=window).els)
+        islands0 = voltage_islands(fp0, asg0.level)
+        weights = _default_weights(fp0.area, wl0, asg0.total_power, islands0, m)
+        phi = ev.phi(fp0, wl0, asg0, islands0, stale_unplaced, weights)
+    scale = weights.denominator
+
+    probes = []
+    probe_expr = expr
+    for _ in range(max(8, 3 * m) if config.max_levels else 0):
+        move = rng.randint(1, 3)
+        probe_expr = perturb(probe_expr, move, rng)
+        cphi, _ = ev.score(_pack(probe_expr, ev.dims), weights, stale_unplaced)
+        if cphi is not None and phi is not None and cphi > phi:
+            probes.append((cphi - phi) / scale)
+    if probes:
+        t0 = (sum(probes) / len(probes)) / math.log(1.0 / config.accept_target)
+    else:
+        t0 = 1.0
+    temp = t0
+
+    best_expr = expr
+    best_phi = phi
+    cur_phi = phi
+    accepted_total = 0
+    idle_levels = 0
+    for _level in range(config.max_levels):
+        accepted_here = 0
+        for _step in range(config.beta * m):
+            move = rng.randint(1, 3)
+            cand = perturb(expr, move, rng)
+            cand_fp = _pack(cand, ev.dims)
+            cand_phi, cand_asg = ev.score(cand_fp, weights, stale_unplaced)
+            if cand_phi is None:
+                continue
+            if cur_phi is None:
+                accept = True
+            else:
+                delta = cand_phi - cur_phi
+                accept = delta <= 0 or rng.random() < math.exp(
+                    -(delta / scale) / max(temp, 1e-12)
+                )
+            if accept:
+                expr = cand
+                cur_phi = cand_phi
+                accepted_here += 1
+                accepted_total += 1
+                if accepted_total % config.ls_every == 0:
+                    shifters = required_shifters(netlist.nets, cand_asg.level)
+                    stale_unplaced = unplaced_count(shifters, cand_fp, spec, window)
+                if best_phi is None or cur_phi < best_phi:
+                    best_phi = cur_phi
+                    best_expr = expr
+        temp *= config.alpha
+        idle_levels = idle_levels + 1 if accepted_here == 0 else 0
+        if idle_levels >= 2 or temp < t0 * T_STOP_RATIO:
+            break
+
+    if best_phi is None:
+        raise TimingInfeasible("no candidate admitted a feasible assignment")
+
+    final_fp = _pack(best_expr, ev.dims)
+    final_delays = _wire_delays(hpwl2_per_net(final_fp, netlist.nets), config.kappa)
+    final_asg = ev.voltage_for(final_delays, exact=True)
+    sa, metrics = _full_metrics(netlist, spec, final_fp, final_asg, weights, window)
+    return AnnealResult(
+        floorplan=final_fp, voltage=final_asg, shifters=sa, metrics=metrics, expr=best_expr
+    )
 
 
 @pytest.fixture

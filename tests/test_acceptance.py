@@ -11,10 +11,10 @@ from fractions import Fraction
 import pytest
 
 from voltplan.anneal import AnnealConfig, anneal, modified_curves
-from voltplan.bench import gen_spec, parse_blocks, parse_nets, parse_spec
+from voltplan.bench import gen_spec, parse_blocks, parse_nets
 from voltplan.flow import network, solve_min_cost_circulation
 from voltplan.floorplan import Room, initial_expr, pack, perturb
-from voltplan.model import DPCurve, ModuleBlock, build_netlist, decompose_multipin
+from voltplan.model import DPCurve
 from voltplan.pipeline import RunConfig, run_pipeline
 from voltplan.report import COLUMNS, ReportRow, emit_report
 from voltplan.shifters import (
@@ -34,6 +34,8 @@ from conftest import (
     certify_optimal,
     feasible,
     fixture_netlist,
+    generated_netlist,
+    layered_blocks_nets,
     longest_path_delay,
     random_timing_instance,
 )
@@ -318,20 +320,6 @@ def test_criterion_8_run_determinism(tmp_path):
     report(8, "two seed-42 runs byte-identical (report minus runtime, SVG, serializations)")
 
 
-def _layered_blocks_nets(m, seed):
-    rng = random.Random(seed)
-    blocks = [(f"b{i}", rng.randint(8, 40), rng.randint(8, 40)) for i in range(m)]
-    nets = []
-    for i in range(m):
-        fanout = rng.randint(0, 2)
-        sinks = [j for j in range(i + 1, min(m, i + 8))]
-        rng.shuffle(sinks)
-        take = sinks[:fanout]
-        if take:
-            nets.append((f"b{i}", [f"b{j}" for j in take]))
-    return blocks, nets
-
-
 def test_criterion_9_desk_scale_performance(tmp_path):
     netlist, spec = fixture_netlist(DATA / "n10.blocks", DATA / "n10.nets", 4, 42)
     t0 = time.perf_counter()
@@ -339,13 +327,7 @@ def test_criterion_9_desk_scale_performance(tmp_path):
     n10_time = time.perf_counter() - t0
     assert n10_time < 60
 
-    blocks, nets = _layered_blocks_nets(50, 50)
-    text = gen_spec(50, blocks, nets, 4)
-    curves, sspec, t_cycle, _ = parse_spec(text)
-    modules = [
-        ModuleBlock(name=n, width=w, height=h, curve=curves[n]) for n, w, h in blocks
-    ]
-    nl50 = build_netlist(modules, decompose_multipin(nets), t_cycle, 4)
+    nl50, sspec = generated_netlist(*layered_blocks_nets(50, 50), 4, 50)
     t0 = time.perf_counter()
     anneal(nl50, sspec, AnnealConfig(), seed=7)
     n50_time = time.perf_counter() - t0

@@ -5,6 +5,7 @@ import random
 from fractions import Fraction
 from itertools import accumulate
 from math import ceil
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -36,7 +37,11 @@ from voltplan.shifters import compute_ilo, required_shifters, wirelength_with_sh
 
 from conftest import (
     DATA,
+    RecordingRandom,
+    anneal_reference,
     fixture_netlist,
+    generated_netlist,
+    layered_blocks_nets,
     longest_path_delay,
     phi_weights,
     recursive_pack,
@@ -298,6 +303,13 @@ class TestVoltageIslands:
         fp, levels = case
         assert voltage_islands(fp, levels) == islands_pairwise(fp, levels)
 
+    @settings(max_examples=300, deadline=None)
+    @given(packed_slicing())
+    def test_at_least_one_island_per_level(self, case):
+        # the anneal's floor of phi counts a candidate's distinct levels
+        fp, levels = case
+        assert voltage_islands(fp, levels) >= len(set(levels))
+
     def test_pinwheel(self):
         check_tiling(PINWHEEL)
         assert voltage_islands(PINWHEEL, (1, 1, 1, 1, 1)) == 1
@@ -499,6 +511,7 @@ class TestAnneal:
         [
             ("kappa", float("nan")), ("kappa", float("inf")), ("kappa", "fast"), ("kappa", None),
             ("beta", 2.5), ("ls_every", 5.0), ("max_levels", "400"), ("window", 1.5),
+            ("alpha", "0.5"), ("accept_target", None),
         ],
     )
     def test_config_rejects_a_value_of_the_wrong_type(self, field, value):
@@ -523,6 +536,8 @@ class TestAnneal:
         phis = []
         cfg = AnnealConfig(observer=lambda fp, asg, phi: phis.append(phi))
         res = anneal(nl, tiny_shifter(), cfg, seed=5)
+        # a candidate rejected on its phi floor is shown without a phi
+        phis = [phi for phi in phis if phi is not None]
         best = list(accumulate(phis, min))
         assert all(b1 >= b2 for b1, b2 in zip(best, best[1:]))
         assert res.metrics.phi <= phis[0] or res.metrics.phi <= best[-1] * Fraction(11, 10)
@@ -609,6 +624,8 @@ class TestAnneal:
         ))
         assert len(seen) > 100
         for fp, asg, phi, stale in seen:
+            if phi is None:  # rejected on its phi floor
+                continue
             assert isinstance(phi, Fraction)
             assert phi == cost_phi(
                 fp.area, hpwl(fp, netlist.nets), asg.total_power,
@@ -622,6 +639,51 @@ class TestAnneal:
         netlist, spec = fixture_netlist(DATA / "n10.blocks", DATA / "n10.nets", 3, 77)
         anneal(netlist, spec, AnnealConfig(max_levels=5), seed=3)
         assert len(refreshes) > 0
+
+    ORACLE_CASES = {
+        "n10-kappa0": ("n10", Fraction(0)),
+        "n10-kappa1_32": ("n10", Fraction(1, 32)),
+        "layered20-kappa1_32": ("layered20", Fraction(1, 32)),
+    }
+
+    @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+    def test_floor_rejects_change_no_decision(self, monkeypatch, case):
+        """The anneal, which rejects moves on a floor of phi, against the
+        full-scoring oracle: the same draws in the same order, the same
+        floorplans shown to the observer, the same phi wherever the anneal
+        gives one, and the same result."""
+        instance, kappa = self.ORACLE_CASES[case]
+        if instance == "n10":
+            netlist, spec = fixture_netlist(DATA / "n10.blocks", DATA / "n10.nets", 4, 42)
+            options = {"max_levels": 8}
+        else:
+            netlist, spec = generated_netlist(*layered_blocks_nets(20, 50), 4, 50, Fraction(3, 4))
+            options = {"beta": 3, "max_levels": 5}
+
+        def run(annealer, **rng):
+            seen = []
+            config = AnnealConfig(
+                kappa=kappa, observer=lambda *shown: seen.append(shown), **options
+            )
+            return annealer(netlist, spec, config, seed=42, **rng), seen
+
+        draws, want_draws = [], []
+        monkeypatch.setattr(
+            anneal_mod, "random", SimpleNamespace(Random=lambda seed: RecordingRandom(seed, draws))
+        )
+        got, seen = run(anneal)
+        want, want_seen = run(anneal_reference, rng=RecordingRandom(42, want_draws))
+
+        assert draws == want_draws and len(draws) > 1000
+        assert [fp for fp, _, _ in seen] == [fp for fp, _, _ in want_seen]
+        for (_, asg, phi), (_, want_asg, want_phi) in zip(seen, want_seen):
+            assert asg is None or asg == want_asg
+            assert phi is None or phi == want_phi
+        assert got == want
+        # the floor rejected moves, and at kappa > 0 some before their solve
+        rejected = [asg for _, asg, phi in seen if phi is None]
+        assert len(rejected) > 50
+        assert (None in rejected) == (kappa > 0)
 
     def test_timing_graph_built_only_on_cache_miss(self, monkeypatch):
         # at kappa 0 every candidate has the same wire delays: one miss, and

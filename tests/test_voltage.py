@@ -32,6 +32,7 @@ from voltplan.voltage import (
     build_expanded_network,
     build_timing_graph,
     compute_breakpoints,
+    fastest_finish,
     longest_path_for,
 )
 
@@ -112,6 +113,7 @@ class TestTimingGraph:
         tg = TimingGraph(m=4, wires=((2, 1, 7), (0, 1, 3), (2, 3, 0)), t_cycle=9)
         assert tg.order == (0, 2, 1, 3)
         assert tg.preds == ((), ((2, 7), (0, 3)), (), ((2, 0),))
+        assert tg.fanin == ((), ((2, 0), (0, 1)), (), ((2, 2),))
         assert tg.sources == (0, 2)
         assert tg.sinks == (1, 3)
 
@@ -389,6 +391,53 @@ class TestLongestPath:
         tg = build_timing_graph(nl, [0, 5, 0, 0])
         # path through module 2 with the wire delay dominates
         assert longest_path_delay(tg, [a] * 4, (1, 2, 1, 1)) == 1 + 5 + 1 + 1
+
+    def test_fastest_finish_is_the_all_fastest_longest_path(self, rng):
+        """The finish test shared by assign_voltages and the anneal reads
+        delays per wire against a fan-in taken once: on any wire delays it
+        equals the longest path of the graph built with those delays."""
+        for _ in range(300):
+            tg, curves = random_timing_instance(rng, max_m=12)
+            fastest = [c.delay(1) for c in curves]
+            delays = [rng.randint(0, 9) for _ in tg.wires]
+            rebuilt = TimingGraph(
+                m=tg.m, wires=tuple((a, b, d) for (a, b, _), d in zip(tg.wires, delays)),
+                t_cycle=tg.t_cycle,
+            )
+            assert fastest_finish(tg.order, tg.fanin, fastest, delays) == (
+                longest_path_for(rebuilt, fastest)[0]
+            )
+
+
+class TestPowerFloor:
+    def test_zero_delay_bound_floors_every_in_loop_power(self, rng):
+        """The anneal floors a candidate's power, before its solve, by the
+        LP bound at zero wire delays: more wire delay only tightens timing,
+        so that bound is at most the bound at any delays, which is at most
+        the in-loop (rounded-down) power there."""
+        checked = gaps = 0
+        for _ in range(40):
+            m = rng.randint(3, 12)
+            curves = [random_curve(rng, rng.choice((2, 3, 4))) for _ in range(m)]
+            pairs = _layered_wires(rng, m)
+            base = TimingGraph(m=m, wires=tuple((a, b, 0) for a, b in pairs), t_cycle=0)
+            fastest = longest_path_for(base, [c.delay(1) for c in curves])[0]
+            slowest = longest_path_for(base, [c.delay(c.k) for c in curves])[0]
+            t_cycle = rng.randint(fastest, slowest + 8)
+            zero = TimingGraph(m=m, wires=base.wires, t_cycle=t_cycle)
+            floor = assign_voltages(zero, curves, exact_limit=0).lower_bound
+            for _ in range(25):
+                wires = tuple((a, b, rng.randint(0, 6)) for a, b in pairs)
+                try:
+                    got = assign_voltages(
+                        TimingGraph(m=m, wires=wires, t_cycle=t_cycle), curves, exact_limit=0
+                    )
+                except TimingInfeasible:
+                    continue
+                assert floor <= got.lower_bound <= got.total_power
+                checked += 1
+                gaps += floor < got.lower_bound
+        assert checked > 500 and gaps > 50
 
 
 def bnb_reference(tg, curves, inc_levels, inc_power, search_cap):
