@@ -10,7 +10,9 @@ potentials for its final flow, and shortest_paths once.
 
 Dijkstra marks "not reached yet" with an integer sentinel computed per call
 from the costs and the potentials, strictly above every distance the call
-can produce, so a solve stays exact at any magnitude.
+can produce, so a solve stays exact at any magnitude. An mcmf pass may stop
+once it settles the sink; every node's potential then rises by the smaller
+of its tentative distance and the sink's.
 """
 
 from __future__ import annotations
@@ -40,12 +42,15 @@ def _build(n, tails, heads, caps, costs, flows=None):
     return to, cap, cst, nxt, first
 
 
-def _dijkstra(n, to, cap, cst, nxt, first, pot, s, inf):
-    """Reduced distances from s over the edges with positive capacity.
+def _dijkstra(n, to, cap, cst, nxt, first, pot, s, inf, t=-1):
+    """Reduced distances from s over the edges with positive capacity,
+    settling every node s reaches, or only those up to t when t is given.
 
-    Returns (dist, prev, top): inf in dist for a node s does not reach, the
-    edge into each reached node on its shortest path in prev, and top, the
-    largest distance settled (the last one, since they come in order).
+    Returns (dist, prev, top): in dist the distance of each settled node, a
+    tentative distance (at least top) for a node reached but not settled,
+    and inf for a node not reached; the edge into each reached node on its
+    shortest known path in prev; and top, the largest distance settled (the
+    last one, since they come in order; t's when the pass stopped there).
     """
     dist = [inf] * n
     dist[s] = 0
@@ -59,6 +64,8 @@ def _dijkstra(n, to, cap, cst, nxt, first, pot, s, inf):
             continue
         done[u] = True
         top = d
+        if u == t:
+            break
         pu = pot[u]
         e = first[u]
         while e != -1:
@@ -88,7 +95,7 @@ def shortest_paths(n, tails, heads, caps, costs, flows, pot, src):
     return [None if d == inf else d - ps + p for d, p in zip(dist, pot)]
 
 
-def mcmf(n, tails, heads, caps, costs, s, t, limit, flows=None, pot=None):
+def mcmf(n, tails, heads, caps, costs, s, t, limit, flows=None, pot=None, stop=False):
     """Min-cost flow from s to t via successive shortest augmenting paths.
 
     Pushes up to `limit` units on top of the initial arc flows. Every
@@ -97,27 +104,38 @@ def mcmf(n, tails, heads, caps, costs, s, t, limit, flows=None, pot=None):
     with zero flows and potentials (the default) that means nonnegative
     costs. Returns (value pushed, final flows per input arc, potentials
     under which the final flow keeps that property).
+
+    With stop, each pass ends once it settles t. Its path to t is the one a
+    full pass finds, since the heap pops the same nodes up to t, but the
+    potentials it leaves differ, and with them how later passes break ties
+    between paths of equal cost: the min-cost circulation stops, and the
+    shifter flow keeps full passes until its assignment no longer depends
+    on those ties.
     """
     m = len(tails)
     to, cap, cst, nxt, first = _build(n, tails, heads, caps, costs, flows)
     pot = [0] * n if pot is None else list(pot)
     # A tentative distance is the reduced length of a simple path, its cost
-    # (at most C, the sum of the |costs|) plus pot[s] - pot[v]. pot[s] never
-    # moves, and after the first pass every node s still reaches (that set
-    # only shrinks) has pot[v] = pot[s] + its distance from s, within C of
-    # pot[s]; so inf lies above every tentative distance of every pass.
-    inf = 1 + 2 * sum(map(abs, costs)) + max(pot, default=0) - min(pot, default=0)
+    # (at most the sum of the |costs|) plus pot[s] - pot[v]. pot[s] never
+    # moves (its distance is 0), and no potential falls below its start,
+    # since every pass raises each one by a distance, which is nonnegative;
+    # so inf lies above every tentative distance of every pass.
+    inf = 1 + sum(map(abs, costs)) + max(pot, default=0) - min(pot, default=0)
+    t_stop = t if stop else -1
     value = 0
     while limit > 0:
-        dist, prev, top = _dijkstra(n, to, cap, cst, nxt, first, pot, s, inf)
+        dist, prev, top = _dijkstra(n, to, cap, cst, nxt, first, pot, s, inf, t_stop)
         if dist[t] == inf:
             break
-        # A node the pass did not reach rises by the largest distance it
-        # settled: an edge into a reached node then keeps a nonnegative
-        # reduced cost, and no positive-capacity edge leads out of the
-        # reached set. Such a node is never reached again, so no path
-        # choice reads its potential.
-        pot = [p + (d if d < inf else top) for p, d in zip(pot, dist)]
+        # Every node rises by the smaller of its distance and top, the
+        # largest distance settled. An edge out of a settled node u keeps a
+        # nonnegative reduced cost, since dist[head] <= dist[u] + its
+        # reduced cost; an edge out of any other node has rc + top -
+        # min(dist[head], top) >= rc. A full pass settles every node it
+        # reaches, so only the nodes it does not reach take top; no
+        # positive-capacity edge leads to them, so no path choice reads
+        # their potentials.
+        pot = [p + (d if d < top else top) for p, d in zip(pot, dist)]
         path = []
         v = t
         while v != s:

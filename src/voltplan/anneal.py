@@ -17,8 +17,10 @@ move returning its expression unchanged.
 The start and the probes are scored in full (_Evaluator.score). A move is
 decided with the least exact work (_Evaluator.decide): after the pack and
 the net lengths, an integer floor of phi takes the power from the voltage
-cache, or else from the LP bound at zero wire delays, and the islands as
-the assignment's distinct levels, or else 1. An uphill floor takes the
+cache, or else from the larger of two floors on the LP bound: the bound at
+zero wire delays, and the cost at the move's wire delays of the current
+state's circulation (WarmStart.power_floor). It takes the islands as the
+assignment's distinct levels, or else 1. An uphill floor takes the
 move's one draw, and a draw the floor rejects skips the voltage solve, the
 island count or both; otherwise the solve tightens the floor and the same
 draw is tested again before the islands are counted. Every draw and every
@@ -27,21 +29,25 @@ at the fastest levels (voltage.fastest_finish), the test assign_voltages
 raises TimingInfeasible on, so an infeasible move draws nothing.
 
 Voltage assignment is cached per wire-delay vector: the timing graph is
-built and solved only on a cache miss, so with the default zero wire-delay
-factor both happen once per anneal (plus once for the exact solve of the
-final floorplan). Each anneal keeps one voltage.WarmStart across its
-solves: the curve part of the flow network is built once, and each solve
-re-optimizes the last solve's circulation, of which only the wire costs
-changed, instead of solving cold. The unplaced shifter count is refreshed
-every `ls_every` accepted moves and carried stale in between. Phi reads
-only that count, so a refresh takes it from shifters.unplaced_count, a
-greedy fit of shifters to window rooms that runs the shifter min-cost flow
-only where the fit leaves a shifter without a room or a room could
-overflow; the full assignment and placement run on the starting floorplan
-and the final one, and the overhead metrics are computed for the final
-floorplan alone. The starting temperature is calibrated from uphill probe
-moves, skipped when max_levels is 0 and no level reads it. Fully
-deterministic for a given seed.
+built and solved only on a cache miss, so with the default zero
+wire-delay factor both happen once per anneal (plus once for the exact
+solve of the final floorplan). Each graph takes its order and fan-in
+from one graph derived per anneal. Each anneal keeps one
+voltage.WarmStart across its solves: the curve part of the flow network
+is built once, and each solve re-optimizes, instead of solving cold,
+from its anchor, the circulation of the current state, of which only the
+wire costs changed. The anchor is the last accepted move that was solved
+(during calibration, the last probe solved), else the start; a candidate
+is one move from it. The unplaced shifter count is refreshed every
+`ls_every` accepted moves and carried stale in between. Phi reads only
+that count, so a refresh takes it from shifters.unplaced_count, a greedy
+fit of shifters to window rooms that runs the shifter min-cost flow only
+where the fit leaves a shifter without a room or a room could overflow;
+the full assignment and placement run on the starting floorplan and the
+final one, and the overhead metrics are computed for the final floorplan
+alone. The starting temperature is calibrated from uphill probe moves,
+skipped when max_levels is 0 and no level reads it. Fully deterministic
+for a given seed.
 """
 
 from __future__ import annotations
@@ -67,7 +73,7 @@ from .floorplan import (
     voltage_islands,
     whitespace_percent,
 )
-from .model import Netlist, ShifterSpec, modify_dp_curve, topological_order
+from .model import Netlist, ShifterSpec, modify_dp_curve
 from .shifters import (
     assign_shifters,
     compute_ilo,
@@ -82,7 +88,6 @@ from .voltage import (
     WarmStart,
     assign_voltages,
     build_timing_graph,
-    fanin_of,
     fastest_finish,
 )
 
@@ -177,7 +182,8 @@ class _Evaluator:
 
     score prices a floorplan in full; decide settles a move with the least
     exact work. Its floor of phi takes the power from the cached
-    assignment, or else power_floor, and the islands as the assignment's
+    assignment, or else the larger of power_floor and the warm start's
+    floor at the move's delays, and the islands as the assignment's
     distinct levels, or else 1. Every weight is nonnegative, so the floor's
     delta is at most the real delta, and a positive floor delta means a
     positive real delta, for which full scoring takes the same one draw.
@@ -197,24 +203,32 @@ class _Evaluator:
         self.config = config
         self.cache = {}
         self.warm = WarmStart()
-        # for the all-fastest finish test; neither depends on the delays
-        self.order = topological_order(netlist.m, netlist.nets)
-        self.fanin = fanin_of(netlist.m, netlist.nets)
+        self.solved = None  # the assignment of warm's latest solve
+        # the timing graph at zero wire delays: each solve's graph takes its
+        # order and fan-in, and the all-fastest finish test reads them
+        self.graph = build_timing_graph(netlist, (0,) * len(netlist.nets))
         self.fastest = [c.delay(1) for c in curves]
 
     def voltage_for(self, delays, exact=False):
         if exact:
-            tg = build_timing_graph(self.netlist, delays)
+            tg = self.graph.with_delays(delays)
             return assign_voltages(tg, self.curves, exact_limit=EXACT_LIMIT, warm=self.warm)
         hit = self.cache.get(delays)
         if hit is not None:
             return hit
-        tg = build_timing_graph(self.netlist, delays)
+        tg = self.graph.with_delays(delays)
         assignment = assign_voltages(tg, self.curves, exact_limit=0, warm=self.warm)
+        self.solved = assignment
         if len(self.cache) > 4096:
             self.cache.clear()
         self.cache[delays] = assignment
         return assignment
+
+    def settle(self, assignment):
+        """Anchor the warm start at the accepted candidate with this
+        assignment when its circulation is the latest solve's."""
+        if assignment is self.solved:
+            self.warm.advance()
 
     @cached_property
     def power_floor(self) -> int:
@@ -248,7 +262,7 @@ class _Evaluator:
         delays = _wire_delays(per_net2, self.config.kappa)
         assignment = self.cache.get(delays)
         if assignment is None and fastest_finish(
-            self.order, self.fanin, self.fastest, delays
+            self.graph.order, self.graph.fanin, self.fastest, delays
         ) > self.netlist.t_cycle:
             return None, None  # assign_voltages would raise TimingInfeasible
         # the uphill test is draw < exp(-(delta / den) / temp), on the draw
@@ -260,7 +274,8 @@ class _Evaluator:
         delta = cost_phi(floorplan.area, wirelength, 0, 0, stale_unplaced, weights) - cur_phi
         draw = None
         if assignment is None:
-            floor = delta + weights.power * self.power_floor + weights.islands
+            power = max(self.warm.power_floor(delays), self.power_floor)
+            floor = delta + weights.power * power + weights.islands
             if floor > 0:
                 draw = rng.random()
                 if not draw < math.exp(-(floor / den) / temp):
@@ -372,15 +387,24 @@ def anneal(netlist: Netlist, spec: ShifterSpec, config: AnnealConfig, seed: int)
         phi = ev.phi(fp0, wl0, asg0, islands0, stale_unplaced, weights)
 
     # temperature calibration: probe uphill deltas from the start state;
-    # without levels nothing reads the temperature, so nothing is probed
+    # without levels nothing reads the temperature, so nothing is probed.
+    # The probes walk away from the start, each one move from the one
+    # before, so each solved probe anchors the next solve; the anneal then
+    # starts from the start state again, and so does the anchor, unless
+    # the start had no feasible assignment to anchor at.
     probes = []
     probe_expr = expr
+    start_anchor = ev.warm.anchor
     for _ in range(max(8, 3 * m) if config.max_levels else 0):
         move = rng.randint(1, 3)
         probe_expr = perturb(probe_expr, move, rng)
-        cphi, _ = ev.score(_pack(probe_expr, ev.dims), weights, stale_unplaced)
+        cphi, casg = ev.score(_pack(probe_expr, ev.dims), weights, stale_unplaced)
+        if casg is not None:
+            ev.settle(casg)
         if cphi is not None and phi is not None and cphi > phi:
             probes.append((cphi - phi) / weights.denominator)
+    if start_anchor is not None:
+        ev.warm.anchor = start_anchor
     if probes:
         t0 = (sum(probes) / len(probes)) / math.log(1.0 / config.accept_target)
     else:
@@ -407,6 +431,7 @@ def anneal(netlist: Netlist, spec: ShifterSpec, config: AnnealConfig, seed: int)
                 )
             if cand_phi is None:
                 continue
+            ev.settle(cand_asg)
             expr = cand
             cur_phi = cand_phi
             accepted_here += 1

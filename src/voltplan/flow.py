@@ -13,10 +13,12 @@ other costs. Every arc whose reduced cost is negative is saturated and
 every arc whose reduced cost is positive is emptied, which leaves every
 residual arc at a nonnegative reduced cost; the kernel then ships the node
 imbalances from a super-source to a super-sink, starting from those
-potentials. The cold solve is the zero start: zero flow, zero potentials,
-so exactly the negative-cost arcs are saturated. A start close to the
-optimum leaves little to ship (Ahuja, Magnanti & Orlin, Network Flows,
-1993, ch. 9).
+potentials, each Dijkstra pass stopping once it settles the super-sink.
+The cold solve is the zero start: zero flow, zero potentials, so exactly
+the negative-cost arcs are saturated. A start close to the optimum leaves
+little to ship (Ahuja, Magnanti & Orlin, Network Flows, 1993, ch. 9). The
+min-cost max-flow runs full passes, which fix how it breaks ties between
+equal-cost flows.
 
 A FlowNetwork stores its arcs as four equal-length integer columns,
 tails, heads, costs and uppers, with arc i at index i of each. Builders
@@ -145,8 +147,10 @@ def solve_min_cost_circulation(net: FlowNetwork, start=None) -> FlowResult:
         flows.append(0)
     pot += [max(pot, default=0), min(pot, default=0)]
 
+    # each pass stops at the super-sink: any optimal circulation gives the
+    # same residual distances, so how the kernel breaks ties changes nothing
     value, kflows, kpot = _speedups_py.mcmf(
-        n + 2, tails, heads, caps, costs, s_node, t_node, supply, flows, pot
+        n + 2, tails, heads, caps, costs, s_node, t_node, supply, flows, pot, True
     )
     # returning every arc to zero flow would ship the whole supply, so this
     # never fails

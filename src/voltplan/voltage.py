@@ -23,9 +23,11 @@ returns the same vector as a search that recomputes every path.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
+from operator import mul
 
 from .errors import SolverError, TimingInfeasible, ValidationError
 from .flow import FlowNetwork, network, residual_shortest_paths, solve_min_cost_circulation
@@ -48,7 +50,8 @@ class TimingGraph:
     primary output to t. The cycle-time bound is kept as a constraint edge.
 
     The sources and sinks, the topological order of the modules and each
-    module's fan-in are derived once from the wires at construction; a
+    module's fan-in are derived once from the wires at construction, and
+    with_delays carries them over to the same wires at other delays; a
     cyclic wire set raises CyclicNetlist.
     """
 
@@ -71,17 +74,36 @@ class TimingGraph:
     T = 1
 
     def __post_init__(self):
-        order = topological_order(self.m, self.wires)
         fanin = fanin_of(self.m, self.wires)
         has_out = [False] * self.m
         for src, _dst, _w in self.wires:
             has_out[src] = True
-        preds = tuple(tuple((src, self.wires[w][2]) for src, w in row) for row in fanin)
         object.__setattr__(self, "sources", tuple(i for i in range(self.m) if not fanin[i]))
         object.__setattr__(self, "sinks", tuple(i for i in range(self.m) if not has_out[i]))
-        object.__setattr__(self, "order", tuple(order))
+        object.__setattr__(self, "order", tuple(topological_order(self.m, self.wires)))
         object.__setattr__(self, "fanin", fanin)
+        self._set_preds()
+
+    def _set_preds(self):
+        preds = tuple(tuple((src, self.wires[w][2]) for src, w in row) for row in self.fanin)
         object.__setattr__(self, "preds", preds)
+
+    def with_delays(self, delays) -> TimingGraph:
+        """This graph with wire w at delay delays[w], one nonnegative integer
+        per wire. The sources, sinks, order and fan-in depend only on the
+        wires' ends, so they carry over instead of being derived again."""
+        wires = tuple(
+            (src, dst, d) for (src, dst, _), d in zip(self.wires, delays, strict=True)
+        )
+        tg = object.__new__(TimingGraph)
+        for name, value in (
+            ("m", self.m), ("wires", wires), ("t_cycle", self.t_cycle),
+            ("sources", self.sources), ("sinks", self.sinks),
+            ("order", self.order), ("fanin", self.fanin),
+        ):
+            object.__setattr__(tg, name, value)
+        tg._set_preds()
+        return tg
 
     @property
     def n_nodes(self) -> int:
@@ -147,16 +169,11 @@ def compute_breakpoints(curve: DPCurve) -> list[Fraction]:
     return out
 
 
-@dataclass(frozen=True)
-class _LevelArcs:
-    """The curve-dependent part of the expanded network: every module's
-    parallel level arcs, the capacity scale, the huge capacity and the
-    all-slowest power sum."""
-
-    rows: tuple[tuple[int, int, int, int], ...]
-    scale: int
-    big: int
-    slowest_power: int
+# The curve-dependent part of the expanded network: every module's parallel
+# level arcs, the capacity scale, the huge capacity and the all-slowest power
+# sum. Like _Circulation below, a namedtuple: a frozen dataclass costs about a
+# millisecond at every import of this module, which perfbench's setup times.
+_LevelArcs = namedtuple("_LevelArcs", "rows scale big slowest_power")
 
 
 def _level_arcs(tg: TimingGraph, curves) -> _LevelArcs:
@@ -222,34 +239,81 @@ class WarmStart:
     and one set of curves, such as one anneal's candidates.
 
     It keeps the curve-dependent part of the expanded network, built once,
-    and the last optimal circulation with the potentials that certify it,
-    so the next solve re-optimizes from that circulation instead of solving
-    cold. Any optimal circulation gives the same residual distances, so the
-    levels do not depend on where a solve started.
+    and two optimal circulations, each with the potentials that certify it:
+    `last`, of the latest solve, and `anchor`, which every solve
+    re-optimizes from instead of solving cold. The first solve on a network
+    anchors; advance() moves the anchor to the latest solve. The anneal
+    advances when it accepts a move it solved, so the anchor is its current
+    state and each candidate, one move from that state, starts one move
+    from the optimum. Any optimal circulation gives the same residual
+    distances, so the levels do not depend on where a solve started.
+
+    Only the wire arcs' costs depend on the wire delays, so the anchor's
+    flow is a circulation of every network that differs from its own in
+    those costs alone; its cost there bounds the optimum from above, and
+    power_floor turns that into a floor on the LP bound.
     """
 
     def __init__(self):
         self._curves = None
         self._level_arcs = None
         self._ends = None  # (tails, heads) of the network last solved
-        self.start = None  # (flow, potentials) of that solve, or None
+        self.last = None  # _Circulation of that solve, or None
+        self.anchor = None  # _Circulation every solve starts from, or None
 
     def level_arcs(self, tg: TimingGraph, curves) -> _LevelArcs:
         curves = tuple(curves)
         if curves != self._curves:
             self._curves, self._level_arcs = curves, _level_arcs(tg, curves)
-            self.start = None
+            self.last = self.anchor = None
         return self._level_arcs
 
     def start_for(self, net: FlowNetwork):
-        """The last (flow, potentials) if net has the same arcs, else None."""
-        if self._ends != (net.tails, net.heads):
+        """The anchor's (flow, potentials) if net has the same arcs as the
+        network last solved, else None."""
+        if self.anchor is None or self._ends != (net.tails, net.heads):
             return None
-        return self.start
+        return self.anchor.flow, self.anchor.potentials
 
-    def remember(self, net: FlowNetwork, result):
-        self._ends = (net.tails, net.heads)
-        self.start = (result.flow, result.potentials)
+    def remember(self, tg: TimingGraph, net: FlowNetwork, result):
+        """Keep result, the optimal circulation of net, the expanded network
+        of tg, as the latest solve; on a network with other arcs than the
+        last one it is the anchor too."""
+        ends = (net.tails, net.heads)
+        if ends != self._ends:
+            self._ends, self.anchor = ends, None
+        # the wire arcs follow the level arcs, in wire order
+        lo = len(self._level_arcs.rows)
+        hi = lo + len(tg.wires)
+        wire_flow = result.flow[lo:hi]
+        self.last = _Circulation(
+            result.flow,
+            result.potentials,
+            wire_flow,
+            result.objective - sum(map(mul, wire_flow, net.costs[lo:hi])),
+        )
+        if self.anchor is None:
+            self.anchor = self.last
+
+    def advance(self):
+        """Anchor every later solve at the latest one."""
+        self.anchor = self.last
+
+    def power_floor(self, delays) -> int:
+        """A floor on the LP bound, and so on the in-loop power, at wire
+        delays delays[w] on the anchor's network: the anchor's flow costs
+        base - sum(f_w * d_w) there, at least the optimal circulation's
+        cost, so slowest - that cost // scale is at most the bound
+        assign_voltages reports. It equals that bound at the anchor's own
+        delays, where the anchor is optimal."""
+        la, a = self._level_arcs, self.anchor
+        return la.slowest_power - (a.base - sum(map(mul, a.wire_flow, delays))) // la.scale
+
+
+# An optimal circulation of an expanded network: its flow, the potentials
+# that certify it, the flow on each wire arc, and base, its cost with every
+# wire arc's cost taken out.
+_Circulation = namedtuple("_Circulation", "flow potentials wire_flow base")
 
 
 @dataclass(frozen=True)
@@ -319,8 +383,8 @@ def assign_voltages(
     fits the drop. The relaxation objective gives a certified lower bound;
     when the rounded assignment misses it and the instance is small enough,
     a branch-and-bound search finishes the job exactly. With warm, the
-    circulation re-optimizes from the one warm kept from its last solve;
-    the result is the same as without.
+    circulation re-optimizes from warm's anchor, and warm keeps it as its
+    latest solve; the result is the same as without.
     """
     curves = list(curves)
     if len(curves) != tg.m:
@@ -339,7 +403,7 @@ def assign_voltages(
     net, scale, slowest_power = build_expanded_network(tg, curves, warm.level_arcs(tg, curves))
     result = solve_min_cost_circulation(net, warm.start_for(net))
     dist = residual_shortest_paths(net, result, tg.S)
-    warm.remember(net, result)
+    warm.remember(tg, net, result)
     levels = []
     for i, curve in enumerate(curves):
         din = dist[tg.node_in(i)]

@@ -685,15 +685,62 @@ class TestAnneal:
         assert len(rejected) > 50
         assert (None in rejected) == (kappa > 0)
 
+    def test_anchor_floor_rejects_moves_before_their_solve(self, monkeypatch):
+        """The power floor of a move is the larger of the LP bound at zero
+        wire delays and the cost of the current state's circulation at the
+        move's delays. With the second floor taken away the anneal makes the
+        same decisions, but solves some moves that the second floor rejects
+        before their solve."""
+        from voltplan.voltage import WarmStart
+
+        netlist, spec = generated_netlist(*layered_blocks_nets(20, 50), 4, 50, Fraction(3, 4))
+        solve = anneal_mod.assign_voltages
+
+        def run():
+            seen, solves = [], []
+
+            def counting_solve(tg, curves, *, exact_limit, **kw):
+                solves.append(exact_limit)
+                return solve(tg, curves, exact_limit=exact_limit, **kw)
+
+            monkeypatch.setattr(anneal_mod, "assign_voltages", counting_solve)
+            config = AnnealConfig(
+                kappa=Fraction(1, 32), beta=3, max_levels=5,
+                observer=lambda *shown: seen.append(shown),
+            )
+            return anneal(netlist, spec, config, seed=42), seen, solves
+
+        got, seen, solves = run()
+        monkeypatch.setattr(WarmStart, "power_floor", lambda self, delays: 0)
+        want, want_seen, want_solves = run()
+
+        assert got == want
+        assert [fp for fp, _, _ in seen] == [fp for fp, _, _ in want_seen]
+        skipped = 0
+        for (_, asg, _), (_, want_asg, _) in zip(seen, want_seen):
+            assert asg is None or want_asg is not None
+            skipped += asg is None and want_asg is not None
+        assert skipped > 0
+        assert len(solves) < len(want_solves)
+
     def test_timing_graph_built_only_on_cache_miss(self, monkeypatch):
-        # at kappa 0 every candidate has the same wire delays: one miss, and
-        # one more graph for the exact solve of the final floorplan
+        # the graph's structure is derived once per anneal; each solve's graph
+        # takes it, with its own wire delays, only on a cache miss: at kappa 0
+        # one miss, and one more graph for the exact solve of the final
+        # floorplan
+        from voltplan.voltage import TimingGraph
+
         build, solve = anneal_mod.build_timing_graph, anneal_mod.assign_voltages
-        graphs, exact = [], []
+        with_delays = TimingGraph.with_delays
+        built, graphs, exact = [], [], []
 
         def counting_build(netlist, delays):
-            graphs.append(delays)
+            built.append(delays)
             return build(netlist, delays)
+
+        def counting_with_delays(tg, delays):
+            graphs.append(delays)
+            return with_delays(tg, delays)
 
         def counting_solve(tg, curves, *, exact_limit, **kw):
             if exact_limit > 0:
@@ -701,12 +748,14 @@ class TestAnneal:
             return solve(tg, curves, exact_limit=exact_limit, **kw)
 
         monkeypatch.setattr(anneal_mod, "build_timing_graph", counting_build)
+        monkeypatch.setattr(TimingGraph, "with_delays", counting_with_delays)
         monkeypatch.setattr(anneal_mod, "assign_voltages", counting_solve)
         netlist, spec = fixture_netlist(DATA / "n10.blocks", DATA / "n10.nets", 3, 77)
         evaluated = []
         cfg = AnnealConfig(max_levels=5, observer=lambda *a: evaluated.append(a))
         anneal(netlist, spec, cfg, seed=3)
         assert len(evaluated) > 100
+        assert len(built) == 1
         assert len(exact) == 1
         assert len(graphs) == 1 + len(exact)
 

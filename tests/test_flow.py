@@ -1,5 +1,6 @@
 import itertools
 import random
+from operator import mul
 
 import pytest
 
@@ -7,6 +8,7 @@ from voltplan import _speedups_py
 from voltplan.errors import NegativeResidualCycle, SolverError
 from voltplan.flow import (
     FlowNetwork,
+    _certified,
     network,
     residual_shortest_paths,
     solve_min_cost_circulation,
@@ -375,3 +377,87 @@ class TestReducedCostCertificates:
         net = network(3, [(0, 1, 5, 2), (1, 2, 1, 2), (2, 0, 1, 2)])
         with pytest.raises(NegativeResidualCycle):
             solve_min_cost_max_flow(net, 0, 2)
+
+
+class TestStoppedPasses:
+    """The circulation's Dijkstra passes stop once they settle the
+    super-sink; the min-cost max-flow's run in full. A stopped pass leaves
+    other potentials, but the same optimum, certified, with the same
+    residual distances as full passes."""
+
+    @staticmethod
+    def _full_passes(net, start=None):
+        real = _speedups_py.mcmf
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_speedups_py, "mcmf", lambda *args: real(*args[:10]))
+            return solve_min_cost_circulation(net, start)
+
+    @staticmethod
+    def _random_rows(rng, unit, low=-5):
+        n = rng.randint(2, 8)
+        rows = []
+        for _ in range(rng.randint(1, 16)):
+            a, b = rng.sample(range(n), 2)
+            jitter = rng.randint(-3, 3) if low < 0 else rng.randint(0, 3)
+            rows.append((a, b, rng.randint(low, 8) * unit + jitter, rng.randint(0, 3)))
+        return n, rows
+
+    def test_circulation_passes_stop_at_the_sink(self, monkeypatch):
+        stops = []
+        real = _speedups_py.mcmf
+
+        def recording(*args):
+            stops.append(args[10:])
+            return real(*args)
+
+        monkeypatch.setattr(_speedups_py, "mcmf", recording)
+        net = network(3, [(0, 1, -5, 2), (1, 2, 1, 2), (2, 0, 1, 2)])
+        solve_min_cost_circulation(net)
+        solve_min_cost_max_flow(network(2, [(0, 1, 2, 3)]), 0, 1)
+        assert stops == [(True,), ()]
+
+    @pytest.mark.parametrize("unit", [1, 2**60], ids=["small", "near_2_pow_60"])
+    def test_stopped_circulation_matches_full_passes(self, rng, unit):
+        moved = 0
+        for _ in range(150):
+            n, rows = self._random_rows(rng, unit)
+            net = network(n, rows)
+            prev = solve_min_cost_circulation(
+                network(n, [(a, b, rng.randint(-5, 8) * unit, u) for a, b, _, u in rows])
+            )
+            starts = [
+                None,
+                (prev.flow, prev.potentials),  # an optimum under other costs
+                ([rng.randint(0, u) for _, _, _, u in rows], [rng.randint(-9, 9) * unit for _ in range(n)]),
+            ]
+            for start in starts:
+                got = solve_min_cost_circulation(net, start)
+                want = self._full_passes(net, start)
+                assert got.objective == want.objective
+                check_circulation_invariants(net, got)
+                assert _certified(net, got.flow, got.potentials) == got
+                certify_optimal(net, got)
+                for src in range(n):
+                    dist = residual_shortest_paths(net, got, src)
+                    assert dist == residual_shortest_paths(net, want, src)
+                    assert dist == residual_bellman_ford(net, got.flow, src)
+                moved += got.potentials != want.potentials
+        assert moved > 20
+
+    def test_stopped_kernel_matches_full_passes(self, rng):
+        moved = 0
+        for unit in (1, 2**60):
+            for _ in range(150):
+                n, rows = self._random_rows(rng, unit, low=0)
+                net = network(n, rows)
+                s, t = 0, n - 1
+                args = (n, net.tails, net.heads, net.uppers, net.costs, s, t, sum(net.uppers))
+                full = _speedups_py.mcmf(*args)
+                value, flows, pot = _speedups_py.mcmf(*args, None, None, True)
+                assert value == full[0]
+                assert sum(map(mul, net.costs, flows)) == sum(map(mul, net.costs, full[1]))
+                for (ta, he, c, u), f in zip(rows, flows):
+                    rc = c + pot[ta] - pot[he]
+                    assert not (rc < 0 and f < u) and not (rc > 0 and f > 0)
+                moved += pot != full[2]
+        assert moved > 20

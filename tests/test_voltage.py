@@ -117,6 +117,21 @@ class TestTimingGraph:
         assert tg.sources == (0, 2)
         assert tg.sinks == (1, 3)
 
+    def test_with_delays_equals_the_graph_built_anew(self, rng):
+        for _ in range(100):
+            tg, _ = random_timing_instance(rng, max_m=12)
+            delays = [rng.randint(0, 9) for _ in tg.wires]
+            got = tg.with_delays(delays)
+            want = TimingGraph(
+                m=tg.m, wires=tuple((a, b, d) for (a, b, _), d in zip(tg.wires, delays)),
+                t_cycle=tg.t_cycle,
+            )
+            assert got == want
+            for name in ("sources", "sinks", "order", "fanin", "preds"):
+                assert getattr(got, name) == getattr(want, name)
+        with pytest.raises(ValueError):
+            tg.with_delays(delays + [0])
+
 
 class TestBreakpoints:
     def test_frozen_values(self):
@@ -322,19 +337,26 @@ def _layered_wires(rng, m):
     return pairs
 
 
+def _sequence_instance(rng, m, delay, slack):
+    """Random curves, layered wire ends and a cycle time at most slack above
+    the all-fastest finish at wire delay `delay`, so that some delay
+    vectors leave no feasible level."""
+    curves = [random_curve(rng, rng.choice((2, 3, 4))) for _ in range(m)]
+    pairs = _layered_wires(rng, m)
+    base = TimingGraph(m=m, wires=tuple((a, b, delay) for a, b in pairs), t_cycle=0)
+    t_cycle = longest_path_for(base, [c.delay(1) for c in curves])[0] + rng.randint(0, slack)
+    return curves, pairs, t_cycle
+
+
 class TestWarmStart:
     """Warm solves carry one WarmStart through a sequence of wire-delay
     vectors; every step must equal a fresh cold solve."""
 
     def test_sequences_match_cold_solves(self, rng):
-        solved = infeasible = warm_used = 0
+        solved = infeasible = warm_used = advanced = 0
         for _ in range(12):
             m = rng.randint(4, 12)
-            curves = [random_curve(rng, rng.choice((2, 3, 4))) for _ in range(m)]
-            pairs = _layered_wires(rng, m)
-            base = TimingGraph(m=m, wires=tuple((a, b, 2) for a, b in pairs), t_cycle=0)
-            # tight enough that some delay vectors leave no feasible level
-            t_cycle = longest_path_for(base, [c.delay(1) for c in curves])[0] + rng.randint(0, 6)
+            curves, pairs, t_cycle = _sequence_instance(rng, m, 2, 6)
             warm = WarmStart()
             for _ in range(25):
                 wires = tuple((a, b, rng.randint(0, 4)) for a, b in pairs)
@@ -342,27 +364,68 @@ class TestWarmStart:
                 try:
                     cold = assign_voltages(tg, curves, exact_limit=0)
                 except TimingInfeasible:
-                    before = warm.start
+                    before = warm.last, warm.anchor
                     with pytest.raises(TimingInfeasible):
                         assign_voltages(tg, curves, exact_limit=0, warm=warm)
-                    assert warm.start is before
+                    assert warm.last is before[0] and warm.anchor is before[1]
                     infeasible += 1
                     continue
                 net, _, _ = build_expanded_network(tg, curves)
+                anchor = warm.anchor
                 warm_used += warm.start_for(net) is not None
                 got = assign_voltages(tg, curves, exact_limit=0, warm=warm)
                 assert got == cold
+                # the first solve anchors; later ones leave the anchor alone
+                assert warm.anchor is (warm.last if anchor is None else anchor)
                 ref = solve_min_cost_circulation(net)
-                flow, potentials = warm.start
+                flow, potentials = warm.last.flow, warm.last.potentials
                 assert sum(map(mul, net.costs, flow)) == ref.objective
                 dist = residual_shortest_paths(net, ref, tg.S)
                 assert residual_bellman_ford(net, flow, tg.S) == dist
                 warm_res = FlowResult(flow, ref.objective, potentials)
                 assert residual_shortest_paths(net, warm_res, tg.S) == dist
                 certify_optimal(net, warm_res)
+                if rng.random() < 0.3:  # an accepted move
+                    warm.advance()
+                    assert warm.anchor is warm.last
+                    advanced += 1
                 solved += 1
-        assert solved >= 200 and infeasible > 0
+        assert solved >= 200 and infeasible > 0 and advanced > 30
         assert warm_used >= solved - 12
+
+    def test_any_earlier_optimum_restarts_to_the_cold_solve(self, rng):
+        """An anneal re-optimizes each candidate from its current state's
+        circulation, which may be any earlier solve of the sequence, not
+        the latest: from each of them the solve reaches the cold solve's
+        objective and residual distances, and the levels of the cold
+        assignment."""
+        restarts = 0
+        for _ in range(8):
+            m = rng.randint(4, 12)
+            curves, pairs, t_cycle = _sequence_instance(rng, m, 2, 6)
+            warm = WarmStart()
+            earlier = []  # warm.last of every feasible step so far
+            for _ in range(15):
+                wires = tuple((a, b, rng.randint(0, 4)) for a, b in pairs)
+                tg = TimingGraph(m=m, wires=wires, t_cycle=t_cycle)
+                try:
+                    cold = assign_voltages(tg, curves, exact_limit=0)
+                except TimingInfeasible:
+                    continue
+                net, _, _ = build_expanded_network(tg, curves)
+                ref = solve_min_cost_circulation(net)
+                dist = residual_shortest_paths(net, ref, tg.S)
+                for circ in earlier:
+                    res = solve_min_cost_circulation(net, (circ.flow, circ.potentials))
+                    assert res.objective == ref.objective
+                    assert residual_shortest_paths(net, res, tg.S) == dist
+                    certify_optimal(net, res)
+                    restarts += 1
+                if earlier:
+                    warm.anchor = rng.choice(earlier)
+                assert assign_voltages(tg, curves, exact_limit=0, warm=warm) == cold
+                earlier.append(warm.last)
+        assert restarts > 300
 
     def test_state_follows_new_curves_and_graphs(self, rng):
         warm = WarmStart()
@@ -438,6 +501,42 @@ class TestPowerFloor:
                 checked += 1
                 gaps += floor < got.lower_bound
         assert checked > 500 and gaps > 50
+
+    def test_anchor_floor_bounds_every_in_loop_power(self, rng):
+        """The anneal also floors a candidate's power by the cost, at the
+        candidate's wire delays d, of its current state's circulation,
+        optimal at delays d_f: that floor is at most the LP bound at d,
+        which is at most the in-loop power there, and at d = d_f it is the
+        bound itself."""
+        checked = tight = 0
+        for _ in range(40):
+            m = rng.randint(3, 12)
+            curves, pairs, t_cycle = _sequence_instance(rng, m, 3, 12)
+            for _ in range(15):
+                d_f = [rng.randint(0, 6) for _ in pairs]
+                d = [rng.randint(0, 6) for _ in pairs]
+                warm = WarmStart()
+                try:
+                    at_f = assign_voltages(
+                        TimingGraph(m=m, wires=tuple(
+                            (a, b, w) for (a, b), w in zip(pairs, d_f)
+                        ), t_cycle=t_cycle),
+                        curves, exact_limit=0, warm=warm,
+                    )
+                    got = assign_voltages(
+                        TimingGraph(m=m, wires=tuple(
+                            (a, b, w) for (a, b), w in zip(pairs, d)
+                        ), t_cycle=t_cycle),
+                        curves, exact_limit=0,
+                    )
+                except TimingInfeasible:
+                    continue
+                assert warm.power_floor(d_f) == at_f.lower_bound
+                floor = warm.power_floor(d)
+                assert floor <= got.lower_bound <= got.total_power
+                checked += 1
+                tight += floor == got.lower_bound
+        assert checked > 300 and 0 < tight < checked
 
 
 def bnb_reference(tg, curves, inc_levels, inc_power, search_cap):
