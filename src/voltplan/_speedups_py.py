@@ -6,7 +6,10 @@ arc carries flow in [0, cap]: there are no lower bounds. Both entry points
 take arc flows and node potentials that leave every residual edge a
 nonnegative reduced cost cost + pot[tail] - pot[head], and run one Dijkstra
 over those reduced costs: mcmf once per augmenting path, returning such
-potentials for its final flow, and shortest_paths once.
+potentials for its final flow, and shortest_paths once. The shipping loop
+itself, ship, works on residual arrays its caller already holds:
+mcmf builds them per call, and flow.ResidualNetwork keeps them across
+solves.
 
 Dijkstra marks "not reached yet" with an integer sentinel computed per call
 from the costs and the potentials, strictly above every distance the call
@@ -90,7 +93,13 @@ def shortest_paths(n, tails, heads, caps, costs, flows, pot, src):
     # a tentative distance is the reduced length of a simple path from src:
     # its cost, at most the sum of the |costs|, plus pot[src] - pot[v]
     inf = 1 + sum(map(abs, costs)) + max(pot, default=0) - min(pot, default=0)
-    dist = _dijkstra(n, *_build(n, tails, heads, caps, costs, flows), pot, src, inf)[0]
+    return distances(n, *_build(n, tails, heads, caps, costs, flows), pot, src, inf)
+
+
+def distances(n, to, cap, cst, nxt, first, pot, src, inf):
+    """shortest_paths on residual arrays held by the caller; inf lies above
+    every tentative distance."""
+    dist = _dijkstra(n, to, cap, cst, nxt, first, pot, src, inf)[0]
     ps = pot[src]
     return [None if d == inf else d - ps + p for d, p in zip(dist, pot)]
 
@@ -121,6 +130,16 @@ def mcmf(n, tails, heads, caps, costs, s, t, limit, flows=None, pot=None, stop=F
     # since every pass raises each one by a distance, which is nonnegative;
     # so inf lies above every tentative distance of every pass.
     inf = 1 + sum(map(abs, costs)) + max(pot, default=0) - min(pot, default=0)
+    value, pot = ship(n, to, cap, cst, nxt, first, pot, s, t, limit, inf, stop)
+    return value, cap[1 : 2 * m : 2], pot
+
+
+def ship(n, to, cap, cst, nxt, first, pot, s, t, limit, inf, stop):
+    """mcmf's augmenting loop on residual arrays held by the caller, which
+    it updates in place: up to limit units from s to t, from potentials pot
+    that leave every residual edge a nonnegative reduced cost; inf lies
+    above every tentative distance of every pass. Returns (value pushed,
+    potentials under which the final flow keeps that property)."""
     t_stop = t if stop else -1
     value = 0
     while limit > 0:
@@ -147,5 +166,4 @@ def mcmf(n, tails, heads, caps, costs, s, t, limit, flows=None, pot=None, stop=F
             cap[e ^ 1] += bottleneck
         value += bottleneck
         limit -= bottleneck
-    flows = [cap[2 * i + 1] for i in range(m)]
-    return value, flows, pot
+    return value, pot

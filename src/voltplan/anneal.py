@@ -17,26 +17,27 @@ move returning its expression unchanged.
 The start and the probes are scored in full (_Evaluator.score). A move is
 decided with the least exact work (_Evaluator.decide): after the pack and
 the net lengths, an integer floor of phi takes the power from the voltage
-cache, or else from the larger of two floors on the LP bound: the bound at
-zero wire delays, and the cost at the move's wire delays of the current
-state's circulation (WarmStart.power_floor). It takes the islands as the
-assignment's distinct levels, or else 1. An uphill floor takes the
-move's one draw, and a draw the floor rejects skips the voltage solve, the
-island count or both; otherwise the solve tightens the floor and the same
-draw is tested again before the islands are counted. Every draw and every
-decision is that of full scoring. A cache miss is first tested for timing
-at the fastest levels (voltage.fastest_finish), the test assign_voltages
-raises TimingInfeasible on, so an infeasible move draws nothing.
+cache, or else from one floor on the LP bound: the cost at the move's
+wire delays of the current state's circulation (WarmStart.power_floor).
+It takes the islands as the assignment's distinct levels, or else 1. An
+uphill floor takes the move's one draw, and a draw the floor rejects skips
+the voltage solve, the island count or both; otherwise the solve tightens
+the floor and the same draw is tested again before the islands are
+counted. Every draw and every decision is that of full scoring. A cache
+miss is first tested for timing at the fastest levels
+(voltage.fastest_finish), the test assign_voltages raises TimingInfeasible
+on, so an infeasible move draws nothing.
 
 Voltage assignment is cached per wire-delay vector: the timing graph is
 built and solved only on a cache miss, so with the default zero
 wire-delay factor both happen once per anneal (plus once for the exact
 solve of the final floorplan). Each graph takes its order and fan-in
 from one graph derived per anneal. Each anneal keeps one
-voltage.WarmStart across its solves: the curve part of the flow network
-is built once, and each solve re-optimizes, instead of solving cold,
-from its anchor, the circulation of the current state, of which only the
-wire costs changed. The anchor is the last accepted move that was solved
+voltage.WarmStart across its solves: the flow network is built once, at
+the first solve, and kept in the flow kernel's residual arrays, and each
+later solve re-optimizes in place on them, instead of solving cold, from
+its anchor, the circulation of the current state, of which only the wire
+costs changed. The anchor is the last accepted move that was solved
 (during calibration, the last probe solved), else the start; a candidate
 is one move from it. The unplaced shifter count is refreshed every
 `ls_every` accepted moves and carried stale in between. Phi reads only
@@ -57,7 +58,6 @@ import numbers
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 
 from .errors import TimingInfeasible, ValidationError
 from .floorplan import (
@@ -182,9 +182,9 @@ class _Evaluator:
 
     score prices a floorplan in full; decide settles a move with the least
     exact work. Its floor of phi takes the power from the cached
-    assignment, or else the larger of power_floor and the warm start's
-    floor at the move's delays, and the islands as the assignment's
-    distinct levels, or else 1. Every weight is nonnegative, so the floor's
+    assignment, or else the warm start's floor at the move's delays
+    (WarmStart.power_floor), and the islands as the assignment's distinct
+    levels, or else 1. Every weight is nonnegative, so the floor's
     delta is at most the real delta, and a positive floor delta means a
     positive real delta, for which full scoring takes the same one draw.
     Int true division rounds correctly, and dividing by the positive
@@ -230,15 +230,6 @@ class _Evaluator:
         if assignment is self.solved:
             self.warm.advance()
 
-    @cached_property
-    def power_floor(self) -> int:
-        """A floor on the in-loop power at any wire delays: the LP bound at
-        zero delays. More wire delay only tightens timing, so the bound at
-        any delays is at least this one, and the rounded-down power there
-        is at least that bound. Read only after some delays met timing, so
-        zero delays meet it too."""
-        return self.voltage_for((0,) * len(self.netlist.nets)).lower_bound
-
     def score(self, floorplan, weights, stale_unplaced):
         """Return (phi, assignment), or (None, None) when the floorplan has
         no feasible voltage assignment. The per-net lengths are taken once,
@@ -274,8 +265,7 @@ class _Evaluator:
         delta = cost_phi(floorplan.area, wirelength, 0, 0, stale_unplaced, weights) - cur_phi
         draw = None
         if assignment is None:
-            power = max(self.warm.power_floor(delays), self.power_floor)
-            floor = delta + weights.power * power + weights.islands
+            floor = delta + weights.power * self.warm.power_floor(delays) + weights.islands
             if floor > 0:
                 draw = rng.random()
                 if not draw < math.exp(-(floor / den) / temp):

@@ -20,8 +20,15 @@ import re
 from fractions import Fraction
 
 from .errors import DuplicateName, ParseError, UnknownBlock, ValidationError
-from .model import DPCurve, derive_shifter_spec, modify_dp_curve, validate_dp_curve
-from .voltage import longest_path_for, TimingGraph
+from .model import (
+    DPCurve,
+    derive_shifter_spec,
+    fanin_of,
+    fastest_finish,
+    modify_dp_curve,
+    topological_order,
+    validate_dp_curve,
+)
 
 
 def _content_lines(text):
@@ -250,10 +257,12 @@ def gen_spec(
     for source, sinks in nets:
         for sink in sinks:
             pairs.append((index[source], index[sink]))
-    tg = TimingGraph(m=len(names), wires=tuple((s, d, 0) for s, d in pairs), t_cycle=0)
+    order = topological_order(len(names), pairs)
+    fanin = fanin_of(len(names), pairs)
+    no_wire_delay = [0] * len(pairs)
     curve_list = [curves[n] for n in names]
-    cp_fast, _ = longest_path_for(tg, [c.delay(1) for c in curve_list])
-    cp_slow, _ = longest_path_for(tg, [c.delay(c.k) for c in curve_list])
+    cp_fast = fastest_finish(order, fanin, [c.delay(1) for c in curve_list], no_wire_delay)
+    cp_slow = fastest_finish(order, fanin, [c.delay(c.k) for c in curve_list], no_wire_delay)
     t_cycle = cp_fast + int(Fraction(timing_slack) * (cp_slow - cp_fast))
     lines.append(f"tcycle {t_cycle}")
     return "\n".join(lines) + "\n"

@@ -242,6 +242,35 @@ def topological_order(m, edges) -> list[int]:
     return order
 
 
+def fanin_of(m, wires) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Per module, (src module, wire index) of each incoming wire, in wire
+    order; wires are (src, dst, ...) rows, a netlist's nets among them."""
+    fanin = [[] for _ in range(m)]
+    for w, (src, dst, *_) in enumerate(wires):
+        fanin[dst].append((src, w))
+    return tuple(map(tuple, fanin))
+
+
+def fastest_finish(order, fanin, fastest, wire_delays) -> int:
+    """The longest s-to-t path with module i at delay fastest[i]; at each
+    module's fastest level, no level vector finishes sooner. order is a
+    topological order of the modules, fanin is fanin_of the wires and
+    wire_delays[w] is wire w's delay. With nonnegative delays the latest
+    module output is a sink's, so the longest path is the latest output."""
+    out = [0] * len(fastest)
+    finish = 0
+    for i in order:
+        arrive = 0
+        for src, w in fanin[i]:
+            at = out[src] + wire_delays[w]
+            if at > arrive:
+                arrive = at
+        out[i] = done = arrive + fastest[i]
+        if done > finish:
+            finish = done
+    return finish
+
+
 def build_netlist(modules, net_name_pairs, t_cycle: int, k: int) -> Netlist:
     """Resolve name pairs to indices and validate the whole instance."""
     modules = tuple(modules)

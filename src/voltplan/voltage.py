@@ -30,8 +30,15 @@ from math import lcm
 from operator import mul
 
 from .errors import SolverError, TimingInfeasible, ValidationError
-from .flow import FlowNetwork, network, residual_shortest_paths, solve_min_cost_circulation
-from .model import DPCurve, Netlist, topological_order
+from .flow import (
+    FlowNetwork,
+    ResidualNetwork,
+    network,
+    residual_shortest_paths,
+    solve_min_cost_circulation,
+)
+# fanin_of and fastest_finish are re-exported for the anneal and the tests
+from .model import DPCurve, Netlist, fanin_of, fastest_finish, topological_order
 
 # the largest module count the exact search runs on by default
 EXACT_LIMIT = 16
@@ -114,35 +121,6 @@ class TimingGraph:
 
     def node_out(self, i: int) -> int:
         return 3 + 2 * i
-
-
-def fanin_of(m, wires) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """Per module, (src module, wire index) of each incoming wire, in wire
-    order; wires are (src, dst, ...) rows, a netlist's nets among them."""
-    fanin = [[] for _ in range(m)]
-    for w, (src, dst, *_) in enumerate(wires):
-        fanin[dst].append((src, w))
-    return tuple(map(tuple, fanin))
-
-
-def fastest_finish(order, fanin, fastest, wire_delays) -> int:
-    """The longest s-to-t path with module i at delay fastest[i], its
-    fastest level: no level vector finishes sooner. order is a topological
-    order of the modules, fanin is fanin_of the wires and wire_delays[w] is
-    wire w's delay. With nonnegative delays the latest module output is a
-    sink's, so the longest path is the latest output."""
-    out = [0] * len(fastest)
-    finish = 0
-    for i in order:
-        arrive = 0
-        for src, w in fanin[i]:
-            at = out[src] + wire_delays[w]
-            if at > arrive:
-                arrive = at
-        out[i] = done = arrive + fastest[i]
-        if done > finish:
-            finish = done
-    return finish
 
 
 def build_timing_graph(netlist: Netlist, wire_delays) -> TimingGraph:
@@ -239,61 +217,80 @@ class WarmStart:
     and one set of curves, such as one anneal's candidates.
 
     It keeps the curve-dependent part of the expanded network, built once,
-    and two optimal circulations, each with the potentials that certify it:
-    `last`, of the latest solve, and `anchor`, which every solve
-    re-optimizes from instead of solving cold. The first solve on a network
-    anchors; advance() moves the anchor to the latest solve. The anneal
-    advances when it accepts a move it solved, so the anchor is its current
-    state and each candidate, one move from that state, starts one move
-    from the optimum. Any optimal circulation gives the same residual
-    distances, so the levels do not depend on where a solve started.
+    the network itself as a flow.ResidualNetwork, built at its first solve,
+    and two optimal circulations, each with the potentials that certify it
+    and its residual capacities: `last`, of the latest solve, and `anchor`,
+    which every later solve re-optimizes from in place. The first solve on
+    a network is cold and anchors; advance() moves the anchor to the latest
+    solve. The anneal advances when it accepts a move it solved, so the
+    anchor is its current state and each candidate, one move from that
+    state, starts one move from the optimum. Only the wire arcs' costs
+    depend on the wire delays, so a solve restores the anchor, writes and
+    re-prices the wire arcs alone, ships, and takes the residual distances
+    on the same arrays: the flow and potentials are those of
+    solve_min_cost_circulation started from the anchor (start_for). Any
+    optimal circulation gives the same residual distances, so the levels
+    do not depend on where a solve started.
 
-    Only the wire arcs' costs depend on the wire delays, so the anchor's
-    flow is a circulation of every network that differs from its own in
-    those costs alone; its cost there bounds the optimum from above, and
-    power_floor turns that into a floor on the LP bound.
+    The anchor's flow is a circulation of every network that differs from
+    its own in the wire costs alone; its cost there bounds the optimum
+    from above, and power_floor turns that into a floor on the LP bound.
     """
 
     def __init__(self):
         self._curves = None
         self._level_arcs = None
-        self._ends = None  # (tails, heads) of the network last solved
-        self.last = None  # _Circulation of that solve, or None
+        self._key = None  # (m, t_cycle, fanin) of the kept network's graph
+        self._kept = None  # that network, a ResidualNetwork
+        self.last = None  # _Circulation of the latest solve, or None
         self.anchor = None  # _Circulation every solve starts from, or None
 
     def level_arcs(self, tg: TimingGraph, curves) -> _LevelArcs:
         curves = tuple(curves)
         if curves != self._curves:
             self._curves, self._level_arcs = curves, _level_arcs(tg, curves)
-            self.last = self.anchor = None
+            self._key = self.last = self.anchor = None
         return self._level_arcs
 
     def start_for(self, net: FlowNetwork):
         """The anchor's (flow, potentials) if net has the same arcs as the
-        network last solved, else None."""
-        if self.anchor is None or self._ends != (net.tails, net.heads):
+        kept network, else None."""
+        kept = self._kept
+        if self.anchor is None or (net.tails, net.heads) != (kept.net.tails, kept.net.heads):
             return None
         return self.anchor.flow, self.anchor.potentials
 
-    def remember(self, tg: TimingGraph, net: FlowNetwork, result):
-        """Keep result, the optimal circulation of net, the expanded network
-        of tg, as the latest solve; on a network with other arcs than the
-        last one it is the anchor too."""
-        ends = (net.tails, net.heads)
-        if ends != self._ends:
-            self._ends, self.anchor = ends, None
-        # the wire arcs follow the level arcs, in wire order
-        lo = len(self._level_arcs.rows)
+    def solve(self, tg: TimingGraph):
+        """The optimal circulation of tg's expanded network, as a certified
+        FlowResult, and the residual distances from tg.S; level_arcs is
+        called first, with tg's curves. Kept as the latest solve; on a
+        graph with other wires or another cycle time than the kept
+        network's, the solve is cold and anchors."""
+        la = self._level_arcs
+        lo = len(la.rows)
         hi = lo + len(tg.wires)
+        key = (tg.m, tg.t_cycle, tg.fanin)
+        if self.anchor is None or key != self._key:
+            net = build_expanded_network(tg, self._curves, la)[0]
+            result = solve_min_cost_circulation(net)
+            dist = residual_shortest_paths(net, result, tg.S)
+            self._key, self._kept, self.anchor = key, ResidualNetwork(net, result.flow), None
+        else:
+            a = self.anchor
+            wire_costs = [-d for _, _, d in tg.wires]
+            result = self._kept.reoptimize(a.cap, a.potentials, range(lo, hi), wire_costs)
+            dist = self._kept.distances(tg.S)
         wire_flow = result.flow[lo:hi]
         self.last = _Circulation(
             result.flow,
             result.potentials,
             wire_flow,
-            result.objective - sum(map(mul, wire_flow, net.costs[lo:hi])),
+            result.objective - sum(map(mul, wire_flow, self._kept.costs[lo:hi])),
+            self._kept.caps(),
         )
         if self.anchor is None:
             self.anchor = self.last
+        return result, dist
 
     def advance(self):
         """Anchor every later solve at the latest one."""
@@ -311,9 +308,9 @@ class WarmStart:
 
 
 # An optimal circulation of an expanded network: its flow, the potentials
-# that certify it, the flow on each wire arc, and base, its cost with every
-# wire arc's cost taken out.
-_Circulation = namedtuple("_Circulation", "flow potentials wire_flow base")
+# that certify it, the flow on each wire arc, base, its cost with every
+# wire arc's cost taken out, and cap, its ResidualNetwork.caps().
+_Circulation = namedtuple("_Circulation", "flow potentials wire_flow base cap")
 
 
 @dataclass(frozen=True)
@@ -363,8 +360,9 @@ def longest_path_for(tg: TimingGraph, delays) -> tuple[int, list[int]]:
 
 def _slowest_fit(curve: DPCurve, budget: int) -> int:
     """The slowest level whose delay fits budget; level 1 when none does."""
+    points = curve.points  # level q's delay is points[q - 1][1]
     q = 1
-    while q < curve.k and curve.delay(q + 1) <= budget:
+    while q < len(points) and points[q][1] <= budget:
         q += 1
     return q
 
@@ -383,8 +381,8 @@ def assign_voltages(
     fits the drop. The relaxation objective gives a certified lower bound;
     when the rounded assignment misses it and the instance is small enough,
     a branch-and-bound search finishes the job exactly. With warm, the
-    circulation re-optimizes from warm's anchor, and warm keeps it as its
-    latest solve; the result is the same as without.
+    circulation re-optimizes in place from warm's anchor, and warm keeps it
+    as its latest solve; the result is the same as without.
     """
     curves = list(curves)
     if len(curves) != tg.m:
@@ -400,10 +398,8 @@ def assign_voltages(
 
     if warm is None:
         warm = WarmStart()  # a fresh state solves cold
-    net, scale, slowest_power = build_expanded_network(tg, curves, warm.level_arcs(tg, curves))
-    result = solve_min_cost_circulation(net, warm.start_for(net))
-    dist = residual_shortest_paths(net, result, tg.S)
-    warm.remember(tg, net, result)
+    la = warm.level_arcs(tg, curves)
+    result, dist = warm.solve(tg)
     levels = []
     for i, curve in enumerate(curves):
         din = dist[tg.node_in(i)]
@@ -415,7 +411,7 @@ def assign_voltages(
 
     # relaxation value: all-slowest power minus the circulation objective,
     # rescaled back from the capacity scaling and rounded up
-    bound = slowest_power - result.objective // scale
+    bound = la.slowest_power - result.objective // la.scale
     proved = power <= bound
     nodes = 0
     if not proved and tg.m <= exact_limit:

@@ -686,11 +686,10 @@ class TestAnneal:
         assert (None in rejected) == (kappa > 0)
 
     def test_anchor_floor_rejects_moves_before_their_solve(self, monkeypatch):
-        """The power floor of a move is the larger of the LP bound at zero
-        wire delays and the cost of the current state's circulation at the
-        move's delays. With the second floor taken away the anneal makes the
-        same decisions, but solves some moves that the second floor rejects
-        before their solve."""
+        """The power floor of a move is the cost of the current state's
+        circulation at the move's delays. With that floor taken away the
+        anneal makes the same decisions, but solves some moves that the
+        floor rejects before their solve."""
         from voltplan.voltage import WarmStart
 
         netlist, spec = generated_netlist(*layered_blocks_nets(20, 50), 4, 50, Fraction(3, 4))

@@ -8,6 +8,7 @@ from voltplan import _speedups_py
 from voltplan.errors import NegativeResidualCycle, SolverError
 from voltplan.flow import (
     FlowNetwork,
+    ResidualNetwork,
     _certified,
     network,
     residual_shortest_paths,
@@ -377,6 +378,91 @@ class TestReducedCostCertificates:
         net = network(3, [(0, 1, 5, 2), (1, 2, 1, 2), (2, 0, 1, 2)])
         with pytest.raises(NegativeResidualCycle):
             solve_min_cost_max_flow(net, 0, 2)
+
+
+    @pytest.mark.parametrize("flow", [3, -1], ids=["over", "below_zero"])
+    def test_flow_outside_the_bounds_rejected(self, monkeypatch, flow):
+        """The certificate covers feasibility: a kernel that leaves arc 0
+        (capacity 2) at one unit over its capacity, or below zero, is a
+        SolverError from both solvers and from the in-place re-solve."""
+        real_mcmf, real_ship = _speedups_py.mcmf, _speedups_py.ship
+
+        def off_mcmf(*args):
+            value, flows, pot = real_mcmf(*args)
+            return value, [flow, *flows[1:]], pot
+
+        def off_ship(n, to, cap, *rest):
+            out = real_ship(n, to, cap, *rest)
+            cap[0], cap[1] = 2 - flow, flow
+            return out
+
+        circ = network(3, [(0, 1, -5, 2), (1, 2, 1, 2), (2, 0, 1, 2)])
+        kept = ResidualNetwork(circ, [0, 0, 0])
+        monkeypatch.setattr(_speedups_py, "mcmf", off_mcmf)
+        monkeypatch.setattr(_speedups_py, "ship", off_ship)
+        with pytest.raises(SolverError, match="outside"):
+            solve_min_cost_circulation(circ)
+        with pytest.raises(SolverError, match="outside"):
+            solve_min_cost_max_flow(network(3, [(0, 1, 5, 2), (1, 2, 1, 2)]), 0, 2)
+        with pytest.raises(SolverError, match="outside"):
+            kept.reoptimize(kept.caps(), [0, 0, 0], range(3), circ.costs)
+
+
+class TestResidualNetwork:
+    """A ResidualNetwork keeps a circulation network in the kernel's arrays
+    and re-optimizes in place when some arcs' costs change, re-pricing
+    those arcs alone. From a certified optimum under other costs on them,
+    that is solve_min_cost_circulation from the same start, which
+    re-prices every arc: the same flow and the same potentials."""
+
+    @pytest.mark.parametrize("unit", [1, 2**60], ids=["small", "near_2_pow_60"])
+    def test_repricing_the_changed_arcs_equals_repricing_every_arc(self, rng, unit):
+        shipped = 0
+        for _ in range(100):
+            n, rows = TestStoppedPasses._random_rows(rng, unit)
+            net = network(n, rows)
+            first = solve_min_cost_circulation(net)
+            kept = ResidualNetwork(net, first.flow)
+            # the arcs whose costs move, rewritten on every solve
+            changed = sorted(rng.sample(range(len(rows)), rng.randint(1, len(rows))))
+            optima = [(first, kept.caps())]
+            for _ in range(6):
+                start, caps = rng.choice(optima)  # any earlier optimum
+                costs = list(net.costs)
+                for i in changed:
+                    costs[i] = rng.randint(-5, 8) * unit + rng.randint(-3, 3)
+                new = network(n, [(a, b, c, u) for (a, b, _, u), c in zip(rows, costs)])
+                got = kept.reoptimize(caps, start.potentials, changed, [costs[i] for i in changed])
+                want = solve_min_cost_circulation(new, (start.flow, start.potentials))
+                assert got == want and got.potentials == want.potentials
+                check_circulation_invariants(new, got)
+                certify_optimal(new, got)
+                shipped += got.flow != start.flow
+                for src in range(n):
+                    dist = residual_shortest_paths(new, got, src)
+                    assert kept.distances(src) == dist
+                    assert dist == residual_bellman_ford(new, got.flow, src)
+                optima.append((got, kept.caps()))
+        assert shipped > 100
+
+    def test_same_costs_ship_nothing(self, rng, monkeypatch):
+        limits = []
+        real = _speedups_py.ship
+
+        def recording(*args):
+            limits.append(args[9])
+            return real(*args)
+
+        monkeypatch.setattr(_speedups_py, "ship", recording)
+        for _ in range(50):
+            n, rows = TestStoppedPasses._random_rows(rng, 1)
+            net = network(n, rows)
+            opt = solve_min_cost_circulation(net)
+            kept = ResidualNetwork(net, opt.flow)
+            limits.clear()  # the cold solve ships through the same loop
+            got = kept.reoptimize(kept.caps(), opt.potentials, range(len(rows)), net.costs)
+            assert got == opt and got.potentials == opt.potentials
+            assert limits == [0]
 
 
 class TestStoppedPasses:

@@ -60,14 +60,15 @@ def test_import_leaves_numpy_unloaded():
 
 def test_bench_import_leaves_the_annealer_unloaded():
     """The exports resolve lazily: the input parsers load without the
-    annealer, and each name in __all__ is its submodule's object."""
+    annealer or the flow solvers, and each name in __all__ is its
+    submodule's object."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")])
     ))
     code = (
         "import sys, voltplan, voltplan.bench\n"
-        "print(sorted(n for n in ('anneal', 'floorplan', 'shifters', 'pipeline')"
-        " if 'voltplan.' + n in sys.modules))\n"
+        "print(sorted(n for n in ('anneal', 'floorplan', 'shifters', 'pipeline',"
+        " 'voltage', 'flow', '_speedups_py') if 'voltplan.' + n in sys.modules))\n"
     )
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from voltplan import voltage
+from voltplan import _speedups_py, voltage
 from voltplan.errors import (
     CyclicNetlist,
     NegativeResidualCycle,
@@ -21,6 +21,7 @@ from voltplan.errors import (
 )
 from voltplan.flow import (
     FlowResult,
+    ResidualNetwork,
     residual_shortest_paths,
     solve_min_cost_circulation,
 )
@@ -348,19 +349,49 @@ def _sequence_instance(rng, m, delay, slack):
     return curves, pairs, t_cycle
 
 
+def _scaled(curve, unit):
+    """curve with every delay times unit; the slopes shrink by unit, so the
+    curve stays convex."""
+    return DPCurve(points=tuple((q, d * unit, p) for q, d, p in curve.points))
+
+
 class TestWarmStart:
     """Warm solves carry one WarmStart through a sequence of wire-delay
     vectors; every step must equal a fresh cold solve."""
 
-    def test_sequences_match_cold_solves(self, rng):
-        solved = infeasible = warm_used = advanced = 0
-        for _ in range(12):
+    def test_sequences_match_cold_solves(self, rng, monkeypatch):
+        self._check_sequences(rng, monkeypatch, 1, 12)
+
+    def test_sequences_near_2_pow_60_match_cold_solves(self, rng, monkeypatch):
+        self._check_sequences(rng, monkeypatch, 2**60, 4)
+
+    @staticmethod
+    def _check_sequences(rng, monkeypatch, unit, instances):
+        """Every step equals a fresh cold solve. Its circulation is exactly
+        solve_min_cost_circulation's from warm's anchor (start_for), flow
+        and potentials alike, and an in-place solve's residual distances
+        are residual_shortest_paths' and Bellman-Ford's. Anchors advance to
+        the latest solve, or go back to earlier ones as after the anneal's
+        calibration. At unit 2**60 every delay is scaled by it, so the arc
+        costs lie near 2**60 and beyond."""
+        in_place = []  # the distances of each in-place solve
+        distances = ResidualNetwork.distances
+
+        def recording(kept, src):
+            in_place.append(distances(kept, src))
+            return in_place[-1]
+
+        monkeypatch.setattr(ResidualNetwork, "distances", recording)
+        solved = infeasible = warm_used = advanced = reset = 0
+        for _ in range(instances):
             m = rng.randint(4, 12)
             curves, pairs, t_cycle = _sequence_instance(rng, m, 2, 6)
+            curves = [_scaled(c, unit) for c in curves]
             warm = WarmStart()
+            earlier = []  # warm.last of every feasible step so far
             for _ in range(25):
-                wires = tuple((a, b, rng.randint(0, 4)) for a, b in pairs)
-                tg = TimingGraph(m=m, wires=wires, t_cycle=t_cycle)
+                wires = tuple((a, b, rng.randint(0, 4) * unit) for a, b in pairs)
+                tg = TimingGraph(m=m, wires=wires, t_cycle=t_cycle * unit)
                 try:
                     cold = assign_voltages(tg, curves, exact_limit=0)
                 except TimingInfeasible:
@@ -372,26 +403,69 @@ class TestWarmStart:
                     continue
                 net, _, _ = build_expanded_network(tg, curves)
                 anchor = warm.anchor
-                warm_used += warm.start_for(net) is not None
+                start = warm.start_for(net)
+                warm_used += start is not None
+                del in_place[:]
                 got = assign_voltages(tg, curves, exact_limit=0, warm=warm)
                 assert got == cold
                 # the first solve anchors; later ones leave the anchor alone
                 assert warm.anchor is (warm.last if anchor is None else anchor)
-                ref = solve_min_cost_circulation(net)
-                flow, potentials = warm.last.flow, warm.last.potentials
-                assert sum(map(mul, net.costs, flow)) == ref.objective
-                dist = residual_shortest_paths(net, ref, tg.S)
-                assert residual_bellman_ford(net, flow, tg.S) == dist
-                warm_res = FlowResult(flow, ref.objective, potentials)
-                assert residual_shortest_paths(net, warm_res, tg.S) == dist
-                certify_optimal(net, warm_res)
-                if rng.random() < 0.3:  # an accepted move
+                want = solve_min_cost_circulation(net, start)
+                assert warm.last.flow == want.flow
+                assert warm.last.potentials == want.potentials
+                dist = residual_shortest_paths(net, want, tg.S)
+                assert residual_bellman_ford(net, want.flow, tg.S) == dist
+                assert in_place == ([] if start is None else [dist])
+                certify_optimal(net, want)
+                earlier.append(warm.last)
+                step = rng.random()
+                if step < 0.3:  # an accepted move
                     warm.advance()
                     assert warm.anchor is warm.last
                     advanced += 1
+                elif step < 0.45:  # back to an earlier state
+                    warm.anchor = rng.choice(earlier)
+                    reset += 1
                 solved += 1
-        assert solved >= 200 and infeasible > 0 and advanced > 30
-        assert warm_used >= solved - 12
+        assert solved >= 16 * instances and infeasible > 0
+        assert advanced > 2 * instances and reset > instances
+        assert warm_used >= solved - instances
+
+    def test_resolve_at_the_anchors_delays_ships_nothing(self, rng, monkeypatch):
+        """Re-solved at its own wire delays, the anchor meets the re-pricing
+        rule on every arc: the in-place solve ships nothing and returns
+        the anchor's flow and potentials."""
+        limits = []
+        ship = _speedups_py.ship
+
+        def recording(*args):
+            limits.append(args[9])
+            return ship(*args)
+
+        monkeypatch.setattr(_speedups_py, "ship", recording)
+        checked = 0
+        for _ in range(30):
+            m = rng.randint(4, 12)
+            curves, pairs, t_cycle = _sequence_instance(rng, m, 2, 6)
+            warm = WarmStart()
+            graphs = [
+                TimingGraph(m=m, wires=tuple((a, b, rng.randint(0, 4)) for a, b in pairs),
+                            t_cycle=t_cycle)
+                for _ in range(2)
+            ]
+            try:
+                for tg in graphs:
+                    assign_voltages(tg, curves, exact_limit=0, warm=warm)
+            except TimingInfeasible:
+                continue
+            anchor = warm.anchor
+            limits.clear()
+            got = assign_voltages(graphs[0], curves, exact_limit=0, warm=warm)
+            assert got == assign_voltages(graphs[0], curves, exact_limit=0)
+            assert limits[0] == 0
+            assert warm.last.flow == anchor.flow and warm.last.potentials == anchor.potentials
+            checked += 1
+        assert checked > 10
 
     def test_any_earlier_optimum_restarts_to_the_cold_solve(self, rng):
         """An anneal re-optimizes each candidate from its current state's
@@ -474,10 +548,10 @@ class TestLongestPath:
 
 class TestPowerFloor:
     def test_zero_delay_bound_floors_every_in_loop_power(self, rng):
-        """The anneal floors a candidate's power, before its solve, by the
-        LP bound at zero wire delays: more wire delay only tightens timing,
-        so that bound is at most the bound at any delays, which is at most
-        the in-loop (rounded-down) power there."""
+        """The LP bound at zero wire delays floors every in-loop power: more
+        wire delay only tightens timing, so that bound is at most the bound
+        at any delays, which is at most the in-loop (rounded-down) power
+        there."""
         checked = gaps = 0
         for _ in range(40):
             m = rng.randint(3, 12)
@@ -503,7 +577,7 @@ class TestPowerFloor:
         assert checked > 500 and gaps > 50
 
     def test_anchor_floor_bounds_every_in_loop_power(self, rng):
-        """The anneal also floors a candidate's power by the cost, at the
+        """The anneal floors a candidate's power by the cost, at the
         candidate's wire delays d, of its current state's circulation,
         optimal at delays d_f: that floor is at most the LP bound at d,
         which is at most the in-loop power there, and at d = d_f it is the
