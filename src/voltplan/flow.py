@@ -22,10 +22,12 @@ Network Flows, 1993, ch. 9). The min-cost max-flow runs full passes, which
 fix how it breaks ties between equal-cost flows.
 
 A ResidualNetwork keeps one circulation network in the kernel's residual
-arrays for a sequence of solves that change only some arcs' costs. Each
-solve starts from an optimum under the other costs, where every unchanged
-arc already meets the re-pricing rule, so it re-prices the changed arcs
-alone, ships on the same arrays and takes its distances from them.
+arrays for a sequence of solves that change only some arcs' costs. The
+first solve is the cold one, every arc re-priced from the zero start; each
+later solve starts from an optimum under the other costs, where every
+unchanged arc already meets the re-pricing rule, so it re-prices the
+changed arcs alone. Each ships on the same arrays and takes its distances
+from them.
 
 A FlowNetwork stores its arcs as four equal-length integer columns,
 tails, heads, costs and uppers, with arc i at index i of each. Builders
@@ -223,13 +225,13 @@ class ResidualNetwork:
     flow and potentials are the same.
     """
 
-    def __init__(self, net: FlowNetwork, flow):
-        """Arrays for net at the per-arc flow, costs as in net."""
+    def __init__(self, net: FlowNetwork):
+        """Arrays for net at zero flow, costs as in net."""
         n = net.n_nodes
         self.net = net
         self.costs = list(net.costs)  # with every change written since
         self.to, cap, cst, nxt, self.first = _speedups_py._build(
-            n + 2, net.tails, net.heads, net.uppers, net.costs, flow
+            n + 2, net.tails, net.heads, net.uppers, net.costs
         )
         for v in range(n):
             self.to += (v, n, n + 1, v)
@@ -238,7 +240,8 @@ class ResidualNetwork:
 
     def caps(self) -> list:
         """The residual capacity of each arc's forward and backward edge, in
-        arc order, as reoptimize takes them."""
+        arc order, as reoptimize takes them; before the first reoptimize,
+        those of zero flow."""
         return self.cap[: 2 * len(self.net.tails)]
 
     def reoptimize(self, cap, pot, arcs, costs) -> FlowResult:
@@ -246,10 +249,14 @@ class ResidualNetwork:
         started from an optimal circulation of the network under other
         costs on those arcs alone, given by its caps() and potentials pot
         that certify it. Every other arc meets the re-pricing rule there,
-        so only these arcs are re-priced. The arrays keep the result's
-        residual network until the next call."""
+        so only these arcs are re-priced. The cold solve is the zero start,
+        the caps() of a new network and zero potentials, with every arc
+        given: solve_min_cost_circulation(net) with the same passes. The
+        arrays keep the result's residual network until the next call."""
         net = self.net
         n, m = net.n_nodes, len(net.tails)
+        if len(cap) != 2 * m or len(pot) != n:
+            raise ValueError("start capacities or potentials do not match the network")
         tails, heads, uppers, all_costs = net.tails, net.heads, net.uppers, self.costs
         rcap, cst, nxt = self.cap, self.cst, self.nxt
         rcap[: 2 * m] = cap

@@ -30,6 +30,8 @@ from math import lcm
 from operator import mul
 
 from .errors import SolverError, TimingInfeasible, ValidationError
+# no solve here calls residual_shortest_paths or solve_min_cost_circulation;
+# they stay names of this module, which perfbench/tracer.py wraps
 from .flow import (
     FlowNetwork,
     ResidualNetwork,
@@ -221,16 +223,17 @@ class WarmStart:
     and two optimal circulations, each with the potentials that certify it
     and its residual capacities: `last`, of the latest solve, and `anchor`,
     which every later solve re-optimizes from in place. The first solve on
-    a network is cold and anchors; advance() moves the anchor to the latest
-    solve. The anneal advances when it accepts a move it solved, so the
-    anchor is its current state and each candidate, one move from that
-    state, starts one move from the optimum. Only the wire arcs' costs
-    depend on the wire delays, so a solve restores the anchor, writes and
-    re-prices the wire arcs alone, ships, and takes the residual distances
-    on the same arrays: the flow and potentials are those of
-    solve_min_cost_circulation started from the anchor (start_for). Any
-    optimal circulation gives the same residual distances, so the levels
-    do not depend on where a solve started.
+    a network starts from zero flow and potentials and anchors; advance()
+    moves the anchor to the latest solve. The anneal advances when it
+    accepts a move it solved, so the anchor is its current state and each
+    candidate, one move from that state, starts one move from the optimum.
+    Only the wire arcs' costs depend on the wire delays, so a solve
+    restores the anchor, writes and re-prices the wire arcs alone, ships,
+    and takes the residual distances on the same arrays: the flow and
+    potentials are those of solve_min_cost_circulation started from the
+    anchor (start_for), or from nothing for the first solve. Any optimal
+    circulation gives the same residual distances, so the levels do not
+    depend on where a solve started.
 
     The anchor's flow is a circulation of every network that differs from
     its own in the wire costs alone; its cost there bounds the optimum
@@ -263,23 +266,22 @@ class WarmStart:
     def solve(self, tg: TimingGraph):
         """The optimal circulation of tg's expanded network, as a certified
         FlowResult, and the residual distances from tg.S; level_arcs is
-        called first, with tg's curves. Kept as the latest solve; on a
-        graph with other wires or another cycle time than the kept
-        network's, the solve is cold and anchors."""
+        called first, with tg's curves. Kept as the latest solve; without
+        an anchor, or on a graph with other wires or another cycle time
+        than the kept network's, the solve is cold and anchors."""
         la = self._level_arcs
         lo = len(la.rows)
         hi = lo + len(tg.wires)
         key = (tg.m, tg.t_cycle, tg.fanin)
         if self.anchor is None or key != self._key:
             net = build_expanded_network(tg, self._curves, la)[0]
-            result = solve_min_cost_circulation(net)
-            dist = residual_shortest_paths(net, result, tg.S)
-            self._key, self._kept, self.anchor = key, ResidualNetwork(net, result.flow), None
+            self._key, self._kept, self.anchor = key, ResidualNetwork(net), None
+            start = self._kept.caps(), [0] * net.n_nodes, range(len(net.tails)), net.costs
         else:
             a = self.anchor
-            wire_costs = [-d for _, _, d in tg.wires]
-            result = self._kept.reoptimize(a.cap, a.potentials, range(lo, hi), wire_costs)
-            dist = self._kept.distances(tg.S)
+            start = a.cap, a.potentials, range(lo, hi), [-d for _, _, d in tg.wires]
+        result = self._kept.reoptimize(*start)
+        dist = self._kept.distances(tg.S)
         wire_flow = result.flow[lo:hi]
         self.last = _Circulation(
             result.flow,
@@ -360,9 +362,8 @@ def longest_path_for(tg: TimingGraph, delays) -> tuple[int, list[int]]:
 
 def _slowest_fit(curve: DPCurve, budget: int) -> int:
     """The slowest level whose delay fits budget; level 1 when none does."""
-    points = curve.points  # level q's delay is points[q - 1][1]
     q = 1
-    while q < len(points) and points[q][1] <= budget:
+    while q < curve.k and curve.delay(q + 1) <= budget:
         q += 1
     return q
 

@@ -497,14 +497,14 @@ class TestCli:
         assert err.startswith(f"error: {bad}: not UTF-8 text (byte 0xff at offset 0)")
 
     def test_solver_failure_exit_4(self, tmp_path, capsys, monkeypatch):
-        from voltplan import voltage
         from voltplan.errors import NegativeResidualCycle
+        from voltplan.flow import ResidualNetwork
 
-        def broken(net, start=None):
+        def broken(kept, cap, pot, arcs, costs):
             raise NegativeResidualCycle("no circulation meets the lower bounds")
 
         spec = self._gen(tmp_path)
-        monkeypatch.setattr(voltage, "solve_min_cost_circulation", broken)
+        monkeypatch.setattr(ResidualNetwork, "reoptimize", broken)
         capsys.readouterr()
         rc = main([
             "run", "--blocks", str(DATA / "n10.blocks"),

@@ -397,7 +397,7 @@ class TestReducedCostCertificates:
             return out
 
         circ = network(3, [(0, 1, -5, 2), (1, 2, 1, 2), (2, 0, 1, 2)])
-        kept = ResidualNetwork(circ, [0, 0, 0])
+        kept = ResidualNetwork(circ)
         monkeypatch.setattr(_speedups_py, "mcmf", off_mcmf)
         monkeypatch.setattr(_speedups_py, "ship", off_ship)
         with pytest.raises(SolverError, match="outside"):
@@ -415,14 +415,22 @@ class TestResidualNetwork:
     that is solve_min_cost_circulation from the same start, which
     re-prices every arc: the same flow and the same potentials."""
 
+    @staticmethod
+    def _cold(kept):
+        """The zero start, every arc re-priced."""
+        net = kept.net
+        return kept.reoptimize(kept.caps(), [0] * net.n_nodes, range(len(net.tails)), net.costs)
+
     @pytest.mark.parametrize("unit", [1, 2**60], ids=["small", "near_2_pow_60"])
     def test_repricing_the_changed_arcs_equals_repricing_every_arc(self, rng, unit):
         shipped = 0
         for _ in range(100):
             n, rows = TestStoppedPasses._random_rows(rng, unit)
             net = network(n, rows)
-            first = solve_min_cost_circulation(net)
-            kept = ResidualNetwork(net, first.flow)
+            kept = ResidualNetwork(net)
+            first = self._cold(kept)
+            cold = solve_min_cost_circulation(net)
+            assert first == cold and first.potentials == cold.potentials
             # the arcs whose costs move, rewritten on every solve
             changed = sorted(rng.sample(range(len(rows)), rng.randint(1, len(rows))))
             optima = [(first, kept.caps())]
@@ -457,12 +465,31 @@ class TestResidualNetwork:
         for _ in range(50):
             n, rows = TestStoppedPasses._random_rows(rng, 1)
             net = network(n, rows)
-            opt = solve_min_cost_circulation(net)
-            kept = ResidualNetwork(net, opt.flow)
+            kept = ResidualNetwork(net)
+            opt = self._cold(kept)
             limits.clear()  # the cold solve ships through the same loop
             got = kept.reoptimize(kept.caps(), opt.potentials, range(len(rows)), net.costs)
             assert got == opt and got.potentials == opt.potentials
             assert limits == [0]
+
+    @pytest.mark.parametrize(
+        "cap, pot",
+        [
+            ([2, 0, 2, 0], [0, 0, 0]),
+            ([2, 0, 2, 0, 2, 0, 0, 0], [0, 0, 0]),
+            ([2, 0, 2, 0, 2, 0], [0, 0]),
+            ([2, 0, 2, 0, 2, 0], [0, 0, 0, 0]),
+        ],
+    )
+    def test_mismatched_start_rejected(self, cap, pot):
+        """A start taken from another network, whose capacities or
+        potentials have another length, is a ValueError, and the kept
+        arrays are left as they were."""
+        kept = ResidualNetwork(network(3, [(0, 1, -5, 2), (1, 2, 1, 2), (2, 0, 1, 2)]))
+        before = kept.caps()
+        with pytest.raises(ValueError, match="do not match"):
+            kept.reoptimize(cap, pot, range(3), kept.net.costs)
+        assert kept.caps() == before and len(kept.cap) == len(kept.to)
 
 
 class TestStoppedPasses:
