@@ -22,7 +22,6 @@ _EXPORTS = {
     "ModuleBlock": "model",
     "Netlist": "model",
     "PhiWeights": "floorplan",
-    "Room": "floorplan",
     "RunConfig": "pipeline",
     "ShifterSpec": "model",
     "TimingGraph": "voltage",
@@ -46,7 +45,6 @@ __all__ = [
     "ModuleBlock",
     "Netlist",
     "PhiWeights",
-    "Room",
     "RunConfig",
     "ShifterSpec",
     "TimingGraph",

@@ -5,7 +5,9 @@ postfix (Polish) expression: a tuple of tokens, each a module index or one
 of two cut operators. 'H' stacks its children vertically (widths max,
 heights add), 'V' puts them side by side. Packing combines dimensions
 bottom-up, then distributes slack top-down so the rooms tile the chip
-exactly; the extra space always goes to the right/top child.
+exactly; the extra space always goes to the right/top child. A packed
+Floorplan is flat per-module columns, the one form every metric, artifact
+and shifter placement reads.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import NamedTuple
 
 from .errors import MalformedExpression
 
@@ -54,73 +55,20 @@ def check_expr(tokens, m: int | None = None):
         raise MalformedExpression("expression does not reduce to a single block")
 
 
-class Room(NamedTuple):
-    """One tile of the floorplan: the module sits at the room origin.
-
-    Whitespace splits into the right strip beside the module, the top strip
-    above it, and the corner rectangle between them; shifters._whitespace
-    models it from the sizes alone. A named tuple: it is immutable like a
-    frozen dataclass and several times cheaper to build. Floorplan.rooms
-    builds them on first use; the anneal's candidates, its refresh count and
-    the shifter network never need them.
-    """
-
-    x: int
-    y: int
-    w: int
-    h: int
-    module_w: int
-    module_h: int
-
-
 class Floorplan:
     """A packed floorplan as flat integer columns, indexed by module: each
     room's origin (xs, ys) and size (ws, hs), and each module's (w, h) in
-    dims. pack writes the columns and shares its dims, and the anneal scores
-    its candidates from the columns alone.
-
-    The Room records are built on first use and kept, the doubled module
-    centers on each use. Floorplan(chip_w, chip_h, rooms) builds one from
-    its rooms; equality, hash and repr go by (chip_w, chip_h, rooms). Not to
-    be mutated.
+    dims. The module sits at its room's origin. pack writes the columns and
+    shares its dims, and every reader scores, draws or writes the floorplan
+    from them. Equality, hash and repr go by the chip size and the five
+    columns. Not to be mutated.
     """
 
-    __slots__ = ("chip_w", "chip_h", "xs", "ys", "ws", "hs", "dims", "_rooms")
+    __slots__ = ("chip_w", "chip_h", "xs", "ys", "ws", "hs", "dims")
 
-    def __init__(self, chip_w: int, chip_h: int, rooms):
-        rooms = tuple(rooms)
+    def __init__(self, chip_w: int, chip_h: int, xs, ys, ws, hs, dims):
         self.chip_w, self.chip_h = chip_w, chip_h
-        self.xs = [r.x for r in rooms]
-        self.ys = [r.y for r in rooms]
-        self.ws = [r.w for r in rooms]
-        self.hs = [r.h for r in rooms]
-        self.dims = tuple((r.module_w, r.module_h) for r in rooms)
-        self._rooms = rooms
-
-    @classmethod
-    def _of_columns(cls, chip_w, chip_h, xs, ys, ws, hs, dims) -> Floorplan:
-        fp = cls.__new__(cls)
-        fp.chip_w, fp.chip_h, fp.xs, fp.ys, fp.ws, fp.hs, fp.dims = (
-            chip_w, chip_h, xs, ys, ws, hs, dims
-        )
-        fp._rooms = None
-        return fp
-
-    @property
-    def rooms(self) -> tuple[Room, ...]:
-        """One Room per module."""
-        if self._rooms is None:
-            self._rooms = tuple(
-                Room(x, y, w, h, mw, mh)
-                for x, y, w, h, (mw, mh) in zip(self.xs, self.ys, self.ws, self.hs, self.dims)
-            )
-        return self._rooms
-
-    def room(self, i: int) -> Room:
-        """Module i's Room, without building the others."""
-        if self._rooms is not None:
-            return self._rooms[i]
-        return Room(self.xs[i], self.ys[i], self.ws[i], self.hs[i], *self.dims[i])
+        self.xs, self.ys, self.ws, self.hs, self.dims = xs, ys, ws, hs, dims
 
     def center2(self, i: int) -> tuple[int, int]:
         """Module i's center in doubled coordinates (stays integral)."""
@@ -136,16 +84,26 @@ class Floorplan:
     def area(self) -> int:
         return self.chip_w * self.chip_h
 
+    def _key(self):
+        """The chip size and the columns as tuples: _pack writes lists."""
+        return (
+            self.chip_w, self.chip_h, tuple(self.xs), tuple(self.ys), tuple(self.ws),
+            tuple(self.hs), tuple(map(tuple, self.dims)),
+        )
+
     def __eq__(self, other):
         if other.__class__ is not Floorplan:
             return NotImplemented
-        return (self.chip_w, self.chip_h, self.rooms) == (other.chip_w, other.chip_h, other.rooms)
+        return self._key() == other._key()
 
     def __hash__(self):
-        return hash((self.chip_w, self.chip_h, self.rooms))
+        return hash(self._key())
 
     def __repr__(self):
-        return f"Floorplan(chip_w={self.chip_w!r}, chip_h={self.chip_h!r}, rooms={self.rooms!r})"
+        return (
+            f"Floorplan(chip_w={self.chip_w!r}, chip_h={self.chip_h!r}, xs={self.xs!r}, "
+            f"ys={self.ys!r}, ws={self.ws!r}, hs={self.hs!r}, dims={self.dims!r})"
+        )
 
 
 def pack(expr, dims) -> Floorplan:
@@ -204,7 +162,7 @@ def _pack(expr, dims) -> Floorplan:
             boxes[lefts[i]], boxes[i - 1] = (x, y, dw, h), (x + dw, y, w - dw, h)
         else:
             xs[t], ys[t], room_w[t], room_h[t] = x, y, w, h
-    return Floorplan._of_columns(ws[-1], hs[-1], xs, ys, room_w, room_h, dims)
+    return Floorplan(ws[-1], hs[-1], xs, ys, room_w, room_h, dims)
 
 
 def hpwl(floorplan: Floorplan, nets) -> int:

@@ -39,14 +39,6 @@ class DPCurve:
     def k(self) -> int:
         return len(self.points)
 
-    @property
-    def delays(self) -> tuple[int, ...]:
-        return tuple(p[1] for p in self.points)
-
-    @property
-    def powers(self) -> tuple[int, ...]:
-        return tuple(p[2] for p in self.points)
-
     def delay(self, level: int) -> int:
         return self.points[level - 1][1]
 

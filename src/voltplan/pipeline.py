@@ -20,7 +20,7 @@ from pathlib import Path
 from .anneal import AnnealConfig, AnnealResult, anneal
 from .bench import parse_blocks, parse_nets, parse_spec
 from .errors import ParseError, TimingInfeasible, ValidationError
-from .floorplan import Floorplan, Room
+from .floorplan import Floorplan
 from .model import DPCurve, ModuleBlock, build_netlist, decompose_multipin
 from .render import render_svg
 from .report import ReportRow, emit_report
@@ -78,14 +78,13 @@ def load_instance(config: RunConfig):
 
 
 def serialize_floorplan(netlist, result: AnnealResult) -> str:
-    lines = []
-    for i, room in enumerate(result.floorplan.rooms):
-        name = netlist.modules[i].name
-        level = result.voltage.level[i]
-        lines.append(
-            f"{name} {room.x} {room.y} {room.module_w} {room.module_h} "
-            f"{room.x} {room.y} {room.w} {room.h} {level}"
+    fp = result.floorplan
+    lines = [
+        f"{module.name} {x} {y} {mw} {mh} {x} {y} {w} {h} {level}"
+        for module, x, y, w, h, (mw, mh), level in zip(
+            netlist.modules, fp.xs, fp.ys, fp.ws, fp.hs, fp.dims, result.voltage.level
         )
+    ]
     return "\n".join(lines) + "\n"
 
 
@@ -127,8 +126,7 @@ def _naturals(tokens, lineno) -> list[int]:
 
 def parse_floorplan(text) -> tuple[Floorplan, tuple[int, ...]]:
     """Read serialize_floorplan's output back: (floorplan, level per room)."""
-    rooms = []
-    levels = []
+    xs, ys, ws, hs, dims, levels = [], [], [], [], [], []
     for lineno, tokens in _records(text, 10):
         x, y, w, h, rx, ry, rw, rh, level = _naturals(tokens[1:], lineno)
         if (x, y) != (rx, ry):
@@ -141,13 +139,17 @@ def parse_floorplan(text) -> tuple[Floorplan, tuple[int, ...]]:
             )
         if level < 1:
             raise ParseError(f"voltage level must be at least 1, got {level}", lineno)
-        rooms.append(Room(x=rx, y=ry, w=rw, h=rh, module_w=w, module_h=h))
+        xs.append(rx)
+        ys.append(ry)
+        ws.append(rw)
+        hs.append(rh)
+        dims.append((w, h))
         levels.append(level)
-    if not rooms:
+    if not xs:
         raise ParseError("floorplan has no modules", 1)
-    chip_w = max(r.x + r.w for r in rooms)
-    chip_h = max(r.y + r.h for r in rooms)
-    return Floorplan(chip_w=chip_w, chip_h=chip_h, rooms=tuple(rooms)), tuple(levels)
+    chip_w = max(x + w for x, w in zip(xs, ws))
+    chip_h = max(y + h for y, h in zip(ys, hs))
+    return Floorplan(chip_w, chip_h, xs, ys, ws, hs, tuple(dims)), tuple(levels)
 
 
 def parse_shifters(text) -> dict[int, tuple[int, int, int, int]]:

@@ -40,15 +40,16 @@ def render_svg(floorplan, levels, shifter_rects) -> str:
         '<svg xmlns="http://www.w3.org/2000/svg" '
         f'viewBox="0 0 {chip_w} {chip_h}" width="{chip_w}" height="{chip_h}">'
     ]
-    for r in floorplan.rooms:
+    xs, ys = floorplan.xs, floorplan.ys
+    for x, y, w, h in zip(xs, ys, floorplan.ws, floorplan.hs):
         parts.append(
-            _rect(r.x, r.y, r.w, r.h, chip_h, 'fill="none" stroke="#555" stroke-width="0.3"')
+            _rect(x, y, w, h, chip_h, 'fill="none" stroke="#555" stroke-width="0.3"')
         )
-    for r, level in zip(floorplan.rooms, levels):
+    for x, y, (mw, mh), level in zip(xs, ys, floorplan.dims, levels):
         color = PALETTE[(level - 1) % len(PALETTE)]
         parts.append(
             _rect(
-                r.x, r.y, r.module_w, r.module_h, chip_h,
+                x, y, mw, mh, chip_h,
                 f'fill="{color}" stroke="#000" stroke-width="0.2"',
             )
         )

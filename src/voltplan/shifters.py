@@ -6,12 +6,12 @@ index). Room capacity follows the whitespace model: the corner part merges
 into whichever strip wastes more area modulo the shifter footprint, strips
 too narrow to hold the shifter in either orientation count as zero, and the
 capacity is the floor-sum of the two resulting areas; _whitespace applies
-it to a room's four sizes, which the flow network and the refresh count
-read from the floorplan's columns for the rooms some window reaches.
-Assignment of shifters to rooms is a min-cost max-flow over a bipartite
-network with detour costs; whatever cannot be assigned (or packed
-geometrically) lands in the fallback set and is placed on the source
-module's boundary.
+it to a room's four sizes. Rooms are named by their module's index, and
+every function here, the flow network, the refresh count and the
+placement alike, reads them from the floorplan's columns. Assignment of
+shifters to rooms is a min-cost max-flow over a bipartite network with
+detour costs; whatever cannot be assigned (or packed geometrically) lands
+in the fallback set and is placed on the source module's boundary.
 
 The annealer's cost reads only how many shifters land in that fallback set.
 unplaced_count gives that number without the min-cost flow whenever no room
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .flow import network, solve_min_cost_max_flow
-from .floorplan import Floorplan, Room, hpwl2_per_net
+from .floorplan import Floorplan, hpwl2_per_net
 from .model import ShifterSpec
 
 
@@ -81,9 +81,9 @@ def _whitespace(w: int, h: int, mw: int, mh: int, spec: ShifterSpec):
     return numls_from_areas(a1, a2, rw * th, spec.area), spots, regions
 
 
-def num_ls(room: Room, spec: ShifterSpec) -> int:
-    """How many shifters the room's whitespace can hold (area model)."""
-    return _whitespace(room.w, room.h, room.module_w, room.module_h, spec)[0]
+def num_ls(floorplan: Floorplan, r: int, spec: ShifterSpec) -> int:
+    """How many shifters room r's whitespace can hold (area model)."""
+    return _whitespace(floorplan.ws[r], floorplan.hs[r], *floorplan.dims[r], spec)[0]
 
 
 def numls_from_areas(a1: int, a2: int, a3: int, a_ls: int) -> int:
@@ -117,8 +117,8 @@ def _detour2(a, b, via) -> int:
 
 
 def _center2_of_rect(rect) -> tuple[int, int]:
-    """Doubled center of an (x, y, w, h) rectangle or of a room's box."""
-    x, y, w, h = rect[:4]
+    """Doubled center of an (x, y, w, h) rectangle."""
+    x, y, w, h = rect
     return (2 * x + w, 2 * y + h)
 
 
@@ -156,7 +156,7 @@ class ShifterAssignment:
         return out
 
 
-def _window_rooms(shifters, floorplan, window):
+def _windows(shifters, floorplan, window):
     """Per shifter: the doubled centers of its source and sink modules and
     the indices of the rooms its window box overlaps or touches, in room
     order, tested on the rooms' doubled edges."""
@@ -180,10 +180,10 @@ def _window_rooms(shifters, floorplan, window):
 
 
 def _window_slots(shifters, floorplan, spec, window):
-    """_window_rooms' per-shifter (a, b, window rooms), and for each room in
+    """_windows' per-shifter (a, b, window rooms), and for each room in
     some window, keyed by index in first-seen order, its (capacity, spots)
     from the floorplan's columns."""
-    windows = _window_rooms(shifters, floorplan, window)
+    windows = _windows(shifters, floorplan, window)
     ws, hs, dims = floorplan.ws, floorplan.hs, floorplan.dims
     slots = {}
     for _a, _b, rooms in windows:
@@ -208,9 +208,9 @@ def build_assignment_network(shifters, floorplan, spec, window):
     pair_arcs = {}
     windows, slots = _window_slots(shifters, floorplan, spec, window)
     xs, ys, ws, hs = floorplan.xs, floorplan.ys, floorplan.ws, floorplan.hs
-    centers = {r: (2 * xs[r] + ws[r], 2 * ys[r] + hs[r]) for r in slots}
-    for j, (a, b, window_rooms) in enumerate(windows):
-        for r in window_rooms:
+    centers = {r: _center2_of_rect((xs[r], ys[r], ws[r], hs[r])) for r in slots}
+    for j, (a, b, reach) in enumerate(windows):
+        for r in reach:
             if slots[r][0] >= 1:
                 pair_arcs[(j, r)] = len(arcs)
                 arcs.append((ls_base + j, room_base + r, _detour2(a, b, centers[r]), 1))
@@ -221,12 +221,13 @@ def build_assignment_network(shifters, floorplan, spec, window):
     return net, s_node, t_node, pair_arcs
 
 
-def place_in_room(room: Room, shifters, spec: ShifterSpec):
-    """Greedy row-major packing of shifter rectangles into the room's
+def place_in_room(floorplan: Floorplan, r: int, shifters, spec: ShifterSpec):
+    """Greedy row-major packing of shifter rectangles into room r's
     whitespace (post-merge regions, best orientation per region).
 
     Returns (placed rectangles, leftover shifters)."""
-    _cap, _spots, regions = _whitespace(room.w, room.h, room.module_w, room.module_h, spec)
+    x, y = floorplan.xs[r], floorplan.ys[r]
+    regions = _whitespace(floorplan.ws[r], floorplan.hs[r], *floorplan.dims[r], spec)[2]
 
     def spots():
         for dx, dy, rw, rh in regions:
@@ -237,7 +238,7 @@ def place_in_room(room: Room, shifters, spec: ShifterSpec):
             # row-major; a region narrower than one spot yields none, however tall
             for i in range(cols * (rh // ch)):
                 row, col = divmod(i, cols)
-                yield (room.x + dx + col * cw, room.y + dy + row * ch, cw, ch)
+                yield (x + dx + col * cw, y + dy + row * ch, cw, ch)
 
     # zip stops at the last shifter, so no spot past it is generated
     shifters = list(shifters)
@@ -248,11 +249,12 @@ def place_in_room(room: Room, shifters, spec: ShifterSpec):
 def els_place(shifter: Shifter, floorplan) -> tuple[int, int, int, int]:
     """Fallback spot: on the source module's boundary, at the point nearest
     the sink center. Pure bookkeeping; overlap is allowed."""
-    room = floorplan.room(shifter.source)
+    src = shifter.source
+    mw, mh = floorplan.dims[src]
     sx, sy = floorplan.center2(shifter.sink)
     # nearest boundary point of the module rectangle, doubled coordinates
-    x0, y0 = 2 * room.x, 2 * room.y
-    x1, y1 = x0 + 2 * room.module_w, y0 + 2 * room.module_h
+    x0, y0 = 2 * floorplan.xs[src], 2 * floorplan.ys[src]
+    x1, y1 = x0 + 2 * mw, y0 + 2 * mh
     px = min(max(sx, x0), x1)
     py = min(max(sy, y0), y1)
     if x0 < px < x1 and y0 < py < y1:
@@ -315,7 +317,7 @@ def assign_shifters(shifters, floorplan, spec, window: int) -> ShifterAssignment
             unassigned.append(shifter)
     assigned = []
     for room_idx in sorted(by_room):
-        placed, leftover = place_in_room(floorplan.room(room_idx), by_room[room_idx], spec)
+        placed, leftover = place_in_room(floorplan, room_idx, by_room[room_idx], spec)
         for shifter, rect in placed:
             assigned.append((shifter, room_idx, rect))
         unassigned.extend(leftover)

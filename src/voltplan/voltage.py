@@ -231,7 +231,7 @@ class WarmStart:
     restores the anchor, writes and re-prices the wire arcs alone, ships,
     and takes the residual distances on the same arrays: the flow and
     potentials are those of solve_min_cost_circulation started from the
-    anchor (start_for), or from nothing for the first solve. Any optimal
+    anchor's (flow, potentials), or from nothing for the first solve. Any optimal
     circulation gives the same residual distances, so the levels do not
     depend on where a solve started.
 
@@ -254,14 +254,6 @@ class WarmStart:
             self._curves, self._level_arcs = curves, _level_arcs(tg, curves)
             self._key = self.last = self.anchor = None
         return self._level_arcs
-
-    def start_for(self, net: FlowNetwork):
-        """The anchor's (flow, potentials) if net has the same arcs as the
-        kept network, else None."""
-        kept = self._kept
-        if self.anchor is None or (net.tails, net.heads) != (kept.net.tails, kept.net.heads):
-            return None
-        return self.anchor.flow, self.anchor.potentials
 
     def solve(self, tg: TimingGraph):
         """The optimal circulation of tg's expanded network, as a certified

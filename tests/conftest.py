@@ -2,6 +2,7 @@ import math
 import random
 from fractions import Fraction
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -20,7 +21,6 @@ from voltplan.errors import NegativeResidualCycle, TimingInfeasible
 from voltplan.floorplan import (
     Floorplan,
     PhiWeights,
-    Room,
     _pack,
     hpwl2_per_net,
     initial_expr,
@@ -34,7 +34,7 @@ from voltplan.shifters import (
     _center2_of_rect,
     _detour2,
     _window_box2,
-    _window_rooms,
+    _windows,
     assign_shifters,
     default_window,
     required_shifters,
@@ -157,8 +157,8 @@ def brute_force_assign(tg: TimingGraph, curves, *, bound: int = 8) -> VoltageAss
     delays = []
     powers = np.zeros(total, dtype=np.int64)
     for i, c in enumerate(curves):
-        dl = np.asarray(c.delays, dtype=np.int64)
-        pw = np.asarray(c.powers, dtype=np.int64)
+        dl = np.asarray([p[1] for p in c.points], dtype=np.int64)
+        pw = np.asarray([p[2] for p in c.points], dtype=np.int64)
         delays.append(dl[level_of[i]])
         powers += pw[level_of[i]]
 
@@ -180,6 +180,41 @@ def brute_force_assign(tg: TimingGraph, curves, *, bound: int = 8) -> VoltageAss
     power = int(powers[best])
     return VoltageAssignment(
         level=levels, total_power=power, lower_bound=power, proved_optimal=True
+    )
+
+
+class Room(NamedTuple):
+    """Oracle view of one room of a floorplan: its origin and size, and the
+    size of its module, which sits at the origin."""
+
+    x: int
+    y: int
+    w: int
+    h: int
+    module_w: int
+    module_h: int
+
+
+def floorplan_of_rooms(chip_w, chip_h, rooms) -> Floorplan:
+    """The floorplan whose columns hold the rooms, in order."""
+    rooms = tuple(rooms)
+    return Floorplan(
+        chip_w, chip_h,
+        [r.x for r in rooms], [r.y for r in rooms], [r.w for r in rooms], [r.h for r in rooms],
+        tuple((r.module_w, r.module_h) for r in rooms),
+    )
+
+
+def one_room(room: Room) -> Floorplan:
+    """The floorplan of a lone room, its chip reaching the room's far corner."""
+    return floorplan_of_rooms(room.x + room.w, room.y + room.h, [room])
+
+
+def rooms_of(fp) -> tuple[Room, ...]:
+    """One Room per module, read from the floorplan's columns."""
+    return tuple(
+        Room(x, y, w, h, mw, mh)
+        for x, y, w, h, (mw, mh) in zip(fp.xs, fp.ys, fp.ws, fp.hs, fp.dims)
     )
 
 
@@ -219,7 +254,7 @@ def recursive_pack(expr, dims) -> Floorplan:
             assign(right, x + left[3], y, w - left[3], h)
 
     assign(root, 0, 0, root[3], root[4])
-    return Floorplan(chip_w=root[3], chip_h=root[4], rooms=tuple(rooms))
+    return floorplan_of_rooms(root[3], root[4], rooms)
 
 
 def whitespace_parts(room: Room):
@@ -294,16 +329,17 @@ def all_rooms_network(shifters, floorplan, spec, window):
     room's capacity and center taken from its Room, and an arc to t for
     every room with capacity, in a window or not."""
     n_ls = len(shifters)
-    rooms = floorplan.rooms
+    rooms = rooms_of(floorplan)
     room_base = 2 + n_ls
     arcs = [(0, 2 + j, 0, 1) for j in range(n_ls)]
     pair_arcs = {}
     caps = [room_slots(room, spec)[0] for room in rooms]
-    for j, (a, b, window_rooms) in enumerate(_window_rooms(shifters, floorplan, window)):
-        for r in window_rooms:
+    for j, (a, b, reach) in enumerate(_windows(shifters, floorplan, window)):
+        for r in reach:
             if caps[r] >= 1:
                 pair_arcs[(j, r)] = len(arcs)
-                arcs.append((2 + j, room_base + r, _detour2(a, b, _center2_of_rect(rooms[r])), 1))
+                center = _center2_of_rect(rooms[r][:4])
+                arcs.append((2 + j, room_base + r, _detour2(a, b, center), 1))
     for r, cap in enumerate(caps):
         if cap > 0:
             arcs.append((room_base + r, 1, 0, cap))
@@ -313,7 +349,7 @@ def all_rooms_network(shifters, floorplan, spec, window):
 def _ends2(floorplan, shifter):
     """Doubled centers of the shifter's source and sink modules, from their
     rooms (independent of Floorplan.centers2)."""
-    rooms = floorplan.rooms
+    rooms = rooms_of(floorplan)
     return tuple(
         (2 * r.x + r.module_w, 2 * r.y + r.module_h)
         for r in (rooms[shifter.source], rooms[shifter.sink])
@@ -339,7 +375,7 @@ def feasible(shifter, room, floorplan, spec, window) -> bool:
 def assign_cost(shifter, room, floorplan) -> int:
     """Manhattan detour of routing the net through the room center
     (doubled coordinates, always nonnegative)."""
-    return _detour2(*_ends2(floorplan, shifter), _center2_of_rect(room))
+    return _detour2(*_ends2(floorplan, shifter), _center2_of_rect(room[:4]))
 
 
 def fixture_netlist(path_blocks, path_nets, k, seed, slack=Fraction(1, 2)):

@@ -13,7 +13,7 @@ import pytest
 from voltplan.anneal import AnnealConfig, anneal, modified_curves
 from voltplan.bench import gen_spec, parse_blocks, parse_nets
 from voltplan.flow import network, solve_min_cost_circulation
-from voltplan.floorplan import Room, initial_expr, pack, perturb
+from voltplan.floorplan import initial_expr, pack, perturb
 from voltplan.model import DPCurve
 from voltplan.pipeline import RunConfig, run_pipeline
 from voltplan.report import COLUMNS, ReportRow, emit_report
@@ -28,6 +28,7 @@ from voltplan.voltage import assign_voltages, build_timing_graph
 
 from conftest import (
     DATA,
+    Room,
     arcs_of,
     assign_cost,
     brute_force_assign,
@@ -37,7 +38,9 @@ from conftest import (
     generated_netlist,
     layered_blocks_nets,
     longest_path_delay,
+    one_room,
     random_timing_instance,
+    rooms_of,
 )
 from test_floorplan import check_tiling, rects_disjoint
 
@@ -81,17 +84,18 @@ def _random_shifter_instance(rng):
 
 
 def _enumerate_assignment(fp, spec, shifters, window):
-    caps = [num_ls(r, spec) for r in fp.rooms]
+    rooms = rooms_of(fp)
+    caps = [num_ls(fp, r, spec) for r in range(len(rooms))]
     options = []
     for s in shifters:
         opts = [None]
-        for r in range(len(fp.rooms)):
-            if feasible(s, fp.rooms[r], fp, spec, window):
+        for r in range(len(rooms)):
+            if feasible(s, rooms[r], fp, spec, window):
                 opts.append(r)
         options.append(opts)
     best = None
     for combo in itertools.product(*options):
-        used = [0] * len(fp.rooms)
+        used = [0] * len(rooms)
         cost = count = 0
         ok = True
         for s, r in zip(shifters, combo):
@@ -101,7 +105,7 @@ def _enumerate_assignment(fp, spec, shifters, window):
             if used[r] > caps[r]:
                 ok = False
                 break
-            cost += assign_cost(s, fp.rooms[r], fp)
+            cost += assign_cost(s, rooms[r], fp)
             count += 1
         if ok:
             key = (-count, cost)
@@ -156,24 +160,24 @@ def test_criterion_4_capacity_algorithm_conformance():
     assert numls_from_areas(20, 28, 12, 10) == 6
     assert numls_from_areas(20 + 12, 28, 0, 10) == 5
     # realizable fixture where the merge choice changes capacity (4 vs 3)
-    room = Room(0, 0, 5, 11, 3, 5)
+    fp = one_room(Room(0, 0, 5, 11, 3, 5))
     spec = derive_shifter_spec(10, Fraction(5, 2), [(1, 0, 0)])
-    assert num_ls(room, spec) == 4
+    assert num_ls(fp, 0, spec) == 4
     assert numls_from_areas(22, 18, 0, 10) == 3
     # narrow-part zeroing: area suffices, geometry does not
-    narrow = Room(0, 0, 10, 10, 9, 10)
-    assert num_ls(narrow, derive_shifter_spec(4, Fraction(1), [(1, 0, 0)])) == 0
+    narrow = one_room(Room(0, 0, 10, 10, 9, 10))
+    assert num_ls(narrow, 0, derive_shifter_spec(4, Fraction(1), [(1, 0, 0)])) == 0
 
     rng = random.Random(4004)
     for _ in range(10_000):
         mw, mh = rng.randint(1, 25), rng.randint(1, 25)
         sw, sh = rng.randint(0, 14), rng.randint(0, 14)
-        r = Room(0, 0, mw + sw, mh + sh, mw, mh)
+        fp = one_room(Room(0, 0, mw + sw, mh + sh, mw, mh))
         spec = derive_shifter_spec(
             rng.choice([1, 2, 4, 6, 9, 12]), Fraction(1), [(1, 0, 0)]
         )
         slack = (mw + sw) * (mh + sh) - mw * mh
-        assert num_ls(r, spec) <= slack // spec.area
+        assert num_ls(fp, 0, spec) <= slack // spec.area
     report(4, "merge fixtures exact (6v5 areas, 4v3 geometric); 10k rooms within slack bound")
 
 
@@ -217,10 +221,11 @@ def test_criterion_6_geometric_validity():
         mw, mh = rng.randint(2, 15), rng.randint(2, 15)
         sw, sh = rng.randint(0, 9), rng.randint(0, 9)
         room = Room(0, 0, mw + sw, mh + sh, mw, mh)
+        fp = one_room(room)
         spec = derive_shifter_spec(rng.choice([1, 2, 4, 6]), Fraction(1), [(1, 0, 0)])
-        want = num_ls(room, spec)
+        want = num_ls(fp, 0, spec)
         placed, _ = place_in_room(
-            room, [Shifter(i, i, 0, 1, 2) for i in range(want)], spec
+            fp, 0, [Shifter(i, i, 0, 1, 2) for i in range(want)], spec
         )
         rects = [r for _, r in placed]
         assert rects_disjoint([Room(x, y, w, h, w, h) for x, y, w, h in rects])
@@ -239,7 +244,7 @@ def test_criterion_6_geometric_validity():
             [Room(x, y, w, h, w, h) for x, y, w, h in rects]
         )
         for shifter, room_idx, (x, y, w, h) in res.shifters.assigned:
-            room = res.floorplan.rooms[room_idx]
+            room = rooms_of(res.floorplan)[room_idx]
             assert room.x <= x and x + w <= room.x + room.w
             assert room.y <= y and y + h <= room.y + room.h
             inside_module = x < room.x + room.module_w and y < room.y + room.module_h

@@ -18,12 +18,11 @@ from voltplan import cli
 from voltplan.cli import main
 from voltplan.errors import DuplicateName, ParseError, UnknownBlock
 from voltplan.model import modify_dp_curve, validate_dp_curve
-from voltplan.floorplan import Floorplan, Room
 from voltplan.pipeline import RunConfig
 from voltplan.render import render_svg
 from voltplan.report import ReportRow, emit_report, format_fixed, parse_report
 
-from conftest import DATA
+from conftest import DATA, Room, floorplan_of_rooms
 
 
 class TestParseBlocks:
@@ -176,7 +175,7 @@ class TestSvg:
 
     def test_same_level_same_fill(self):
         rooms = (Room(0, 0, 2, 2, 2, 2), Room(2, 0, 2, 2, 2, 2))
-        svg = render_svg(Floorplan(chip_w=4, chip_h=2, rooms=rooms), (3, 3), {})
+        svg = render_svg(floorplan_of_rooms(4, 2, rooms), (3, 3), {})
         root = ET.fromstring(svg)
         rects = root.findall("{http://www.w3.org/2000/svg}rect")
         fills = [r.get("fill") for r in rects[2:]]

@@ -18,7 +18,6 @@ from voltplan.errors import MalformedExpression, ValidationError
 from voltplan.floorplan import (
     Floorplan,
     PhiWeights,
-    Room,
     _can_swap,
     _pack,
     check_expr,
@@ -38,13 +37,16 @@ from voltplan.shifters import compute_ilo, required_shifters, wirelength_with_sh
 from conftest import (
     DATA,
     RecordingRandom,
+    Room,
     anneal_reference,
     fixture_netlist,
+    floorplan_of_rooms,
     generated_netlist,
     layered_blocks_nets,
     longest_path_delay,
     phi_weights,
     recursive_pack,
+    rooms_of,
     whitespace_parts,
 )
 
@@ -62,22 +64,16 @@ def rects_disjoint(rooms):
 
 
 def check_tiling(fp: Floorplan):
-    assert sum(r.w * r.h for r in fp.rooms) == fp.area
-    assert rects_disjoint(fp.rooms)
-    for r in fp.rooms:
+    rooms = rooms_of(fp)
+    assert sum(r.w * r.h for r in rooms) == fp.area
+    assert rects_disjoint(rooms)
+    for r in rooms:
         assert r.w >= r.module_w and r.h >= r.module_h
         assert 0 <= r.x and 0 <= r.y
         assert r.x + r.w <= fp.chip_w and r.y + r.h <= fp.chip_h
 
 
 class TestPack:
-    def test_room_is_an_immutable_record(self):
-        room = Room(1, 2, 5, 6, 3, 4)
-        assert room == Room(x=1, y=2, w=5, h=6, module_w=3, module_h=4)
-        assert (room.x, room.y, room.w, room.h, room.module_w, room.module_h) == (1, 2, 5, 6, 3, 4)
-        with pytest.raises(AttributeError):
-            room.x = 0
-
     def test_equal_children_no_whitespace(self):
         fp = pack((0, 1, "V"), [(2, 2), (2, 2)])
         assert (fp.chip_w, fp.chip_h) == (4, 2)
@@ -86,7 +82,7 @@ class TestPack:
     def test_uneven_children_top_strip(self):
         fp = pack((0, 1, "V"), [(2, 2), (2, 4)])
         assert (fp.chip_w, fp.chip_h) == (4, 4)
-        room0 = fp.rooms[0]
+        room0 = rooms_of(fp)[0]
         assert (room0.w, room0.h) == (2, 4)
         p1, p2, p3 = whitespace_parts(room0)
         assert p2 == (0, 2, 2, 2)
@@ -115,11 +111,12 @@ def check_perfect_tiling(fp: Floorplan):
     room corner but the chip's four is shared by an even number of rooms
     (area plus corner parity is exact for axis-aligned rectangles)."""
     corners = set()
-    for r in fp.rooms:
+    rooms = rooms_of(fp)
+    for r in rooms:
         assert r.w >= r.module_w >= 1 and r.h >= r.module_h >= 1
         assert 0 <= r.x and r.x + r.w <= fp.chip_w and 0 <= r.y and r.y + r.h <= fp.chip_h
         corners ^= {(r.x, r.y), (r.x + r.w, r.y), (r.x, r.y + r.h), (r.x + r.w, r.y + r.h)}
-    assert sum(r.w * r.h for r in fp.rooms) == fp.area
+    assert sum(r.w * r.h for r in rooms) == fp.area
     assert corners == {(0, 0), (fp.chip_w, 0), (0, fp.chip_h), (fp.chip_w, fp.chip_h)}
 
 
@@ -158,9 +155,10 @@ class TestSweepPack:
     def test_perfect_tiling_check_rejects_overlap_and_gaps(self):
         fp = pack((0, 1, "V"), [(2, 2), (2, 4)])
         check_perfect_tiling(fp)
-        moved = fp.rooms[0]._replace(x=1)
+        rooms = rooms_of(fp)
+        moved = rooms[0]._replace(x=1)
         with pytest.raises(AssertionError):
-            check_perfect_tiling(Floorplan(fp.chip_w, fp.chip_h, (moved, fp.rooms[1])))
+            check_perfect_tiling(floorplan_of_rooms(fp.chip_w, fp.chip_h, (moved, rooms[1])))
 
     def test_centers2_are_the_doubled_module_centers(self, rng):
         expr = initial_expr(12)
@@ -168,18 +166,18 @@ class TestSweepPack:
             expr = perturb(expr, rng.randint(1, 3), rng)
         fp = pack(expr, [(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(12)])
         assert fp.centers2 == tuple(
-            (2 * r.x + r.module_w, 2 * r.y + r.module_h) for r in fp.rooms
+            (2 * r.x + r.module_w, 2 * r.y + r.module_h) for r in rooms_of(fp)
         )
-        # derived from the rooms: not a constructor argument, not in eq or repr
-        rebuilt = Floorplan(fp.chip_w, fp.chip_h, fp.rooms)
+        # derived from the columns: not a constructor argument, not in eq or repr
+        rebuilt = floorplan_of_rooms(fp.chip_w, fp.chip_h, rooms_of(fp))
         assert rebuilt == fp and rebuilt.centers2 == fp.centers2
         assert "centers2" not in repr(fp)
 
 
 class TestColumns:
-    """The candidate path reads flat columns: pack writes the rooms'
-    origins and sizes per module and shares dims, and the scoring
-    functions build no Room."""
+    """A floorplan is its flat columns: pack writes the rooms' origins and
+    sizes per module and shares dims, and equality, hash and repr go by the
+    chip size and the columns."""
 
     def test_columns_match_the_recursive_packer(self, rng):
         for _ in range(300):
@@ -192,42 +190,50 @@ class TestColumns:
             want = recursive_pack(expr, dims)
             assert (fp.chip_w, fp.chip_h) == (want.chip_w, want.chip_h)
             assert (fp.xs, fp.ys, fp.ws, fp.hs) == tuple(
-                [getattr(r, f) for r in want.rooms] for f in ("x", "y", "w", "h")
+                [getattr(r, f) for r in rooms_of(want)] for f in ("x", "y", "w", "h")
             )
             assert fp.dims is dims
             nets = [(rng.randrange(m), rng.randrange(m)) for _ in range(m)]
             levels = [rng.randint(1, 3) for _ in range(m)]
             assert hpwl2_per_net(fp, nets) == hpwl2_per_net(want, nets)
             assert voltage_islands(fp, levels) == voltage_islands(want, levels)
-            assert fp._rooms is None
-            assert [fp.room(i) for i in range(m)] == list(want.rooms)
-            assert fp._rooms is None
+            assert rooms_of(fp) == rooms_of(want)
             assert fp == want and hash(fp) == hash(want) and repr(fp) == repr(want)
 
-    def test_rooms_built_once(self):
+    def test_equality_goes_by_the_chip_size_and_every_column_entry(self):
+        """Changing the chip size or any one entry of a column makes two
+        floorplans unequal; equal ones hash equal, lists and tuples alike."""
         fp = pack((0, 1, "V"), [(2, 2), (2, 4)])
-        assert fp.rooms is fp.rooms
-        assert fp.rooms == (Room(0, 0, 2, 4, 2, 2), Room(2, 0, 2, 4, 2, 4))
+        assert rooms_of(fp) == (Room(0, 0, 2, 4, 2, 2), Room(2, 0, 2, 4, 2, 4))
         assert fp.centers2 == ((2, 2), (6, 4))
+        fields = dict(
+            chip_w=4, chip_h=4, xs=(0, 2), ys=(0, 0), ws=(2, 2), hs=(4, 4), dims=[[2, 2], [2, 4]]
+        )
+        same = Floorplan(**fields)
+        assert same == fp and hash(same) == hash(fp)
+        changed = [{**fields, "chip_w": 5}, {**fields, "chip_h": 5}]
+        for name in ("xs", "ys", "ws", "hs"):
+            for i in range(2):
+                column = list(fields[name])
+                column[i] += 1
+                changed.append({**fields, name: column})
+        for i, j in itertools.product(range(2), repeat=2):
+            dims = [list(d) for d in fields["dims"]]
+            dims[i][j] += 1
+            changed.append({**fields, "dims": dims})
+        assert len(changed) == 14
+        for kw in changed:
+            assert Floorplan(**kw) != fp and fp != Floorplan(**kw)
 
 
 class TestHpwl:
     def test_coincident_centers(self):
-        fp = Floorplan(
-            chip_w=4, chip_h=4,
-            rooms=(
-                Room(0, 0, 4, 4, 4, 4),
-                Room(0, 0, 4, 4, 4, 4),
-            ),
-        )
+        fp = floorplan_of_rooms(4, 4, (Room(0, 0, 4, 4, 4, 4), Room(0, 0, 4, 4, 4, 4)))
         assert hpwl(fp, [(0, 1)]) == 0
 
     def test_frozen_three_four(self):
         # centers (1,1) and (4,5): |3| + |4| = 7
-        fp = Floorplan(
-            chip_w=8, chip_h=8,
-            rooms=(Room(0, 0, 2, 2, 2, 2), Room(3, 4, 2, 2, 2, 2)),
-        )
+        fp = floorplan_of_rooms(8, 8, (Room(0, 0, 2, 2, 2, 2), Room(3, 4, 2, 2, 2, 2)))
         assert hpwl(fp, [(0, 1)]) == 7
 
     def test_translation_invariance(self, rng):
@@ -238,19 +244,19 @@ class TestHpwl:
                 w, h = rng.randint(1, 9), rng.randint(1, 9)
                 rooms.append(Room(x, y, w, h, w, h))
             nets = [(0, 1), (1, 2), (2, 3), (0, 3)]
-            base = hpwl(Floorplan(40, 40, tuple(rooms)), nets)
+            base = hpwl(floorplan_of_rooms(40, 40, rooms), nets)
             dx, dy = rng.randint(1, 7), rng.randint(1, 7)
             moved = tuple(
                 Room(r.x + dx, r.y + dy, r.w, r.h, r.module_w, r.module_h)
                 for r in rooms
             )
-            assert hpwl(Floorplan(60, 60, moved), nets) == base
+            assert hpwl(floorplan_of_rooms(60, 60, moved), nets) == base
 
 
 def islands_pairwise(floorplan, levels):
     """Reference island count: union-find over every same-level room pair
     that shares a boundary segment of positive length (an O(m^2) scan)."""
-    rooms = floorplan.rooms
+    rooms = rooms_of(floorplan)
     parent = list(range(len(rooms)))
 
     def find(v):
@@ -290,7 +296,7 @@ def packed_slicing(draw):
 
 # a non-slicing tiling of a 3x3 chip: four 2x1 arms around a 1x1 center;
 # arms 0-1-2-3 touch in a ring and each touches the center 4
-PINWHEEL = Floorplan(3, 3, tuple(
+PINWHEEL = floorplan_of_rooms(3, 3, (
     Room(x, y, w, h, w, h)
     for x, y, w, h in ((0, 0, 2, 1), (2, 0, 1, 2), (1, 2, 2, 1), (0, 1, 1, 2), (1, 1, 1, 1))
 ))

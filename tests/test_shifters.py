@@ -8,12 +8,11 @@ from hypothesis import strategies as st
 import voltplan.anneal as anneal_mod
 from voltplan import shifters as shifters_mod
 from voltplan.cli import main
-from voltplan.floorplan import Floorplan, Room, initial_expr, pack, perturb
+from voltplan.floorplan import initial_expr, pack, perturb
 from voltplan.model import derive_shifter_spec
 from voltplan.pipeline import RunConfig, run_pipeline
 from voltplan.shifters import (
     Shifter,
-    ShifterAssignment,
     _whitespace,
     assign_shifters,
     build_assignment_network,
@@ -30,12 +29,16 @@ from voltplan.shifters import (
 
 from conftest import (
     DATA,
+    Room,
     all_rooms_network,
     arcs_of,
     assign_cost,
     feasible,
+    floorplan_of_rooms,
+    one_room,
     room_slots,
     room_spot_rects,
+    rooms_of,
 )
 
 
@@ -46,13 +49,14 @@ def spec_square(area=4, k=1):
 def enumerate_best_assignment(shifters, floorplan, spec, window):
     """Oracle: all capacity-respecting assignments; max cardinality first,
     then min total detour cost."""
-    m = len(floorplan.rooms)
-    caps = [num_ls(r, spec) for r in floorplan.rooms]
+    rooms = rooms_of(floorplan)
+    m = len(rooms)
+    caps = [num_ls(floorplan, r, spec) for r in range(m)]
     options = []
     for s in shifters:
         opts = [None]
         for r in range(m):
-            if feasible(s, floorplan.rooms[r], floorplan, spec, window):
+            if feasible(s, rooms[r], floorplan, spec, window):
                 opts.append(r)
         options.append(opts)
     best = None
@@ -68,7 +72,7 @@ def enumerate_best_assignment(shifters, floorplan, spec, window):
             if used[r] > caps[r]:
                 ok = False
                 break
-            cost += assign_cost(s, floorplan.rooms[r], floorplan)
+            cost += assign_cost(s, rooms[r], floorplan)
             count += 1
         if not ok:
             continue
@@ -95,8 +99,7 @@ class TestRequiredShifters:
 
 class TestNumLs:
     def test_zero_whitespace(self):
-        room = Room(0, 0, 6, 6, 6, 6)
-        assert num_ls(room, spec_square(4)) == 0
+        assert num_ls(one_room(Room(0, 0, 6, 6, 6, 6)), 0, spec_square(4)) == 0
 
     def test_area_arithmetic_merge_contrast(self):
         # remainders 0 vs 8 with corner 12: merging into the top strip wins
@@ -106,26 +109,25 @@ class TestNumLs:
     def test_geometric_merge_contrast_fixture(self):
         # module 3x5 in a 5x11 room, shifter 5x2 (area 10):
         # p1 = 2x5 (rem 0), p2 = 3x6 (rem 8), corner 2x6 (area 12)
-        room = Room(0, 0, 5, 11, 3, 5)
+        fp = one_room(Room(0, 0, 5, 11, 3, 5))
         spec = derive_shifter_spec(10, Fraction(5, 2), [(1, 0, 0)])
         assert (spec.width, spec.height) == (5, 2)
-        assert num_ls(room, spec) == 4
+        assert num_ls(fp, 0, spec) == 4
         # merging the corner into p1 instead would give only 3
         assert numls_from_areas(10 + 12, 18, 0, 10) == 3
 
     def test_narrow_strip_contributes_zero(self):
         # p1 is a 1-wide strip with area 10 >= 4 but the 2x2 shifter never fits
-        room = Room(0, 0, 10, 10, 9, 10)
-        assert num_ls(room, spec_square(4)) == 0
+        assert num_ls(one_room(Room(0, 0, 10, 10, 9, 10)), 0, spec_square(4)) == 0
 
     def test_capacity_never_exceeds_slack(self, rng):
         for _ in range(10_000):
             mw, mh = rng.randint(1, 20), rng.randint(1, 20)
             sw, sh = rng.randint(0, 12), rng.randint(0, 12)
-            room = Room(0, 0, mw + sw, mh + sh, mw, mh)
+            fp = one_room(Room(0, 0, mw + sw, mh + sh, mw, mh))
             spec = spec_square(rng.choice([1, 2, 4, 6, 9]))
             slack = (mw + sw) * (mh + sh) - mw * mh
-            assert num_ls(room, spec) <= slack // spec.area
+            assert num_ls(fp, 0, spec) <= slack // spec.area
 
 
 RATIOS = (Fraction(1), Fraction(2, 3), Fraction(1, 3), Fraction(5, 2), Fraction(4))
@@ -169,7 +171,8 @@ class TestWhitespace:
     def test_equals_the_room_oracle(self, rng):
         """Capacity and spots equal the Room-based oracle's, and place_in_room
         fills the oracle's spots in the oracle's order, on rooms at nonzero
-        origins with square, non-square and rotated shifters."""
+        origins, each the one room of its floorplan, with square, non-square
+        and rotated shifters."""
         for _ in range(3000):
             mw, mh = rng.randint(1, 14), rng.randint(1, 14)
             room = Room(
@@ -177,15 +180,16 @@ class TestWhitespace:
                 mw + rng.randint(0, 12), mh + rng.randint(0, 12), mw, mh,
             )
             spec = derive_shifter_spec(rng.randint(1, 30), rng.choice(RATIOS), [(1, 0, 0)])
+            fp = one_room(room)
             cap, spots, _grids = room_slots(room, spec)
             assert _whitespace(room.w, room.h, mw, mh, spec)[:2] == (cap, spots)
-            assert num_ls(room, spec) == cap
+            assert num_ls(fp, 0, spec) == cap
             rects = room_spot_rects(room, spec)
             many = [Shifter(i, i, 0, 1, 2) for i in range(spots + 2)]
-            placed, leftover = place_in_room(room, many, spec)
+            placed, leftover = place_in_room(fp, 0, many, spec)
             assert [r for _s, r in placed] == rects and leftover == many[spots:]
             k = rng.randint(0, spots)
-            assert [r for _s, r in place_in_room(room, many[:k], spec)[0]] == rects[:k]
+            assert [r for _s, r in place_in_room(fp, 0, many[:k], spec)[0]] == rects[:k]
 
 
 class TestFeasible:
@@ -195,12 +199,12 @@ class TestFeasible:
     def test_no_whitespace_infeasible(self):
         fp = self.floorplan()
         s = Shifter(0, 0, 0, 1, 2)
-        assert not feasible(s, fp.rooms[1], fp, spec_square(), 0)
+        assert not feasible(s, rooms_of(fp)[1], fp, spec_square(), 0)
 
     def test_roomy_source_room_feasible(self):
         fp = pack((0, 1, "V"), [(4, 4), (4, 8)])
         s = Shifter(0, 0, 0, 1, 2)
-        assert feasible(s, fp.rooms[0], fp, spec_square(), 0)
+        assert feasible(s, rooms_of(fp)[0], fp, spec_square(), 0)
 
     def test_distant_room_outside_window(self):
         rooms = (
@@ -208,10 +212,10 @@ class TestFeasible:
             Room(2, 0, 2, 2, 2, 2),
             Room(40, 0, 6, 2, 2, 2),  # far away, plenty of whitespace
         )
-        fp = Floorplan(chip_w=46, chip_h=2, rooms=rooms)
+        fp = floorplan_of_rooms(46, 2, rooms)
         s = Shifter(0, 0, 0, 1, 2)
-        assert not feasible(s, fp.rooms[2], fp, spec_square(1), 1)
-        assert feasible(s, fp.rooms[2], fp, spec_square(1), 50)
+        assert not feasible(s, rooms[2], fp, spec_square(1), 1)
+        assert feasible(s, rooms[2], fp, spec_square(1), 50)
 
 
 class TestAssignCost:
@@ -221,9 +225,9 @@ class TestAssignCost:
             Room(4, 0, 2, 2, 2, 2),
             Room(2, 0, 2, 2, 2, 2),
         )
-        fp = Floorplan(chip_w=6, chip_h=2, rooms=rooms)
+        fp = floorplan_of_rooms(6, 2, rooms)
         s = Shifter(0, 0, 0, 1, 2)
-        assert assign_cost(s, fp.rooms[2], fp) == 0
+        assert assign_cost(s, rooms[2], fp) == 0
 
     def test_off_path_detour(self):
         # src center (1,1), sink center (11,1), room center (6,4): detour 2*3
@@ -232,9 +236,9 @@ class TestAssignCost:
             Room(10, 0, 2, 2, 2, 2),
             Room(5, 3, 2, 2, 2, 2),
         )
-        fp = Floorplan(chip_w=12, chip_h=5, rooms=rooms)
+        fp = floorplan_of_rooms(12, 5, rooms)
         s = Shifter(0, 0, 0, 1, 2)
-        assert assign_cost(s, fp.rooms[2], fp) == 2 * (2 * 3)  # doubled coords
+        assert assign_cost(s, rooms[2], fp) == 2 * (2 * 3)  # doubled coords
 
     def test_translation_invariant(self, rng):
         for _ in range(50):
@@ -243,33 +247,33 @@ class TestAssignCost:
                 x, y = rng.randint(0, 15), rng.randint(0, 15)
                 w, h = rng.randint(1, 6), rng.randint(1, 6)
                 rs.append(Room(x, y, w, h, w, h))
-            fp = Floorplan(40, 40, tuple(rs))
+            fp = floorplan_of_rooms(40, 40, rs)
             s = Shifter(0, 0, 0, 1, 2)
-            base = assign_cost(s, fp.rooms[2], fp)
+            base = assign_cost(s, rs[2], fp)
             dx, dy = rng.randint(1, 8), rng.randint(1, 8)
             moved = tuple(
                 Room(r.x + dx, r.y + dy, r.w, r.h, r.module_w, r.module_h) for r in rs
             )
-            fp2 = Floorplan(60, 60, moved)
-            assert assign_cost(s, fp2.rooms[2], fp2) == base
+            fp2 = floorplan_of_rooms(60, 60, moved)
+            assert assign_cost(s, moved[2], fp2) == base
 
 
 class TestPlaceInRoom:
     def test_exact_fit_single(self):
-        room = Room(0, 0, 6, 4, 4, 4)  # p1 is exactly 2x4
+        fp = one_room(Room(0, 0, 6, 4, 4, 4))  # p1 is exactly 2x4
         spec = derive_shifter_spec(8, Fraction(1, 2), [(1, 0, 0)])
         assert (spec.width, spec.height) == (2, 4)
         s = Shifter(0, 0, 0, 1, 2)
-        placed, leftover = place_in_room(room, [s], spec)
+        placed, leftover = place_in_room(fp, 0, [s], spec)
         assert leftover == []
         assert placed[0][1] == (4, 0, 2, 4)
 
     def test_strips_fill_row_major(self):
-        room = Room(0, 0, 10, 10, 8, 8)
+        fp = one_room(Room(0, 0, 10, 10, 8, 8))
         spec = spec_square(4)  # 2x2
         shifters = [Shifter(i, i, 0, 1, 2) for i in range(12)]
-        placed, leftover = place_in_room(room, shifters[: num_ls(room, spec)], spec)
-        assert len(placed) + len(leftover) == num_ls(room, spec)
+        placed, leftover = place_in_room(fp, 0, shifters[: num_ls(fp, 0, spec)], spec)
+        assert len(placed) + len(leftover) == num_ls(fp, 0, spec)
         rects = [r for _, r in placed]
         for x, y, w, h in rects:
             assert 0 <= x and x + w <= 10 and 0 <= y and y + h <= 10
@@ -280,20 +284,20 @@ class TestPlaceInRoom:
         # far more spots than shifters: the first ones in row-major order
         # across the regions, as when every spot was listed
         sh = [Shifter(i, i, 0, 1, 2) for i in range(5)]
-        room = Room(0, 0, 20, 16, 6, 4)
+        fp = one_room(Room(0, 0, 20, 16, 6, 4))
         spec = spec_square(4)
-        assert num_ls(room, spec) == 74
-        placed, leftover = place_in_room(room, sh, spec)
+        assert num_ls(fp, 0, spec) == 74
+        placed, leftover = place_in_room(fp, 0, sh, spec)
         assert [s for s, _ in placed] == sh and leftover == []
         assert [r for _, r in placed] == [
             (6, 0, 2, 2), (8, 0, 2, 2), (10, 0, 2, 2), (12, 0, 2, 2), (14, 0, 2, 2),
         ]
         # the right strip holds one 2x3 spot; the rest go to the top strip,
         # rotated to 3x2
-        room = Room(0, 0, 9, 17, 7, 3)
+        fp = one_room(Room(0, 0, 9, 17, 7, 3))
         spec = derive_shifter_spec(6, Fraction(2, 3), [(1, 0, 0)])
-        assert num_ls(room, spec) == 22
-        placed, leftover = place_in_room(room, sh[:4], spec)
+        assert num_ls(fp, 0, spec) == 22
+        placed, leftover = place_in_room(fp, 0, sh[:4], spec)
         assert [s for s, _ in placed] == sh[:4] and leftover == []
         assert [r for _, r in placed] == [
             (7, 0, 2, 3), (0, 3, 3, 2), (3, 3, 3, 2), (6, 3, 3, 2),
@@ -305,32 +309,33 @@ class TestPlaceInRoom:
         spec = spec_square(4)
         s = Shifter(0, 0, 0, 1, 2)
         for rw in (0, 1):
-            room = Room(0, 0, 3 + rw, 2**40 + 4, 3, 2**40)
-            assert place_in_room(room, [s], spec) == ([(s, (0, 2**40, 2, 2))], [])
+            fp = one_room(Room(0, 0, 3 + rw, 2**40 + 4, 3, 2**40))
+            assert place_in_room(fp, 0, [s], spec) == ([(s, (0, 2**40, 2, 2))], [])
 
     def test_spots_equal_what_place_in_room_packs(self, rng):
         for _ in range(2000):
             mw, mh = rng.randint(1, 14), rng.randint(1, 14)
             sw, sh = rng.randint(0, 12), rng.randint(0, 12)
             room = Room(rng.randint(0, 9), rng.randint(0, 9), mw + sw, mh + sh, mw, mh)
+            fp = one_room(room)
             spec = derive_shifter_spec(
                 rng.randint(1, 30), rng.choice([Fraction(1), Fraction(1, 3), Fraction(5, 2)]),
                 [(1, 0, 0)],
             )
             many = [Shifter(i, i, 0, 1, 2) for i in range((sw + 1) * (sh + 1) * (mw + mh))]
             cap, spots, _regions = _whitespace(room.w, room.h, mw, mh, spec)
-            assert cap == num_ls(room, spec)
-            assert spots == len(place_in_room(room, many, spec)[0])
+            assert cap == num_ls(fp, 0, spec)
+            assert spots == len(place_in_room(fp, 0, many, spec)[0])
 
     def test_no_overlaps_random(self, rng):
         for _ in range(300):
             mw, mh = rng.randint(2, 12), rng.randint(2, 12)
             sw, sh = rng.randint(0, 8), rng.randint(0, 8)
-            room = Room(0, 0, mw + sw, mh + sh, mw, mh)
+            fp = one_room(Room(0, 0, mw + sw, mh + sh, mw, mh))
             spec = spec_square(rng.choice([1, 4, 6]))
-            n = num_ls(room, spec)
+            n = num_ls(fp, 0, spec)
             shifters = [Shifter(i, i, 0, 1, 2) for i in range(n)]
-            placed, _ = place_in_room(room, shifters, spec)
+            placed, _ = place_in_room(fp, 0, shifters, spec)
             rects = [r for _, r in placed]
             for i in range(len(rects)):
                 xi, yi, wi, hi = rects[i]
@@ -346,7 +351,7 @@ class TestPlaceInRoom:
 class TestElsPlace:
     def fp(self):
         rooms = (Room(0, 0, 4, 4, 4, 4), Room(10, 0, 4, 4, 4, 4))
-        return Floorplan(chip_w=14, chip_h=4, rooms=rooms)
+        return floorplan_of_rooms(14, 4, rooms)
 
     def test_sink_due_east(self):
         s = Shifter(0, 0, 0, 1, 2)
@@ -355,7 +360,7 @@ class TestElsPlace:
 
     def test_sink_above_source_span(self):
         rooms = (Room(0, 0, 6, 2, 6, 2), Room(2, 8, 2, 2, 2, 2))
-        fp = Floorplan(chip_w=8, chip_h=10, rooms=rooms)
+        fp = floorplan_of_rooms(8, 10, rooms)
         s = Shifter(0, 0, 0, 1, 2)
         x, y, w, h = els_place(s, fp)
         assert y == 2  # north edge
@@ -367,7 +372,7 @@ class TestElsPlace:
                 x, y = rng.randint(0, 15), rng.randint(0, 15)
                 w, h = rng.randint(1, 6), rng.randint(1, 6)
                 rooms.append(Room(x, y, w, h, w, h))
-            fp = Floorplan(40, 40, tuple(rooms))
+            fp = floorplan_of_rooms(40, 40, rooms)
             s = Shifter(0, 0, 0, 1, 2)
             px, py, _, _ = els_place(s, fp)
             sx, sy = 2 * rooms[1].x + rooms[1].w, 2 * rooms[1].y + rooms[1].h
@@ -405,7 +410,7 @@ class TestAssignShifters:
             )
             assert len(got.assigned) + len(got.els) == len(shifters)
             got_cost = sum(
-                assign_cost(s, fp.rooms[r], fp) for s, r, _ in got.assigned
+                assign_cost(s, rooms_of(fp)[r], fp) for s, r, _ in got.assigned
             )
             # geometric fall-through can only shrink the placed count
             assert len(got.assigned) <= want_count
@@ -413,14 +418,14 @@ class TestAssignShifters:
             for s, r, _ in got.assigned:
                 caps[r] = caps.get(r, 0) + 1
             for r, used in caps.items():
-                assert used <= num_ls(fp.rooms[r], spec)
+                assert used <= num_ls(fp, r, spec)
             if len(got.assigned) == want_count:
                 assert got_cost == want_cost
 
     def test_overflow_lands_in_els(self):
         fp = pack((0, 1, "V"), [(3, 3), (3, 4)])
         spec = spec_square(1)
-        total_cap = sum(num_ls(r, spec) for r in fp.rooms)
+        total_cap = sum(num_ls(fp, r, spec) for r in range(len(fp.xs)))
         shifters = [Shifter(i, i, 0, 1, 2) for i in range(total_cap + 3)]
         got = assign_shifters(shifters, fp, spec, window=100)
         assert len(got.els) >= 3
@@ -436,7 +441,7 @@ class TestIlo:
         rooms = tuple(
             Room(x, 0, 2, 2, 2, 2) for x in (0, 10, 0)
         ) + (Room(0, 90, 2, 2, 2, 2),)
-        fp = Floorplan(100, 100, rooms)
+        fp = floorplan_of_rooms(100, 100, rooms)
         nets = [(0, 1), (2, 3)]  # lengths 10 and 90 -> denominator 100
         s = Shifter(0, 0, 0, 1, 2)
         # shifter center half a unit above the straight path: detour 1
@@ -446,7 +451,7 @@ class TestIlo:
 
     def test_moving_onto_path_never_increases(self):
         rooms = (Room(0, 0, 2, 2, 2, 2), Room(10, 0, 2, 2, 2, 2))
-        fp = Floorplan(20, 20, rooms)
+        fp = floorplan_of_rooms(20, 20, rooms)
         nets = [(0, 1)]
         s = Shifter(0, 0, 0, 1, 2)
         off_path = compute_ilo([s], {0: (5, 7, 1, 1)}, fp, nets)
@@ -456,7 +461,7 @@ class TestIlo:
 
 def test_wirelength_with_shifters_adds_detours():
     rooms = (Room(0, 0, 2, 2, 2, 2), Room(10, 0, 2, 2, 2, 2))
-    fp = Floorplan(20, 20, rooms)
+    fp = floorplan_of_rooms(20, 20, rooms)
     nets = [(0, 1)]
     s = Shifter(0, 0, 0, 1, 2)
     base = wirelength_with_shifters(fp, nets, [], {})
@@ -478,7 +483,7 @@ def test_assignment_network_shape():
     sinks = [(t, u) for t, h, _, u in rows if h == t_node]
     for t, u in sinks:
         room_idx = t - room_base
-        assert u == num_ls(fp.rooms[room_idx], spec)
+        assert u == num_ls(fp, room_idx, spec)
 
 
 @st.composite
@@ -521,7 +526,7 @@ def _greedy_miss(n):
     shifters = [Shifter(i, i, i, i + 1, 2) for i in range(n - 1)]
     shifters.append(Shifter(n - 1, n - 1, 0, 0, 2))
     spec = derive_shifter_spec(2, Fraction(1, 2), [(1, 0, 0)])
-    return shifters, Floorplan(chip_w=3 * n, chip_h=2, rooms=rooms), spec, 0
+    return shifters, floorplan_of_rooms(3 * n, 2, rooms), spec, 0
 
 
 def test_unplaced_count_equals_the_flow_fallback_count(monkeypatch):
@@ -557,7 +562,7 @@ def test_greedy_miss_instance_falls_back_and_places_every_shifter(monkeypatch):
     """The _greedy_miss instance does what its examples are for: no room
     can overflow, the greedy fit misses, and the flow places every shifter."""
     shifters, fp, spec, window = _greedy_miss(4)
-    for room in fp.rooms:
+    for room in rooms_of(fp):
         assert _whitespace(room.w, room.h, room.module_w, room.module_h, spec)[:2] == (1, 1)
     flow = shifters_mod.assign_shifters
     calls = []
@@ -644,26 +649,3 @@ def test_assignment_equals_the_all_rooms_network(monkeypatch, rng):
             all_rooms_network(shifters, fp, spec, window)[0].tails
         )
     assert with_els >= 10 and fewer_arcs >= 10
-
-
-def test_count_and_network_build_no_room(monkeypatch, rng):
-    """unplaced_count and build_assignment_network read the floorplan's
-    columns: with Floorplan.room and Floorplan.rooms raising, both run, on
-    the greedy-fit path and up to the fallback."""
-    def no_room(*_args):
-        raise AssertionError("a Room was built")
-
-    fallbacks = []
-
-    def fallback(*args):
-        fallbacks.append(args)
-        return ShifterAssignment(assigned=(), els=())
-
-    instances = [_random_instance(rng) for _ in range(200)] + [_OVERFLOW, _greedy_miss(4)]
-    monkeypatch.setattr(Floorplan, "room", no_room)
-    monkeypatch.setattr(Floorplan, "rooms", property(no_room))
-    monkeypatch.setattr(shifters_mod, "assign_shifters", fallback)
-    for shifters, fp, spec, window in instances:
-        unplaced_count(shifters, fp, spec, window)
-        build_assignment_network(shifters, fp, spec, window)
-    assert 1 <= len(fallbacks) < len(instances)

@@ -113,6 +113,18 @@ def _referenced(node, strings=False) -> set[str]:
     return found
 
 
+def _attributes(node, strings=False) -> set[str]:
+    """Every attribute name `node` reads, the only way to reach a method,
+    and with `strings` also string constants (getattr's way)."""
+    found = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Attribute):
+            found.add(sub.attr)
+        elif strings and isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            found.add(sub.value)
+    return found
+
+
 _DEFS = (ast.FunctionDef, ast.ClassDef)
 
 
@@ -132,13 +144,23 @@ def _defined(node):
     return None
 
 
+def _harness_reads(read=_referenced) -> set[str]:
+    """Every name read(node, strings=True) finds in a non-test perfbench/
+    module (the benchmark harness)."""
+    used = set()
+    for path in sorted((SRC.parents[1] / "perfbench").glob("*.py")):
+        if not path.name.startswith("test_"):
+            used |= read(ast.parse(path.read_text(), filename=str(path)), strings=True)
+    return used
+
+
 def _unread(select):
     """`module.name` of each top-level definition under src/voltplan that
     select(name, node) picks and that nothing reads outside its own
     definition: no other part of the package and no non-test perfbench/
     module (the benchmark harness)."""
     picked = []
-    used = set()
+    used = _harness_reads()
     for path, tree in _trees():
         for node in tree.body:
             name = _defined(node)
@@ -147,9 +169,27 @@ def _unread(select):
                 used |= _referenced(node) - {name}
             else:
                 used |= _referenced(node)
-    for path in sorted((SRC.parents[1] / "perfbench").glob("*.py")):
-        if not path.name.startswith("test_"):
-            used |= _referenced(ast.parse(path.read_text(), filename=str(path)), strings=True)
+    return [qualified for qualified, name in picked if name not in used]
+
+
+def _unread_methods():
+    """`module.Class.name` of each public method or property of a top-level
+    class under src/voltplan that nothing reads as an attribute outside its
+    own body: no other part of the package, its own class included, and no
+    non-test perfbench/ module."""
+    picked = []
+    used = _harness_reads(_attributes)
+    for path, tree in _trees():
+        for node in tree.body:
+            if not isinstance(node, ast.ClassDef):
+                used |= _attributes(node)
+                continue
+            for part in [*node.decorator_list, *node.bases, *node.keywords, *node.body]:
+                if isinstance(part, ast.FunctionDef) and not part.name.startswith("_"):
+                    picked.append((f"{path.stem}.{node.name}.{part.name}", part.name))
+                    used |= _attributes(part) - {part.name}
+                else:
+                    used |= _attributes(part)
     return [qualified for qualified, name in picked if name not in used]
 
 
@@ -165,6 +205,13 @@ def test_every_private_name_has_a_user():
     read by the package outside its own definition or by the benchmark
     harness: a helper whose last caller went is deleted with it."""
     assert _unread(lambda name, node: name.startswith("_") and not name.startswith("__")) == []
+
+
+def test_every_public_method_has_a_user():
+    """Each public method or property of a class under src/voltplan (dunders
+    aside) is read by the package outside its own body or by the benchmark
+    harness: a method only the tests call lives in the tests."""
+    assert _unread_methods() == []
 
 
 # functions that may call themselves, each with why its depth stays small
