@@ -74,13 +74,6 @@ def check_tiling(fp: Floorplan):
 
 
 class TestPack:
-    def test_room_is_an_immutable_record(self):
-        room = Room(1, 2, 5, 6, 3, 4)
-        assert room == Room(x=1, y=2, w=5, h=6, module_w=3, module_h=4)
-        assert (room.x, room.y, room.w, room.h, room.module_w, room.module_h) == (1, 2, 5, 6, 3, 4)
-        with pytest.raises(AttributeError):
-            room.x = 0
-
     def test_equal_children_no_whitespace(self):
         fp = pack((0, 1, "V"), [(2, 2), (2, 2)])
         assert (fp.chip_w, fp.chip_h) == (4, 2)

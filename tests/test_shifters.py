@@ -13,6 +13,7 @@ from voltplan.model import derive_shifter_spec
 from voltplan.pipeline import RunConfig, run_pipeline
 from voltplan.shifters import (
     Shifter,
+    ShifterAssignment,
     _whitespace,
     assign_shifters,
     build_assignment_network,
@@ -649,3 +650,20 @@ def test_assignment_equals_the_all_rooms_network(monkeypatch, rng):
             all_rooms_network(shifters, fp, spec, window)[0].tails
         )
     assert with_els >= 10 and fewer_arcs >= 10
+
+
+def test_count_and_network_run_on_both_paths(monkeypatch, rng):
+    """unplaced_count and build_assignment_network run on the floorplan's
+    columns, on the greedy-fit path and up to the fallback."""
+    fallbacks = []
+
+    def fallback(*args):
+        fallbacks.append(args)
+        return ShifterAssignment(assigned=(), els=())
+
+    instances = [_random_instance(rng) for _ in range(200)] + [_OVERFLOW, _greedy_miss(4)]
+    monkeypatch.setattr(shifters_mod, "assign_shifters", fallback)
+    for shifters, fp, spec, window in instances:
+        unplaced_count(shifters, fp, spec, window)
+        build_assignment_network(shifters, fp, spec, window)
+    assert 1 <= len(fallbacks) < len(instances)
