@@ -24,18 +24,20 @@ uphill floor takes the move's one draw, and a draw the floor rejects skips
 the voltage solve, the island count or both; otherwise the solve tightens
 the floor and the same draw is tested again before the islands are
 counted. Every draw and every decision is that of full scoring. A cache
-miss is first tested for timing at the fastest levels
-(voltage.fastest_finish), the test assign_voltages raises TimingInfeasible
-on, so an infeasible move draws nothing.
+miss, scored or decided, is first tested for timing at the fastest levels
+(model.fastest_finish), the test assign_voltages raises TimingInfeasible
+on, so an infeasible candidate is never solved and an infeasible move
+draws nothing.
 
 Voltage assignment is cached per wire-delay vector: the timing graph is
 built and solved only on a cache miss, so with the default zero
 wire-delay factor both happen once per anneal (plus once for the exact
 solve of the final floorplan). Each graph takes its order and fan-in
-from one graph derived per anneal. Each anneal keeps one
-voltage.WarmStart across its solves: the flow network is built once, at
-the first solve, and kept in the flow kernel's residual arrays, and each
-later solve re-optimizes in place on them, instead of solving cold, from
+from one graph derived per anneal, at zero wire delays. Each anneal
+builds one voltage.WarmStart for that graph and its curves and keeps it
+across its solves: the flow network is built once, with it, and kept in
+the flow kernel's residual arrays, and each solve after the first
+re-optimizes in place on them, instead of solving cold, from
 its anchor, the circulation of the current state, of which only the wire
 costs changed. The anchor is the last accepted move that was solved
 (during calibration, the last probe solved), else the start; a candidate
@@ -73,7 +75,7 @@ from .floorplan import (
     voltage_islands,
     whitespace_percent,
 )
-from .model import Netlist, ShifterSpec, modify_dp_curve
+from .model import Netlist, ShifterSpec, fastest_finish, modify_dp_curve
 from .shifters import (
     assign_shifters,
     compute_ilo,
@@ -88,7 +90,6 @@ from .voltage import (
     WarmStart,
     assign_voltages,
     build_timing_graph,
-    fastest_finish,
 )
 
 # the anneal stops once the temperature falls below this fraction of t0
@@ -202,11 +203,12 @@ class _Evaluator:
         self.curves = curves
         self.config = config
         self.cache = {}
-        self.warm = WarmStart()
-        self.solved = None  # the assignment of warm's latest solve
         # the timing graph at zero wire delays: each solve's graph takes its
-        # order and fan-in, and the all-fastest finish test reads them
+        # order and fan-in, the all-fastest finish test reads them, and the
+        # warm start is built for it
         self.graph = build_timing_graph(netlist, (0,) * len(netlist.nets))
+        self.warm = WarmStart(self.graph, curves)
+        self.solved = None  # the assignment of warm's latest solve
         self.fastest = [c.delay(1) for c in curves]
 
     def voltage_for(self, delays, exact=False):
@@ -235,10 +237,10 @@ class _Evaluator:
         no feasible voltage assignment. The per-net lengths are taken once,
         for the wire delays and for the wirelength."""
         per_net2 = hpwl2_per_net(floorplan, self.netlist.nets)
-        try:
-            assignment = self.voltage_for(_wire_delays(per_net2, self.config.kappa))
-        except TimingInfeasible:
+        delays = _wire_delays(per_net2, self.config.kappa)
+        if delays not in self.cache and self._too_slow(delays):
             return None, None
+        assignment = self.voltage_for(delays)
         islands = voltage_islands(floorplan, assignment.level)
         phi = self.phi(floorplan, sum(per_net2) // 2, assignment, islands, stale_unplaced, weights)
         return phi, assignment
@@ -252,10 +254,8 @@ class _Evaluator:
         wirelength = sum(per_net2) // 2
         delays = _wire_delays(per_net2, self.config.kappa)
         assignment = self.cache.get(delays)
-        if assignment is None and fastest_finish(
-            self.graph.order, self.graph.fanin, self.fastest, delays
-        ) > self.netlist.t_cycle:
-            return None, None  # assign_voltages would raise TimingInfeasible
+        if assignment is None and self._too_slow(delays):
+            return None, None
         # the uphill test is draw < exp(-(delta / den) / temp), on the draw
         # taken when the delta, or its floor, is first positive; phi is an
         # integer over den and int true division rounds correctly, so the
@@ -288,6 +288,13 @@ class _Evaluator:
             if not draw < math.exp(-(delta / den) / temp):
                 return None, None
         return cur_phi + delta, assignment
+
+    def _too_slow(self, delays):
+        """Whether the all-fastest levels miss the cycle time at wire delays
+        delays, the test assign_voltages raises TimingInfeasible on."""
+        return fastest_finish(
+            self.graph.order, self.graph.fanin, self.fastest, delays
+        ) > self.netlist.t_cycle
 
     def phi(self, floorplan, wirelength, assignment, islands, unplaced, weights) -> int:
         """The cost phi of a feasible floorplan, as cost_phi's integer over

@@ -39,7 +39,6 @@ from .flow import (
     residual_shortest_paths,
     solve_min_cost_circulation,
 )
-# fanin_of and fastest_finish are re-exported for the anneal and the tests
 from .model import DPCurve, Netlist, fanin_of, fastest_finish, topological_order
 
 # the largest module count the exact search runs on by default
@@ -61,7 +60,8 @@ class TimingGraph:
     The sources and sinks, the topological order of the modules and each
     module's fan-in are derived once from the wires at construction, and
     with_delays carries them over to the same wires at other delays; a
-    cyclic wire set raises CyclicNetlist.
+    cyclic wire set raises CyclicNetlist. An anneal derives its graphs so
+    from one, for which it builds its one WarmStart.
     """
 
     m: int
@@ -72,10 +72,6 @@ class TimingGraph:
     order: tuple[int, ...] = field(init=False, repr=False, compare=False)
     # per module: (src module, wire index) of each incoming wire, in wire order
     fanin: tuple[tuple[tuple[int, int], ...], ...] = field(
-        init=False, repr=False, compare=False
-    )
-    # per module: (src module, wire delay) of each incoming wire, in wire order
-    preds: tuple[tuple[tuple[int, int], ...], ...] = field(
         init=False, repr=False, compare=False
     )
 
@@ -91,11 +87,6 @@ class TimingGraph:
         object.__setattr__(self, "sinks", tuple(i for i in range(self.m) if not has_out[i]))
         object.__setattr__(self, "order", tuple(topological_order(self.m, self.wires)))
         object.__setattr__(self, "fanin", fanin)
-        self._set_preds()
-
-    def _set_preds(self):
-        preds = tuple(tuple((src, self.wires[w][2]) for src, w in row) for row in self.fanin)
-        object.__setattr__(self, "preds", preds)
 
     def with_delays(self, delays) -> TimingGraph:
         """This graph with wire w at delay delays[w], one nonnegative integer
@@ -111,7 +102,6 @@ class TimingGraph:
             ("order", self.order), ("fanin", self.fanin),
         ):
             object.__setattr__(tg, name, value)
-        tg._set_preds()
         return tg
 
     @property
@@ -215,15 +205,16 @@ def build_expanded_network(
 
 
 class WarmStart:
-    """State shared by a sequence of assign_voltages calls on one netlist
-    and one set of curves, such as one anneal's candidates.
+    """State shared by a sequence of assign_voltages calls on graphs with
+    tg's fan-in and cycle time and on one set of curves, such as one
+    anneal's candidates: each anneal builds one, for its timing graph.
 
-    It keeps the curve-dependent part of the expanded network, built once,
-    the network itself as a flow.ResidualNetwork, built at its first solve,
+    It keeps the curve-dependent part of the expanded network, level_arcs,
+    and the network itself as a flow.ResidualNetwork, both built with it,
     and two optimal circulations, each with the potentials that certify it
     and its residual capacities: `last`, of the latest solve, and `anchor`,
-    which every later solve re-optimizes from in place. The first solve on
-    a network starts from zero flow and potentials and anchors; advance()
+    which every later solve re-optimizes from in place. The first solve, at
+    its own costs, starts from zero flow and potentials and anchors; advance()
     moves the anchor to the latest solve. The anneal advances when it
     accepts a move it solved, so the anchor is its current state and each
     candidate, one move from that state, starts one move from the optimum.
@@ -240,38 +231,28 @@ class WarmStart:
     from above, and power_floor turns that into a floor on the LP bound.
     """
 
-    def __init__(self):
-        self._curves = None
-        self._level_arcs = None
-        self._key = None  # (m, t_cycle, fanin) of the kept network's graph
-        self._kept = None  # that network, a ResidualNetwork
+    def __init__(self, tg: TimingGraph, curves):
+        self.tg = tg  # the graph shape every solve must have
+        self.curves = tuple(curves)
+        self.level_arcs = _level_arcs(tg, self.curves)
+        self._kept = ResidualNetwork(build_expanded_network(tg, self.curves, self.level_arcs)[0])
         self.last = None  # _Circulation of the latest solve, or None
         self.anchor = None  # _Circulation every solve starts from, or None
 
-    def level_arcs(self, tg: TimingGraph, curves) -> _LevelArcs:
-        curves = tuple(curves)
-        if curves != self._curves:
-            self._curves, self._level_arcs = curves, _level_arcs(tg, curves)
-            self._key = self.last = self.anchor = None
-        return self._level_arcs
-
     def solve(self, tg: TimingGraph):
         """The optimal circulation of tg's expanded network, as a certified
-        FlowResult, and the residual distances from tg.S; level_arcs is
-        called first, with tg's curves. Kept as the latest solve; without
-        an anchor, or on a graph with other wires or another cycle time
-        than the kept network's, the solve is cold and anchors."""
-        la = self._level_arcs
-        lo = len(la.rows)
+        FlowResult, and the residual distances from tg.S. Kept as the
+        latest solve; without an anchor, the solve is cold and anchors."""
+        lo = len(self.level_arcs.rows)
         hi = lo + len(tg.wires)
-        key = (tg.m, tg.t_cycle, tg.fanin)
-        if self.anchor is None or key != self._key:
-            net = build_expanded_network(tg, self._curves, la)[0]
-            self._key, self._kept, self.anchor = key, ResidualNetwork(net), None
-            start = self._kept.caps(), [0] * net.n_nodes, range(len(net.tails)), net.costs
+        wire_costs = [-d for _, _, d in tg.wires]
+        if self.anchor is None:
+            costs = list(self._kept.costs)
+            costs[lo:hi] = wire_costs
+            start = self._kept.caps(), [0] * tg.n_nodes, range(len(costs)), costs
         else:
             a = self.anchor
-            start = a.cap, a.potentials, range(lo, hi), [-d for _, _, d in tg.wires]
+            start = a.cap, a.potentials, range(lo, hi), wire_costs
         result = self._kept.reoptimize(*start)
         dist = self._kept.distances(tg.S)
         wire_flow = result.flow[lo:hi]
@@ -297,7 +278,7 @@ class WarmStart:
         cost, so slowest - that cost // scale is at most the bound
         assign_voltages reports. It equals that bound at the anchor's own
         delays, where the anchor is optimal."""
-        la, a = self._level_arcs, self.anchor
+        la, a = self.level_arcs, self.anchor
         return la.slowest_power - (a.base - sum(map(mul, a.wire_flow, delays))) // la.scale
 
 
@@ -323,14 +304,14 @@ class VoltageAssignment:
 
 def longest_path_for(tg: TimingGraph, delays) -> tuple[int, list[int]]:
     """Longest path given per-module integer delays; returns (length, module path)."""
-    preds = tg.preds
+    fanin, wires = tg.fanin, tg.wires
     arr_in = [0] * tg.m
     best_pred = [-1] * tg.m
     for i in tg.order:
         best = 0
         bp = -1
-        for src, w in preds[i]:
-            cand = arr_in[src] + delays[src] + w
+        for src, w in fanin[i]:
+            cand = arr_in[src] + delays[src] + wires[w][2]
             if cand > best:
                 best = cand
                 bp = src
@@ -373,13 +354,18 @@ def assign_voltages(
     paths from s -> potential drop per module -> largest level whose delay
     fits the drop. The relaxation objective gives a certified lower bound;
     when the rounded assignment misses it and the instance is small enough,
-    a branch-and-bound search finishes the job exactly. With warm, the
-    circulation re-optimizes in place from warm's anchor, and warm keeps it
+    a branch-and-bound search finishes the job exactly. With warm, built
+    once per anneal for tg's fan-in, cycle time and curves (else ValueError),
+    the circulation re-optimizes in place from warm's anchor, and warm keeps it
     as its latest solve; the result is the same as without.
     """
     curves = list(curves)
     if len(curves) != tg.m:
         raise ValueError("one curve per module required")
+    if warm is not None and (warm.tg.fanin, warm.tg.t_cycle, warm.curves) != (
+        tg.fanin, tg.t_cycle, tuple(curves)
+    ):
+        raise ValueError("warm was built for another fan-in, cycle time or curves")
     fastest = [c.delay(1) for c in curves]
     if fastest_finish(tg.order, tg.fanin, fastest, [w for _, _, w in tg.wires]) > tg.t_cycle:
         worst, path = longest_path_for(tg, fastest)
@@ -390,8 +376,8 @@ def assign_voltages(
         )
 
     if warm is None:
-        warm = WarmStart()  # a fresh state solves cold
-    la = warm.level_arcs(tg, curves)
+        warm = WarmStart(tg, curves)  # a fresh state solves cold
+    la = warm.level_arcs
     result, dist = warm.solve(tg)
     levels = []
     for i, curve in enumerate(curves):
@@ -454,7 +440,8 @@ def _branch_and_bound(tg, curves, inc_levels, inc_power, cap):
     cap nodes, which proves that vector optimal, and the node count.
     """
     order = tg.order
-    preds = tg.preds
+    # per module: (src module, wire delay) of each incoming wire
+    preds = [tuple((src, tg.wires[w][2]) for src, w in row) for row in tg.fanin]
     m = tg.m
     t_cycle = tg.t_cycle
     fastest = [c.delay(1) for c in curves]

@@ -165,8 +165,8 @@ def brute_force_assign(tg: TimingGraph, curves, *, bound: int = 8) -> VoltageAss
     arr_in = [None] * m
     for i in tg.order:
         ai = np.zeros(total, dtype=np.int64)
-        for src, w in tg.preds[i]:
-            np.maximum(ai, arr_in[src] + delays[src] + w, out=ai)
+        for src, w in tg.fanin[i]:
+            np.maximum(ai, arr_in[src] + delays[src] + tg.wires[w][2], out=ai)
         arr_in[i] = ai
     finish = np.zeros(total, dtype=np.int64)
     for i in tg.sinks:

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import voltplan.anneal as anneal_mod
 from voltplan.anneal import AnnealConfig, anneal
 from voltplan.cli import main
-from voltplan.errors import MalformedExpression, ValidationError
+from voltplan.errors import MalformedExpression, TimingInfeasible, ValidationError
 from voltplan.floorplan import (
     Floorplan,
     PhiWeights,
@@ -727,6 +727,40 @@ class TestAnneal:
             skipped += asg is None and want_asg is not None
         assert skipped > 0
         assert len(solves) < len(want_solves)
+
+    @pytest.mark.parametrize("kappa", [Fraction(0), Fraction(1, 32)], ids=["kappa0", "kappa1_32"])
+    def test_one_flow_network_per_anneal(self, monkeypatch, kappa):
+        """One anneal builds one WarmStart, and so one flow network, for
+        all of its solves, the final exact one included; at kappa 1/32 the
+        start has no feasible assignment, so the first solve is a probe's
+        or a move's."""
+        from voltplan import voltage
+
+        networks, outcomes = [], []
+
+        class CountingNetwork(voltage.ResidualNetwork):
+            def __init__(self, net):
+                networks.append(net)
+                super().__init__(net)
+
+        solve = anneal_mod.assign_voltages
+
+        def recording_solve(tg, curves, *, exact_limit, **kw):
+            try:
+                asg = solve(tg, curves, exact_limit=exact_limit, **kw)
+            except TimingInfeasible:
+                outcomes.append(None)
+                raise
+            outcomes.append(asg)
+            return asg
+
+        monkeypatch.setattr(voltage, "ResidualNetwork", CountingNetwork)
+        monkeypatch.setattr(anneal_mod, "assign_voltages", recording_solve)
+        netlist, spec = generated_netlist(*layered_blocks_nets(20, 50), 4, 50, Fraction(3, 4))
+        anneal(netlist, spec, AnnealConfig(kappa=kappa, beta=3, max_levels=5), seed=42)
+        assert len(networks) == 1
+        assert (outcomes[0] is None) == (kappa > 0)
+        assert len([asg for asg in outcomes if asg is not None]) > (10 if kappa else 1)
 
     def test_timing_graph_built_only_on_cache_miss(self, monkeypatch):
         # the graph's structure is derived once per anneal; each solve's graph

@@ -2,7 +2,9 @@ import ast
 import importlib
 import os
 import subprocess
+import symtable
 import sys
+import textwrap
 from pathlib import Path
 
 import voltplan
@@ -96,15 +98,25 @@ def test_no_export_shadows_a_submodule():
     assert sorted(set(exported) & {path.stem for path in SRC.glob("*.py")}) == []
 
 
+def _global_loads(table) -> set[str]:
+    """The names loaded in `table`'s scope or a scope nested in it that are
+    not bound in their enclosing function: a parameter, an assignment, a
+    loop or comprehension target binds a name there, and its loads read
+    that local, not the module's name."""
+    found = {sym.get_name() for sym in table.get_symbols()
+             if sym.is_referenced() and sym.is_global()}
+    for child in table.get_children():
+        found |= _global_loads(child)
+    return found
+
+
 def _referenced(node, strings=False) -> set[str]:
-    """Every name `node` reads: bare names, attributes and imported names,
-    and with `strings` also string constants (a patch table names its
-    targets that way)."""
-    found = set()
+    """Every name `node` reads: bare names loaded where no enclosing
+    function binds them, attributes and imported names, and with `strings`
+    also string constants (a patch table names its targets that way)."""
+    found = _global_loads(symtable.symtable(ast.unparse(node), "<ast>", "exec"))
     for sub in ast.walk(node):
-        if isinstance(sub, ast.Name):
-            found.add(sub.id)
-        elif isinstance(sub, ast.Attribute):
+        if isinstance(sub, ast.Attribute):
             found.add(sub.attr)
         elif isinstance(sub, ast.alias):
             found.add(sub.name.rpartition(".")[2])
@@ -154,14 +166,14 @@ def _harness_reads(read=_referenced) -> set[str]:
     return used
 
 
-def _unread(select):
-    """`module.name` of each top-level definition under src/voltplan that
-    select(name, node) picks and that nothing reads outside its own
-    definition: no other part of the package and no non-test perfbench/
-    module (the benchmark harness)."""
+def _unread(select, trees, used):
+    """`module.name` of each top-level definition in trees, (path, tree)
+    pairs, that select(name, node) picks and that nothing reads outside its
+    own definition: no other module of trees and none of the names in used
+    (for the package, those the benchmark harness reads)."""
     picked = []
-    used = _harness_reads()
-    for path, tree in _trees():
+    used = set(used)
+    for path, tree in trees:
         for node in tree.body:
             name = _defined(node)
             if name is not None and select(name, node):
@@ -193,18 +205,47 @@ def _unread_methods():
     return [qualified for qualified, name in picked if name not in used]
 
 
+def _public_def(name, node):
+    return isinstance(node, _DEFS) and not name.startswith("_")
+
+
 def test_every_public_name_has_a_user():
     """Each public top-level def or class under src/voltplan is used by the
     package itself (outside its own body), exported by __init__, or used by
     the benchmark harness; what only the tests need lives in the tests."""
-    assert _unread(lambda name, node: isinstance(node, _DEFS) and not name.startswith("_")) == []
+    assert _unread(_public_def, _trees(), _harness_reads()) == []
 
 
 def test_every_private_name_has_a_user():
     """Each private top-level def, class or constant under src/voltplan is
     read by the package outside its own definition or by the benchmark
     harness: a helper whose last caller went is deleted with it."""
-    assert _unread(lambda name, node: name.startswith("_") and not name.startswith("__")) == []
+    unread = _unread(
+        lambda name, node: name.startswith("_") and not name.startswith("__"),
+        _trees(), _harness_reads(),
+    )
+    assert unread == []
+
+
+def test_a_local_of_the_same_name_is_no_user():
+    """A parameter, an assignment, a loop or comprehension target named
+    like a top-level def binds a local: its loads read the local, so the
+    unused def is still reported."""
+    source = textwrap.dedent("""
+        def unused():
+            return 0
+
+        def shadows(unused, values):
+            total = unused
+            for unused in values:
+                total += unused
+            unused = [unused for unused in values]
+            return total, unused, lambda unused: unused
+
+        RESULT = shadows(1, [2])
+    """)
+    trees = [(Path("synthetic.py"), ast.parse(source))]
+    assert _unread(_public_def, trees, ()) == ["synthetic.unused"]
 
 
 def test_every_public_method_has_a_user():

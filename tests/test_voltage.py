@@ -25,7 +25,7 @@ from voltplan.flow import (
     residual_shortest_paths,
     solve_min_cost_circulation,
 )
-from voltplan.model import DPCurve, ModuleBlock, build_netlist
+from voltplan.model import DPCurve, ModuleBlock, build_netlist, fastest_finish
 from voltplan.voltage import (
     TimingGraph,
     WarmStart,
@@ -33,7 +33,6 @@ from voltplan.voltage import (
     build_expanded_network,
     build_timing_graph,
     compute_breakpoints,
-    fastest_finish,
     longest_path_for,
 )
 
@@ -110,10 +109,9 @@ class TestTimingGraph:
         with pytest.raises(CyclicNetlist):
             TimingGraph(m=2, wires=((0, 1, 0), (1, 0, 0)), t_cycle=5)
 
-    def test_order_is_fifo_and_preds_follow_wire_order(self):
+    def test_order_is_fifo_and_fanin_follows_wire_order(self):
         tg = TimingGraph(m=4, wires=((2, 1, 7), (0, 1, 3), (2, 3, 0)), t_cycle=9)
         assert tg.order == (0, 2, 1, 3)
-        assert tg.preds == ((), ((2, 7), (0, 3)), (), ((2, 0),))
         assert tg.fanin == ((), ((2, 0), (0, 1)), (), ((2, 2),))
         assert tg.sources == (0, 2)
         assert tg.sinks == (1, 3)
@@ -128,7 +126,7 @@ class TestTimingGraph:
                 t_cycle=tg.t_cycle,
             )
             assert got == want
-            for name in ("sources", "sinks", "order", "fanin", "preds"):
+            for name in ("sources", "sinks", "order", "fanin"):
                 assert getattr(got, name) == getattr(want, name)
         with pytest.raises(ValueError):
             tg.with_delays(delays + [0])
@@ -349,6 +347,12 @@ def _sequence_instance(rng, m, delay, slack):
     return curves, pairs, t_cycle
 
 
+def _zero_graph(m, pairs, t_cycle):
+    """The timing graph of wire ends pairs at zero delay, which a WarmStart
+    is built for, as the anneal builds its own."""
+    return TimingGraph(m=m, wires=tuple((a, b, 0) for a, b in pairs), t_cycle=t_cycle)
+
+
 def _scaled(curve, unit):
     """curve with every delay times unit; the slopes shrink by unit, so the
     curve stays convex."""
@@ -368,8 +372,8 @@ class TestWarmStart:
     @staticmethod
     def _check_sequences(rng, monkeypatch, unit, instances, solved, advanced):
         """Every step equals a fresh cold solve. Its circulation is exactly
-        solve_min_cost_circulation's from warm's anchor, where the kept
-        network has the same arcs, or from nothing at the first step, flow
+        solve_min_cost_circulation's from warm's anchor, on the kept
+        network, which has its arcs, or from nothing at the first step, flow
         and potentials alike, with the cold solve's objective, and its
         residual distances, taken on the kept arrays, are the cold solve's
         and Bellman-Ford's. Anchors advance to the latest solve, or go back
@@ -390,7 +394,7 @@ class TestWarmStart:
             m = rng.randint(4, 12)
             curves, pairs, t_cycle = _sequence_instance(rng, m, 2, 6)
             curves = [_scaled(c, unit) for c in curves]
-            warm = WarmStart()
+            warm = WarmStart(_zero_graph(m, pairs, t_cycle * unit), curves)
             earlier = []  # warm.last of every feasible step so far
             for _ in range(25):
                 wires = tuple((a, b, rng.randint(0, 4) * unit) for a, b in pairs)
@@ -406,11 +410,9 @@ class TestWarmStart:
                     continue
                 net, _, _ = build_expanded_network(tg, curves)
                 anchor = warm.anchor
-                start = None  # the anchor's, where net has the kept network's arcs
-                if anchor is not None:
-                    kept = warm._kept.net
-                    if (net.tails, net.heads) == (kept.tails, kept.heads):
-                        start = anchor.flow, anchor.potentials
+                kept = warm._kept.net
+                assert (net.tails, net.heads) == (kept.tails, kept.heads)
+                start = None if anchor is None else (anchor.flow, anchor.potentials)
                 warm_used += start is not None
                 del in_place[:]
                 got = assign_voltages(tg, curves, exact_limit=0, warm=warm)
@@ -457,7 +459,7 @@ class TestWarmStart:
         for _ in range(30):
             m = rng.randint(4, 12)
             curves, pairs, t_cycle = _sequence_instance(rng, m, 2, 6)
-            warm = WarmStart()
+            warm = WarmStart(_zero_graph(m, pairs, t_cycle), curves)
             graphs = [
                 TimingGraph(m=m, wires=tuple((a, b, rng.randint(0, 4)) for a, b in pairs),
                             t_cycle=t_cycle)
@@ -487,7 +489,7 @@ class TestWarmStart:
         for _ in range(8):
             m = rng.randint(4, 12)
             curves, pairs, t_cycle = _sequence_instance(rng, m, 2, 6)
-            warm = WarmStart()
+            warm = WarmStart(_zero_graph(m, pairs, t_cycle), curves)
             earlier = []  # warm.last of every feasible step so far
             for _ in range(15):
                 wires = tuple((a, b, rng.randint(0, 4)) for a, b in pairs)
@@ -511,12 +513,26 @@ class TestWarmStart:
                 earlier.append(warm.last)
         assert restarts > 300
 
-    def test_state_follows_new_curves_and_graphs(self, rng):
-        warm = WarmStart()
-        for _ in range(30):
-            tg, curves = random_timing_instance(rng)
-            got = assign_voltages(tg, curves, warm=warm)
-            assert got == assign_voltages(tg, curves)
+    @pytest.mark.parametrize("other", ["fan-in", "cycle time", "curves"])
+    def test_warm_built_for_another_graph_or_curves_raises(self, other):
+        """A WarmStart serves the wire ends, cycle time and curves it was
+        built for, at any wire delays; built for others, it is refused
+        before anything is solved."""
+        fast, slow = curve((1, 1, 10), (2, 3, 4)), curve((1, 2, 10), (2, 3, 4))
+        tg = TimingGraph(m=3, wires=((0, 1, 0), (1, 2, 0)), t_cycle=20)
+        curves = [fast] * 3
+        built_for = {
+            "fan-in": (TimingGraph(m=3, wires=((0, 2, 0), (1, 2, 0)), t_cycle=20), curves),
+            "cycle time": (TimingGraph(m=3, wires=tg.wires, t_cycle=21), curves),
+            "curves": (tg, [fast, slow, fast]),
+        }
+        warm = WarmStart(*built_for[other])
+        with pytest.raises(ValueError, match="another fan-in, cycle time or curves"):
+            assign_voltages(tg, curves, warm=warm)
+        assert warm.last is None and warm.anchor is None
+        warm = WarmStart(tg, curves)
+        later = tg.with_delays([5, 2])
+        assert assign_voltages(later, curves, warm=warm) == assign_voltages(later, curves)
 
 
 class TestLongestPath:
@@ -599,7 +615,7 @@ class TestPowerFloor:
             for _ in range(15):
                 d_f = [rng.randint(0, 6) for _ in pairs]
                 d = [rng.randint(0, 6) for _ in pairs]
-                warm = WarmStart()
+                warm = WarmStart(_zero_graph(m, pairs, t_cycle), curves)
                 try:
                     at_f = assign_voltages(
                         TimingGraph(m=m, wires=tuple(
