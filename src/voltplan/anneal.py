@@ -42,15 +42,18 @@ its anchor, the circulation of the current state, of which only the wire
 costs changed. The anchor is the last accepted move that was solved
 (during calibration, the last probe solved), else the start; a candidate
 is one move from it. The unplaced shifter count is refreshed every
-`ls_every` accepted moves and carried stale in between. Phi reads only
-that count, so a refresh takes it from shifters.unplaced_count, a greedy
-fit of shifters to window rooms that runs the shifter min-cost flow only
-where the fit leaves a shifter without a room or a room could overflow;
-the full assignment and placement run on the starting floorplan and the
-final one, and the overhead metrics are computed for the final floorplan
-alone. The starting temperature is calibrated from uphill probe moves,
-skipped when max_levels is 0 and no level reads it. Fully deterministic
-for a given seed.
+`ls_every` accepted moves and carried stale in between; a refresh re-bases
+the current state's phi on the new count, which every later candidate
+carries too, so a count that rises does not price every move uphill and
+freeze the anneal. Phi reads only that count, so a refresh takes it
+from shifters.unplaced_count, a greedy fit of shifters to window rooms
+that runs the shifter min-cost flow only where the fit leaves a shifter
+without a room or a room could overflow; the full assignment and
+placement run on the starting floorplan and the final one, and the
+overhead metrics are computed for the final floorplan alone. The
+starting temperature is calibrated from uphill probe moves, skipped when
+max_levels is 0 and no level reads it. Fully deterministic for a given
+seed.
 """
 
 from __future__ import annotations
@@ -435,7 +438,11 @@ def anneal(netlist: Netlist, spec: ShifterSpec, config: AnnealConfig, seed: int)
             accepted_total += 1
             if accepted_total % config.ls_every == 0:
                 shifters = required_shifters(netlist.nets, cand_asg.level)
-                stale_unplaced = unplaced_count(shifters, cand_fp, spec, window)
+                unplaced = unplaced_count(shifters, cand_fp, spec, window)
+                # re-base the current phi on the new count, which every
+                # later candidate carries too
+                cur_phi += weights.unplaced * (unplaced - stale_unplaced)
+                stale_unplaced = unplaced
             if best_phi is None or cur_phi < best_phi:
                 best_phi = cur_phi
                 best_expr = expr

@@ -12,17 +12,20 @@ discrete optimum (the discrete time-cost tradeoff is NP-hard in general),
 so the relaxation value is kept as a lower bound: when the recovered power
 does not meet it, an independent branch-and-bound search closes the gap for
 instances up to `exact_limit` modules. The search fixes modules in
-topological order and tests each level in O(fan-in): all-fastest arrivals
-and all-fastest paths to t, computed once, make the arrival at the module
-plus its delay plus its path to t exactly the longest path a full
-recomputation would give. Its power floor charges each unfixed module the
-slowest level that fits the cycle time at the all-fastest arrival. Both
-bounds are exact or admissible and the search order is fixed, so it
-returns the same vector as a search that recomputes every path.
+topological order and keeps each unfixed module's arrival through the
+fixed ones, the rest at their fastest: fixing a module raises only its
+descendants' arrivals, by all-fastest paths computed once. A module's
+arrival plus its delay plus its all-fastest path to t is exactly the
+longest path a full recomputation would give, and the power floor charges
+each unfixed module the slowest level that fits the cycle time at its
+arrival. Both bounds are exact or admissible and the search order is
+fixed, so it returns the same vector as a search that recomputes every
+path.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import namedtuple
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -418,79 +421,103 @@ def _branch_and_bound(tg, curves, inc_levels, inc_power, cap):
     all-fastest levels to meet the cycle time, as assign_voltages checks.
 
     The finish bound of a partial state is the longest path with the fixed
-    modules at their levels and the rest at their fastest. Its terms are
-    precomputed once: head[i], module i's all-fastest arrival, and after[i],
-    the all-fastest path from i's output to t. A path whose last fixed
-    module is u is at most arr_out[u] + after[u], a sum tested when u was
-    fixed; a path through no fixed module runs all-fastest and fits by the
-    precondition. So level q of module i fits exactly when arr_in +
-    delay(q) + after[i] <= t_cycle, an O(fan-in) test with the same answer
-    as a full longest path.
+    modules at their levels and the rest at their fastest. Two of its terms
+    are precomputed once: after[i], the all-fastest path from module i's
+    output to t, and below[i], each descendant u of i with the all-fastest
+    path from i's output to u's input. lb[u], the longest path into an
+    unfixed module u, starts at its all-fastest arrival; fixing module i
+    with output time out raises it to at least out + path for each u in
+    below[i], all unfixed, since modules are fixed in topological order. A
+    path whose last fixed module is v is at most v's output time plus
+    after[v], a sum tested when v was fixed; a path through no fixed module
+    runs all-fastest and fits by the precondition. So level q of module i
+    fits exactly when lb[i] + delay(q) + after[i] <= t_cycle, the answer a
+    full longest path gives.
 
     The power floor of the unfixed modules charges each the power of its
-    slowest level that fits head[i] + delay + after[i] <= t_cycle: any
-    completion's arrival at i is at least head[i], so the floor is
-    admissible and at least as tight as every module at its slowest level.
-    The search order is fixed and a subtree is cut only when no vector in
-    it can beat the incumbent, so the incumbents found, and the result, are
-    those of a search that recomputes the longest path at every node.
+    slowest level that fits lb[u] + delay + after[u] <= t_cycle. Any
+    completion arrives at u no earlier than lb[u], so the floor is
+    admissible. A child updates the lb and floor terms of the descendants
+    it raises and undoes them on return. The search order is fixed and a
+    subtree is cut only when no vector in it can beat the incumbent, so
+    the incumbents found, and the result, are those of a search that
+    recomputes the longest path at every node.
 
     Returns (levels, power, finished, nodes): the best vector found, the
     incumbent when nothing beat it, whether the search ended within
     cap nodes, which proves that vector optimal, and the node count.
     """
-    order = tg.order
-    # per module: (src module, wire delay) of each incoming wire
-    preds = [tuple((src, tg.wires[w][2]) for src, w in row) for row in tg.fanin]
+    order, fanin, wires = tg.order, tg.fanin, tg.wires
     m = tg.m
-    t_cycle = tg.t_cycle
     fastest = [c.delay(1) for c in curves]
-    head = [0] * m
+    lb = [0] * m
     for i in order:
-        head[i] = max((head[src] + fastest[src] + w for src, w in preds[i]), default=0)
+        lb[i] = max((lb[src] + fastest[src] + wires[w][2] for src, w in fanin[i]), default=0)
     after = [0] * m
     for i in reversed(order):
         tail = fastest[i] + after[i]
-        for src, w in preds[i]:
-            after[src] = max(after[src], w + tail)
+        for src, w in fanin[i]:
+            after[src] = max(after[src], wires[w][2] + tail)
+    below = [()] * m
+    for j, i in enumerate(order):
+        path = {}
+        for u in order[j + 1:]:
+            for src, w in fanin[u]:
+                if src == i:
+                    d = wires[w][2]
+                elif src in path:
+                    d = path[src] + fastest[src] + wires[w][2]
+                else:
+                    continue
+                path[u] = max(path.get(u, d), d)
+        below[i] = tuple(path.items())
 
-    # per module, (level, delay, power) slowest first, from the slowest
-    # level any completion can afford
-    choices = []
-    for i, c in enumerate(curves):
-        top = _slowest_fit(c, t_cycle - head[i] - after[i])
-        choices.append(tuple((q, c.delay(q), c.power(q)) for q in range(top, 0, -1)))
-    floor = [0] * (m + 1)
-    for j in range(m - 1, -1, -1):
-        floor[j] = floor[j + 1] + choices[order[j]][0][2]
+    # per module, its delays and powers fastest first, the room its input
+    # arrival and delay share, and its floor term at the current lb
+    delays = [tuple(c.delay(q) for q in range(1, c.k + 1)) for c in curves]
+    powers = [tuple(c.power(q) for q in range(1, c.k + 1)) for c in curves]
+    room = [tg.t_cycle - a for a in after]
+    term = [powers[u][bisect_right(delays[u], room[u] - lb[u]) - 1] for u in range(m)]
 
     best_levels = list(inc_levels)
     best_power = inc_power
     levels = [0] * m
-    arr_out = [0] * m
     nodes = 0
 
-    def dfs(j, power_so_far):
+    def dfs(j, power_so_far, floor):
         nonlocal nodes, best_power, best_levels
         if nodes > cap:
             return
         nodes += 1
-        if power_so_far + floor[j] >= best_power:
+        if power_so_far + floor >= best_power:
             return
         if j == m:
             best_power = power_so_far
             best_levels = list(levels)
             return
         i = order[j]
-        arr_in = max((arr_out[src] + w for src, w in preds[i]), default=0)
-        budget = t_cycle - after[i]
-        for q, delay, power in choices[i]:
-            if arr_in + delay <= budget:
-                levels[i] = q
-                arr_out[i] = arr_in + delay
-                dfs(j + 1, power_so_far + power)
+        arr_in = lb[i]
+        dl, pw = delays[i], powers[i]
+        floor -= term[i]
+        for q in range(bisect_right(dl, room[i] - arr_in), 0, -1):
+            out = arr_in + dl[q - 1]
+            child_floor = floor
+            raised = []
+            for u, d in below[i]:
+                a = out + d
+                if a > lb[u]:
+                    t = powers[u][bisect_right(delays[u], room[u] - a) - 1]
+                    raised.append((u, lb[u], term[u]))
+                    child_floor += t - term[u]
+                    lb[u] = a
+                    term[u] = t
+            levels[i] = q
+            dfs(j + 1, power_so_far + pw[q - 1], child_floor)
+            for u, old_lb, old_term in raised:
+                lb[u] = old_lb
+                term[u] = old_term
             if nodes > cap:
                 break
 
-    dfs(0, 0)
+    dfs(0, 0, sum(term))
     return best_levels, best_power, nodes <= cap, nodes

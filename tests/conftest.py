@@ -400,10 +400,10 @@ def layered_blocks_nets(m, seed):
     return blocks, nets
 
 
-def generated_netlist(blocks, nets, k, seed, slack=Fraction(1, 2)):
+def generated_netlist(blocks, nets, k, seed, slack=Fraction(1, 2), shifter_area=None):
     """The netlist of parsed blocks and nets, with a spec generated for k
     levels from seed, and its shifter spec."""
-    text = gen_spec(seed, blocks, nets, k, timing_slack=slack)
+    text = gen_spec(seed, blocks, nets, k, timing_slack=slack, shifter_area=shifter_area)
     curves, spec, t_cycle, _ = parse_spec(text)
     modules = [
         ModuleBlock(name=n, width=w, height=h, curve=curves[n]) for n, w, h in blocks
@@ -504,7 +504,9 @@ def anneal_reference(netlist, spec, config, seed, rng=None):
                 accepted_total += 1
                 if accepted_total % config.ls_every == 0:
                     shifters = required_shifters(netlist.nets, cand_asg.level)
-                    stale_unplaced = unplaced_count(shifters, cand_fp, spec, window)
+                    unplaced = unplaced_count(shifters, cand_fp, spec, window)
+                    cur_phi += weights.unplaced * (unplaced - stale_unplaced)
+                    stale_unplaced = unplaced
                 if best_phi is None or cur_phi < best_phi:
                     best_phi = cur_phi
                     best_expr = expr

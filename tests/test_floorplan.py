@@ -798,6 +798,28 @@ class TestAnneal:
         assert len(exact) == 1
         assert len(graphs) == 1 + len(exact)
 
+    def test_anneal_runs_past_a_refresh_that_raises_the_unplaced_count(self, monkeypatch):
+        """A refresh re-bases the current phi on its count. Were it kept at
+        the count it was scored with, a count that rises would leave every
+        later candidate at least weights.unplaced uphill, and the anneal
+        would stop after two idle levels at the first nonzero refresh.
+        Shifters at an eighth of the smallest block make that refresh come
+        within eight levels here."""
+        blocks, nets = layered_blocks_nets(30, 50)
+        area = min(w * h for _, w, h in blocks) // 8
+        netlist, spec = generated_netlist(blocks, nets, 4, 50, shifter_area=area)
+        counts, count = [], anneal_mod.unplaced_count
+
+        def counting(*args):
+            counts.append(count(*args))
+            return counts[-1]
+
+        monkeypatch.setattr(anneal_mod, "unplaced_count", counting)
+        anneal(netlist, spec, AnnealConfig(max_levels=8), seed=7)
+        first = next(i for i, n in enumerate(counts) if n > 0)
+        # each later refresh follows ls_every more accepted moves
+        assert len(counts) - 1 - first >= 10
+
     def test_final_search_does_not_recompute_longest_paths(self, monkeypatch):
         # the exact search bounds finish times incrementally; a full longest
         # path runs only for the all-fastest check and the final check

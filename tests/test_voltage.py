@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from voltplan import _speedups_py, voltage
+from voltplan.anneal import modified_curves
 from voltplan.errors import (
     CyclicNetlist,
     NegativeResidualCycle,
@@ -41,6 +42,7 @@ from conftest import (
     arcs_of,
     brute_force_assign,
     certify_optimal,
+    fixture_netlist,
     longest_path_delay,
     random_curve,
     random_timing_instance,
@@ -727,6 +729,34 @@ class TestBranchAndBound:
                 got = voltage._branch_and_bound(tg, curves, levels, power, 0)
                 assert got == bnb_reference(tg, curves, levels, power, 0)
                 assert got[:3] == (levels, power, False)
+
+    def test_floor_never_cuts_the_optimum(self, rng):
+        # an incumbent one above the optimum is beaten only by an optimal
+        # vector; a floor that over-estimated some subtree's power could
+        # cut every such vector and return the incumbent
+        for _ in range(300):
+            tg, curves = random_timing_instance(rng, max_m=8)
+            opt = brute_force_assign(tg, curves)
+            levels, power, finished, _ = voltage._branch_and_bound(
+                tg, curves, list(opt.level), opt.total_power + 1, voltage.SEARCH_CAP
+            )
+            assert finished
+            assert power == opt.total_power
+            assert sum(c.power(q) for c, q in zip(curves, levels)) == power
+            assert longest_path_delay(tg, curves, levels) <= tg.t_cycle
+
+    def test_n10_final_search_nodes(self):
+        # the final exact search of the n10 fixture at kappa 0, whose wire
+        # delays are all zero whatever the floorplan; pricing each unfixed
+        # module at its arrival through the fixed ones proves the optimum
+        # in 1,896 nodes
+        netlist, spec = fixture_netlist(DATA / "n10.blocks", DATA / "n10.nets", 4, 42)
+        tg = build_timing_graph(netlist, [0] * len(netlist.nets))
+        got = assign_voltages(tg, modified_curves(netlist, spec))
+        assert got.level == (2, 3, 3, 1, 4, 4, 2, 3, 4, 1)
+        assert got.total_power == 33967
+        assert got.proved_optimal
+        assert got.search_nodes == 1896
 
     def test_search_nodes_reported(self, rng):
         for _ in range(100):
