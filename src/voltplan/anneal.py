@@ -1,59 +1,65 @@
 """Simulated-annealing outer loop tying the two flow phases together.
 
-Every floorplan the anneal visits (the start, the temperature probes and
-the moves) is priced by the weighted sum of area, wirelength, power,
-voltage-island count and unplaced-shifter count. The weights are
-calibrated once, on the starting floorplan (_default_weights), and fix a
-common denominator: phi is an integer over it, so candidates compare and
-subtract as integers, and only the observer gets the exact Fraction. Each
-floorplan's per-net lengths are taken once, for the wire delays and for
-the wirelength; the start's phi comes from the numbers taken to calibrate
-the weights. The start is packed and validated by pack; the other
-candidates come from initial_expr and perturb, which only build valid
-expressions, so they are packed without re-validation, into the flat
-columns that the scoring reads. A single module takes the same path, every
-move returning its expression unchanged.
+Every floorplan the anneal scores (the start, the temperature probes of a
+start that has a phi, and the moves) is priced by the weighted sum of
+area, wirelength, power, voltage-island count and unplaced-shifter count.
+The weights are calibrated once, on the starting floorplan
+(_default_weights), and fix a common denominator: phi is an integer over
+it, so candidates compare and subtract as integers, and only the observer
+gets the exact Fraction. Each floorplan's per-net lengths are taken once,
+for the wire delays and for the wirelength; the start's phi comes from the
+numbers taken to calibrate the weights. The start is packed and validated
+by pack; the other candidates come from initial_expr and perturb, which
+only build valid expressions, so they are packed without re-validation,
+into the flat columns that the scoring reads. A single module takes the
+same path, every move returning its expression unchanged.
 
-The start and the probes are scored in full (_Evaluator.score). A move is
-decided with the least exact work (_Evaluator.decide): after the pack and
-the net lengths, an integer floor of phi takes the power from the voltage
-cache, or else from one floor on the LP bound: the cost at the move's
-wire delays of the current state's circulation (WarmStart.power_floor).
-It takes the islands as the assignment's distinct levels, or else 1. An
-uphill floor takes the move's one draw, and a draw the floor rejects skips
-the voltage solve, the island count or both; otherwise the solve tightens
-the floor and the same draw is tested again before the islands are
-counted. Every draw and every decision is that of full scoring. A cache
-miss, scored or decided, is first tested for timing at the fastest levels
-(model.fastest_finish), the test assign_voltages raises TimingInfeasible
-on, so an infeasible candidate is never solved and an infeasible move
-draws nothing.
+The start, the probes and each move until one is feasible are scored in
+full (_Evaluator.score). Any other move is decided with the least exact
+work (_Evaluator.decide): after the pack and the net lengths, an integer
+floor of phi takes the power from the voltage cache, or else from one
+floor on the LP bound: the cost at the move's wire delays of the current
+state's circulation (WarmStart.power_floor). It takes the islands as the
+assignment's distinct levels, or else 1. An uphill floor takes the move's
+one draw, and a draw the floor rejects skips the voltage solve, the island
+count or both; otherwise the solve tightens the floor and the same draw is
+tested again before the islands are counted. Every draw and every decision
+is that of full scoring. A cache miss, scored or decided, is first tested
+for timing at the fastest levels (model.fastest_finish), the test
+assign_voltages raises TimingInfeasible on, so an infeasible candidate is
+never solved and an infeasible move draws nothing.
 
 Voltage assignment is cached per wire-delay vector: the timing graph is
-built and solved only on a cache miss, so with the default zero
-wire-delay factor both happen once per anneal (plus once for the exact
-solve of the final floorplan). Each graph takes its order and fan-in
-from one graph derived per anneal, at zero wire delays. Each anneal
-builds one voltage.WarmStart for that graph and its curves and keeps it
-across its solves: the flow network is built once, with it, and kept in
-the flow kernel's residual arrays, and each solve after the first
-re-optimizes in place on them, instead of solving cold, from
-its anchor, the circulation of the current state, of which only the wire
-costs changed. The anchor is the last accepted move that was solved
-(during calibration, the last probe solved), else the start; a candidate
-is one move from it. The unplaced shifter count is refreshed every
-`ls_every` accepted moves and carried stale in between; a refresh re-bases
-the current state's phi on the new count, which every later candidate
-carries too, so a count that rises does not price every move uphill and
-freeze the anneal. Phi reads only that count, so a refresh takes it
-from shifters.unplaced_count, a greedy fit of shifters to window rooms
-that runs the shifter min-cost flow only where the fit leaves a shifter
-without a room or a room could overflow; the full assignment and
-placement run on the starting floorplan and the final one, and the
-overhead metrics are computed for the final floorplan alone. The
-starting temperature is calibrated from uphill probe moves, skipped when
-max_levels is 0 and no level reads it. Fully deterministic for a given
-seed.
+built and solved only on a cache miss, so with the default zero wire-delay
+factor both happen once per anneal (plus once for the exact solve of the
+final floorplan). Each graph takes its order and fan-in from one graph
+derived per anneal, at zero wire delays. Each anneal builds one
+voltage.WarmStart for that graph and its curves and keeps it across its
+solves: the flow network is built once, with it, and kept in the flow
+kernel's residual arrays, and each solve after the first re-optimizes in
+place on them, instead of solving cold, from its anchor, the circulation
+of the current state, of which only the wire costs changed. The anchor is
+the last accepted move that was solved (during calibration, the last probe
+solved), else the start; a start with no feasible assignment leaves it
+unset until the first solve, which is cold. A candidate is one move from
+it. The unplaced shifter count is refreshed every `ls_every` accepted
+moves and carried stale in between; a refresh re-bases the current state's
+phi on the new count, which every later candidate carries too, so a count
+that rises does not price every move uphill and freeze the anneal. Phi
+reads only that count, so a refresh takes it from shifters.unplaced_count,
+a greedy fit of shifters to window rooms that runs the shifter min-cost
+flow only where the fit leaves a shifter without a room or a room could
+overflow; the full assignment and placement run on the starting floorplan
+and the final one, and the overhead metrics are computed for the final
+floorplan alone. The starting temperature is calibrated from uphill probe
+moves, skipped when max_levels is 0 and no level reads it. A start with no
+feasible assignment has no phi to take a probe's delta from: its probes
+draw their moves, so every later draw is that of scored probes, but none
+is packed or scored, and the temperature starts at 1. At kappa > 0 such a
+start is first checked against a floor: when the all-fastest finish with
+every net at the wire delay of its shortest packed length misses the cycle
+time, no floorplan meets it, and the anneal raises TimingInfeasible before
+its first candidate. Fully deterministic for a given seed.
 """
 
 from __future__ import annotations
@@ -93,6 +99,7 @@ from .voltage import (
     WarmStart,
     assign_voltages,
     build_timing_graph,
+    longest_path_for,
 )
 
 # the anneal stops once the temperature falls below this fraction of t0
@@ -108,9 +115,10 @@ class AnnealConfig:
     kappa: Fraction = Fraction(0)  # wire delay per unit wirelength
     window: int | None = None  # shifter search window; None = auto
     max_levels: int = 400
-    # callable(floorplan, assignment, phi), once per feasible candidate; phi
-    # is None for a move rejected on its floor of phi, and assignment is
-    # None when that rejection came before the voltage solve
+    # callable(floorplan, assignment, phi), once per feasible candidate, the
+    # calibration probes only when the start is feasible; phi is None for a
+    # move rejected on its floor of phi, and assignment is None when that
+    # rejection came before the voltage solve
     observer: object = None
 
     def __post_init__(self):
@@ -175,6 +183,13 @@ def _wire_delays(per_net2, kappa: Fraction):
         return (0,) * len(per_net2)
     num, den = kappa.numerator, 2 * kappa.denominator
     return tuple(-((-d2 * num) // den) for d2 in per_net2)
+
+
+def _shortest_per_net2(dims, nets):
+    """Each net's doubled center distance on any packed floorplan is at
+    least this: two packed modules never overlap, so they lie apart across
+    by their summed widths or up by their summed heights."""
+    return [min(dims[a][0] + dims[b][0], dims[a][1] + dims[b][1]) for a, b in nets]
 
 
 class _Evaluator:
@@ -292,6 +307,20 @@ class _Evaluator:
                 return None, None
         return cur_phi + delta, assignment
 
+    def raise_if_no_floorplan_fits(self):
+        """Raise TimingInfeasible, with the critical path, when no floorplan
+        can meet the cycle time: the all-fastest finish with every net at
+        the wire delay of its shortest packed length is a floor on every
+        floorplan's."""
+        floor = _wire_delays(_shortest_per_net2(self.dims, self.netlist.nets), self.config.kappa)
+        if self._too_slow(floor):
+            worst, path = longest_path_for(self.graph.with_delays(floor), self.fastest)
+            raise TimingInfeasible(
+                f"critical path {worst} exceeds cycle time {self.netlist.t_cycle} "
+                f"at the fastest levels with every net at its shortest packed length",
+                critical_path=path,
+            )
+
     def _too_slow(self, delays):
         """Whether the all-fastest levels miss the cycle time at wire delays
         delays, the test assign_voltages raises TimingInfeasible on."""
@@ -373,6 +402,7 @@ def anneal(netlist: Netlist, spec: ShifterSpec, config: AnnealConfig, seed: int)
     except TimingInfeasible:
         if config.kappa == 0:
             raise  # every candidate has these zero wire delays
+        ev.raise_if_no_floorplan_fits()
         weights = _default_weights(fp0.area, wl0, 0, 1, m)
         phi = None
     else:
@@ -390,21 +420,25 @@ def anneal(netlist: Netlist, spec: ShifterSpec, config: AnnealConfig, seed: int)
     # without levels nothing reads the temperature, so nothing is probed.
     # The probes walk away from the start, each one move from the one
     # before, so each solved probe anchors the next solve; the anneal then
-    # starts from the start state again, and so does the anchor, unless
-    # the start had no feasible assignment to anchor at.
+    # starts from the start state again, and so does the anchor. A start
+    # with no feasible assignment has no phi to take a delta from: its
+    # probes only draw their moves, which keeps every later draw that of
+    # a scored calibration, and the anchor stays unset until the first
+    # solved move, which solves cold to the same levels.
     probes = []
     probe_expr = expr
     start_anchor = ev.warm.anchor
     for _ in range(max(8, 3 * m) if config.max_levels else 0):
         move = rng.randint(1, 3)
         probe_expr = perturb(probe_expr, move, rng)
+        if phi is None:
+            continue
         cphi, casg = ev.score(_pack(probe_expr, ev.dims), weights, stale_unplaced)
         if casg is not None:
             ev.settle(casg)
-        if cphi is not None and phi is not None and cphi > phi:
+        if cphi is not None and cphi > phi:
             probes.append((cphi - phi) / weights.denominator)
-    if start_anchor is not None:
-        ev.warm.anchor = start_anchor
+    ev.warm.anchor = start_anchor
     if probes:
         t0 = (sum(probes) / len(probes)) / math.log(1.0 / config.accept_target)
     else:

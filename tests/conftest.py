@@ -467,8 +467,10 @@ def anneal_reference(netlist, spec, config, seed, rng=None):
     for _ in range(max(8, 3 * m) if config.max_levels else 0):
         move = rng.randint(1, 3)
         probe_expr = perturb(probe_expr, move, rng)
+        if phi is None:
+            continue  # no phi to take a delta from: the probe only draws
         cphi, _ = ev.score(_pack(probe_expr, ev.dims), weights, stale_unplaced)
-        if cphi is not None and phi is not None and cphi > phi:
+        if cphi is not None and cphi > phi:
             probes.append((cphi - phi) / scale)
     if probes:
         t0 = (sum(probes) / len(probes)) / math.log(1.0 / config.accept_target)

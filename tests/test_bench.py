@@ -583,7 +583,8 @@ class TestCli:
 
     def test_no_feasible_candidate_exit_3(self, tmp_path, capsys):
         """Two 4 x 4 blocks on one net fit a cycle time of 10 only without
-        wire delay: at kappa 1 every candidate's net is too long."""
+        wire delay: at kappa 1 every candidate's net is too long, which the
+        net's shortest packed length, 4, proves before the anneal."""
         (tmp_path / "t.blocks").write_text("a 4 4\nb 4 4\n")
         (tmp_path / "t.nets").write_text("net a b\n")
         (tmp_path / "t.spec").write_text(
@@ -600,7 +601,10 @@ class TestCli:
 
         capsys.readouterr()
         assert run("wired", "--kappa", "1") == 3
-        assert "no candidate admitted a feasible assignment" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "timing infeasible: critical path 14 exceeds cycle time 10 at the fastest "
+            "levels with every net at its shortest packed length (critical path: a -> b)\n"
+        )
         assert run("free") == 0
 
     def test_negative_tcycle_exit_2(self, tmp_path, capsys):

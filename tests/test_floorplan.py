@@ -549,14 +549,14 @@ class TestAnneal:
         assert res.metrics.phi <= phis[0] or res.metrics.phi <= best[-1] * Fraction(11, 10)
 
     @staticmethod
-    def _count_calls(monkeypatch, module, name, calls=None):
-        """Wrap module.name so that each call appends to calls (a new list
-        unless given); return the list."""
+    def _count_calls(monkeypatch, module, name, calls=None, tag=1):
+        """Wrap module.name so that each call appends tag to calls (a new
+        list unless given); return the list."""
         calls = [] if calls is None else calls
         original = getattr(module, name)
 
         def counting(*args, **kwargs):
-            calls.append(1)
+            calls.append(tag)
             return original(*args, **kwargs)
 
         monkeypatch.setattr(module, name, counting)
@@ -732,11 +732,12 @@ class TestAnneal:
     def test_one_flow_network_per_anneal(self, monkeypatch, kappa):
         """One anneal builds one WarmStart, and so one flow network, for
         all of its solves, the final exact one included; at kappa 1/32 the
-        start has no feasible assignment, so the first solve is a probe's
-        or a move's."""
+        start has no feasible assignment, so no probe is scored, and the
+        first solve after the start's is a move's, made cold."""
         from voltplan import voltage
 
-        networks, outcomes = [], []
+        networks, outcomes, moves = [], [], []
+        perturbs = self._count_calls(monkeypatch, anneal_mod, "perturb")
 
         class CountingNetwork(voltage.ResidualNetwork):
             def __init__(self, net):
@@ -746,6 +747,7 @@ class TestAnneal:
         solve = anneal_mod.assign_voltages
 
         def recording_solve(tg, curves, *, exact_limit, **kw):
+            moves.append(len(perturbs))
             try:
                 asg = solve(tg, curves, exact_limit=exact_limit, **kw)
             except TimingInfeasible:
@@ -761,6 +763,104 @@ class TestAnneal:
         assert len(networks) == 1
         assert (outcomes[0] is None) == (kappa > 0)
         assert len([asg for asg in outcomes if asg is not None]) > (10 if kappa else 1)
+        if kappa:
+            # after the start's solve, none until the 3m probes are drawn
+            assert moves[0] == 0 and moves[1] > 3 * netlist.m
+
+    def test_shortest_net_lengths_bound_every_packed_floorplan(self, rng):
+        netlist, _ = generated_netlist(*layered_blocks_nets(20, 50), 4, 50, Fraction(3, 4))
+        dims = tuple((mod.width, mod.height) for mod in netlist.modules)
+        floor = anneal_mod._shortest_per_net2(dims, netlist.nets)
+        expr = initial_expr(netlist.m)
+        for _ in range(300):
+            expr = perturb(expr, rng.randint(1, 3), rng)
+            lengths = hpwl2_per_net(_pack(expr, dims), netlist.nets)
+            assert all(d2 >= least for d2, least in zip(lengths, floor))
+
+    def test_floor_proof_raises_before_any_candidate(self, monkeypatch, tmp_path, capsys):
+        """At kappa 1 the n10 fixture misses its cycle time at the fastest
+        levels even with every net at its shortest packed length (at kappa 0
+        it fits): the anneal raises with the critical path before it draws
+        or shows a candidate, and voltplan run exits 3."""
+        netlist, spec = fixture_netlist(DATA / "n10.blocks", DATA / "n10.nets", 4, 42)
+        shown = []
+        perturbs = self._count_calls(monkeypatch, anneal_mod, "perturb")
+        config = AnnealConfig(kappa=Fraction(1), observer=lambda *a: shown.append(a))
+        with pytest.raises(TimingInfeasible, match="shortest packed length") as raised:
+            anneal(netlist, spec, config, seed=42)
+        assert shown == [] and perturbs == []
+        path = raised.value.critical_path
+        assert len(path) > 1 and all(net in netlist.nets for net in zip(path, path[1:]))
+
+        spec_path = tmp_path / "n10.spec"
+        blocks_nets = ["--blocks", str(DATA / "n10.blocks"), "--nets", str(DATA / "n10.nets")]
+        assert main(["gen-spec", *blocks_nets, "--k", "4", "--seed", "42", "-o", str(spec_path)]) == 0
+        capsys.readouterr()
+        assert main([
+            "run", *blocks_nets, "--spec", str(spec_path), "--seed", "42",
+            "--out", str(tmp_path / "r"), "--kappa", "1",
+        ]) == 3
+        err = capsys.readouterr().err
+        assert "shortest packed length" in err and "(critical path: " in err
+
+    def test_anneal_without_a_floor_proof_searches_before_raising(self):
+        """n50 at kappa 1/32: the floor finish, 120, fits the cycle time,
+        140, so no proof fires; the anneal's candidates, each one move from
+        its infeasible start, find no feasible assignment either."""
+        netlist, spec = generated_netlist(*layered_blocks_nets(50, 50), 4, 50)
+        with pytest.raises(TimingInfeasible, match="no candidate admitted"):
+            anneal(netlist, spec, AnnealConfig(kappa=Fraction(1, 32)), seed=7)
+
+    # the layered-wiredelay instance's result at anneal seed 42, recorded
+    # while the anneal still scored the probes of a start with no feasible
+    # assignment: skipping them changes no draw, so no result
+    INFEASIBLE_START_RESULT = {
+        "power": 70769, "area": 27588, "wirelength_with_ls": 1169, "islands": 8,
+        "expr": (
+            2, 0, "H", 1, "H", 3, 5, "V", 4, "H", 6, "V", 7, "H", "V", 10, "V", 9, 12, 8,
+            "V", "H", "V", 11, "V", 14, 16, "H", 13, "H", "V", 18, "H", 15, "V", 19, "H",
+            17, "H",
+        ),
+    }
+
+    def test_infeasible_start_result_is_pinned(self):
+        netlist, spec = generated_netlist(*layered_blocks_nets(20, 50), 4, 50, Fraction(3, 4))
+        config = AnnealConfig(kappa=Fraction(1, 32), beta=3, max_levels=5)
+        res = anneal(netlist, spec, config, seed=42)
+        want = self.INFEASIBLE_START_RESULT
+        assert res.expr == want["expr"]
+        assert {name: getattr(res.metrics, name) for name in want if name != "expr"} == {
+            name: value for name, value in want.items() if name != "expr"
+        }
+
+    @pytest.mark.parametrize("start", ["infeasible", "feasible"])
+    def test_probes_scored_only_at_a_feasible_start(self, monkeypatch, start):
+        """Each of the max(8, 3m) calibration probes draws its move; it is
+        packed, solved and scored only when the start has a phi to take its
+        delta from."""
+        if start == "infeasible":
+            netlist, spec = generated_netlist(*layered_blocks_nets(20, 50), 4, 50, Fraction(3, 4))
+            config = AnnealConfig(kappa=Fraction(1, 32), beta=3, max_levels=5)
+        else:
+            netlist, spec = fixture_netlist(DATA / "n10.blocks", DATA / "n10.nets", 4, 42)
+            config = AnnealConfig(max_levels=5)
+        events = []
+        for module, name in (
+            (anneal_mod, "perturb"), (anneal_mod, "_pack"), (anneal_mod, "assign_voltages"),
+            (anneal_mod._Evaluator, "score"),
+        ):
+            self._count_calls(monkeypatch, module, name, events, name)
+        anneal(netlist, spec, config, seed=42)
+        probes = max(8, 3 * netlist.m)
+        first_move = [i for i, name in enumerate(events) if name == "perturb"][probes]
+        calibration = events[:first_move]
+        # the start's solve, which raises when the start is infeasible
+        assert calibration[0] == "assign_voltages"
+        if start == "infeasible":
+            assert calibration[1:] == ["perturb"] * probes
+        else:
+            assert calibration.count("score") == probes
+            assert calibration.count("_pack") == probes
 
     def test_timing_graph_built_only_on_cache_miss(self, monkeypatch):
         # the graph's structure is derived once per anneal; each solve's graph
