@@ -1,9 +1,10 @@
 """Simulated-annealing outer loop tying the two flow phases together.
 
 Every floorplan the anneal scores (the start, the temperature probes of a
-start that has a phi, and the moves) is priced by the weighted sum of
-area, wirelength, power, voltage-island count and unplaced-shifter count.
-The weights are calibrated once, on the starting floorplan
+start that has a phi, and the moves) is priced by phi, the weighted sum of
+area, wirelength, power and voltage-island count. The best floorplan is
+the accepted one of least cost: phi plus the weighted unplaced-shifter
+count. The weights are calibrated once, on the starting floorplan
 (_default_weights), and fix a common denominator: phi is an integer over
 it, so candidates compare and subtract as integers, and only the observer
 gets the exact Fraction. Each floorplan's per-net lengths are taken once,
@@ -42,24 +43,23 @@ of the current state, of which only the wire costs changed. The anchor is
 the last accepted move that was solved (during calibration, the last probe
 solved), else the start; a start with no feasible assignment leaves it
 unset until the first solve, which is cold. A candidate is one move from
-it. The unplaced shifter count is refreshed every `ls_every` accepted
-moves and carried stale in between; a refresh re-bases the current state's
-phi on the new count, which every later candidate carries too, so a count
-that rises does not price every move uphill and freeze the anneal. Phi
-reads only that count, so a refresh takes it from shifters.unplaced_count,
-a greedy fit of shifters to window rooms that runs the shifter min-cost
-flow only where the fit leaves a shifter without a room or a room could
-overflow; the full assignment and placement run on the starting floorplan
-and the final one, and the overhead metrics are computed for the final
-floorplan alone. The starting temperature is calibrated from uphill probe
-moves, skipped when max_levels is 0 and no level reads it. A start with no
-feasible assignment has no phi to take a probe's delta from: its probes
-draw their moves, so every later draw is that of scored probes, but none
-is packed or scored, and the temperature starts at 1. At kappa > 0 such a
-start is first checked against a floor: when the all-fastest finish with
-every net at the wire delay of its shortest packed length misses the cycle
-time, no floorplan meets it, and the anneal raises TimingInfeasible before
-its first candidate. Fully deterministic for a given seed.
+it. The unplaced shifter count is read by best tracking alone: the start's
+comes from the full assignment and placement, which run on the starting
+floorplan and the final one, and an accepted state's from
+shifters.unplaced_count, taken only when the state's phi is below the best
+cost, as the count can make no other state the best. unplaced_count is a
+greedy fit of shifters to window rooms that runs the shifter min-cost flow
+only where the fit leaves a shifter without a room or a room could
+overflow. The overhead metrics are computed for the final floorplan alone.
+The starting temperature is calibrated from uphill probe moves, skipped
+when max_levels is 0 and no level reads it. A start with no feasible
+assignment has no phi to take a probe's delta from: its probes draw their
+moves, so every later draw is that of scored probes, but none is packed or
+scored, and the temperature starts at 1. At kappa > 0 such a start is
+first checked against a floor: when the all-fastest finish with every net
+at the wire delay of its shortest packed length misses the cycle time, no
+floorplan meets it, and the anneal raises TimingInfeasible before its
+first candidate. Fully deterministic for a given seed.
 """
 
 from __future__ import annotations
@@ -111,18 +111,23 @@ class AnnealConfig:
     alpha: float = 0.9  # geometric cooling factor
     beta: int = 10  # moves per temperature = beta * m
     accept_target: float = 0.9  # initial acceptance ratio for calibration
-    ls_every: int = 5  # shifter refresh cadence, in accepted moves
     kappa: Fraction = Fraction(0)  # wire delay per unit wirelength
     window: int | None = None  # shifter search window; None = auto
     max_levels: int = 400
     # callable(floorplan, assignment, phi), once per feasible candidate, the
-    # calibration probes only when the start is feasible; phi is None for a
-    # move rejected on its floor of phi, and assignment is None when that
-    # rejection came before the voltage solve
+    # calibration probes only when the start is feasible; phi, without the
+    # unplaced-shifter term, is None for a move rejected on its floor of phi,
+    # and assignment is None when that rejection came before the voltage solve
     observer: object = None
 
     def __post_init__(self):
-        for name in ("beta", "ls_every", "max_levels", "window"):
+        for name in ("alpha", "beta", "accept_target", "kappa", "window", "max_levels"):
+            value = getattr(self, name)
+            if isinstance(value, bool):  # an int, but never a setting
+                raise ValidationError(f"{name} must be a number, got {value!r}")
+        if self.observer is not None and not callable(self.observer):
+            raise ValidationError(f"observer must be callable, got {self.observer!r}")
+        for name in ("beta", "max_levels", "window"):
             value = getattr(self, name)
             if not isinstance(value, int) and not (name == "window" and value is None):
                 raise ValidationError(f"{name} must be an integer, got {value!r}")
@@ -140,8 +145,6 @@ class AnnealConfig:
             raise ValidationError(f"beta must be at least 1, got {self.beta}")
         if self.window is not None and self.window < 0:
             raise ValidationError(f"window must be nonnegative, got {self.window}")
-        if self.ls_every < 1:
-            raise ValidationError(f"ls_every must be at least 1, got {self.ls_every}")
         if not 0 < self.accept_target < 1:
             raise ValidationError(f"accept_target must lie in (0, 1), got {self.accept_target}")
         if self.kappa < 0:
@@ -250,7 +253,7 @@ class _Evaluator:
         if assignment is self.solved:
             self.warm.advance()
 
-    def score(self, floorplan, weights, stale_unplaced):
+    def score(self, floorplan, weights):
         """Return (phi, assignment), or (None, None) when the floorplan has
         no feasible voltage assignment. The per-net lengths are taken once,
         for the wire delays and for the wirelength."""
@@ -260,10 +263,10 @@ class _Evaluator:
             return None, None
         assignment = self.voltage_for(delays)
         islands = voltage_islands(floorplan, assignment.level)
-        phi = self.phi(floorplan, sum(per_net2) // 2, assignment, islands, stale_unplaced, weights)
+        phi = self.phi(floorplan, sum(per_net2) // 2, assignment, islands, weights)
         return phi, assignment
 
-    def decide(self, floorplan, weights, stale_unplaced, cur_phi, temp, rng):
+    def decide(self, floorplan, weights, cur_phi, temp, rng):
         """Return (phi, assignment) if the move from cur_phi to floorplan is
         accepted at temperature temp, else (None, None): the floorplan has
         no feasible assignment, or its phi is higher and the move's one draw
@@ -280,7 +283,7 @@ class _Evaluator:
         # quotient is the float of the exact rational delta
         den, temp = weights.denominator, max(temp, 1e-12)
         # phi's delta but for its power and island terms
-        delta = cost_phi(floorplan.area, wirelength, 0, 0, stale_unplaced, weights) - cur_phi
+        delta = cost_phi(floorplan.area, wirelength, 0, 0, 0, weights) - cur_phi
         draw = None
         if assignment is None:
             floor = delta + weights.power * self.warm.power_floor(delays) + weights.islands
@@ -328,12 +331,10 @@ class _Evaluator:
             self.graph.order, self.graph.fanin, self.fastest, delays
         ) > self.netlist.t_cycle
 
-    def phi(self, floorplan, wirelength, assignment, islands, unplaced, weights) -> int:
-        """The cost phi of a feasible floorplan, as cost_phi's integer over
-        weights.denominator."""
-        phi = cost_phi(
-            floorplan.area, wirelength, assignment.total_power, islands, unplaced, weights
-        )
+    def phi(self, floorplan, wirelength, assignment, islands, weights) -> int:
+        """The cost phi of a feasible floorplan, cost_phi without its
+        unplaced-shifter term, as an integer over weights.denominator."""
+        phi = cost_phi(floorplan.area, wirelength, assignment.total_power, islands, 0, weights)
         self._show(floorplan, assignment, phi, weights.denominator)
         return phi
 
@@ -349,8 +350,8 @@ class _Evaluator:
 def _default_weights(area, wl, power, islands, m) -> PhiWeights:
     """The cost's weights, calibrated on the starting floorplan: there the
     wirelength term equals the area, one island per module costs a tenth of
-    it, and one unplaced shifter costs ten times the rest of phi. Every
-    weight is positive."""
+    it, and one unplaced shifter costs ten times its phi. Every weight is
+    positive."""
     lam_w = Fraction(area, wl) if wl > 0 else Fraction(1)
     lam_r = Fraction(area, 10 * m)
     phi0 = area + lam_w * wl + power + lam_r * islands
@@ -396,7 +397,6 @@ def anneal(netlist: Netlist, spec: ShifterSpec, config: AnnealConfig, seed: int)
     window = default_window(fp0) if config.window is None else config.window
     per_net2 = hpwl2_per_net(fp0, netlist.nets)
     wl0 = sum(per_net2) // 2
-    stale_unplaced = 0
     try:
         asg0 = ev.voltage_for(_wire_delays(per_net2, config.kappa))
     except TimingInfeasible:
@@ -411,10 +411,10 @@ def anneal(netlist: Netlist, spec: ShifterSpec, config: AnnealConfig, seed: int)
         # which spans anneal.assign_shifters, sees both ends of the anneal;
         # its phi comes from the numbers taken for the weights
         shifters0 = required_shifters(netlist.nets, asg0.level)
-        stale_unplaced = len(assign_shifters(shifters0, fp0, spec, window=window).els)
+        unplaced0 = len(assign_shifters(shifters0, fp0, spec, window=window).els)
         islands0 = voltage_islands(fp0, asg0.level)
         weights = _default_weights(fp0.area, wl0, asg0.total_power, islands0, m)
-        phi = ev.phi(fp0, wl0, asg0, islands0, stale_unplaced, weights)
+        phi = ev.phi(fp0, wl0, asg0, islands0, weights)
 
     # temperature calibration: probe uphill deltas from the start state;
     # without levels nothing reads the temperature, so nothing is probed.
@@ -433,7 +433,7 @@ def anneal(netlist: Netlist, spec: ShifterSpec, config: AnnealConfig, seed: int)
         probe_expr = perturb(probe_expr, move, rng)
         if phi is None:
             continue
-        cphi, casg = ev.score(_pack(probe_expr, ev.dims), weights, stale_unplaced)
+        cphi, casg = ev.score(_pack(probe_expr, ev.dims), weights)
         if casg is not None:
             ev.settle(casg)
         if cphi is not None and cphi > phi:
@@ -445,10 +445,10 @@ def anneal(netlist: Netlist, spec: ShifterSpec, config: AnnealConfig, seed: int)
         t0 = 1.0
     temp = t0
 
+    # the least cost, phi plus the unplaced term, of any accepted state
     best_expr = expr
-    best_phi = phi
+    best_cost = None if phi is None else phi + weights.unplaced * unplaced0
     cur_phi = phi
-    accepted_total = 0
     idle_levels = 0
     for _level in range(config.max_levels):
         accepted_here = 0
@@ -458,34 +458,29 @@ def anneal(netlist: Netlist, spec: ShifterSpec, config: AnnealConfig, seed: int)
             cand_fp = _pack(cand, ev.dims)
             if cur_phi is None:
                 # nothing feasible accepted yet: any feasible candidate is
-                cand_phi, cand_asg = ev.score(cand_fp, weights, stale_unplaced)
+                cand_phi, cand_asg = ev.score(cand_fp, weights)
             else:
-                cand_phi, cand_asg = ev.decide(
-                    cand_fp, weights, stale_unplaced, cur_phi, temp, rng
-                )
+                cand_phi, cand_asg = ev.decide(cand_fp, weights, cur_phi, temp, rng)
             if cand_phi is None:
                 continue
             ev.settle(cand_asg)
             expr = cand
             cur_phi = cand_phi
             accepted_here += 1
-            accepted_total += 1
-            if accepted_total % config.ls_every == 0:
+            # the count is nonnegative, so only a phi below the best cost
+            # can make this state the best
+            if best_cost is None or cur_phi < best_cost:
                 shifters = required_shifters(netlist.nets, cand_asg.level)
-                unplaced = unplaced_count(shifters, cand_fp, spec, window)
-                # re-base the current phi on the new count, which every
-                # later candidate carries too
-                cur_phi += weights.unplaced * (unplaced - stale_unplaced)
-                stale_unplaced = unplaced
-            if best_phi is None or cur_phi < best_phi:
-                best_phi = cur_phi
-                best_expr = expr
+                cost = cur_phi + weights.unplaced * unplaced_count(shifters, cand_fp, spec, window)
+                if best_cost is None or cost < best_cost:
+                    best_cost = cost
+                    best_expr = expr
         temp *= config.alpha
         idle_levels = idle_levels + 1 if accepted_here == 0 else 0
         if idle_levels >= 2 or temp < t0 * T_STOP_RATIO:
             break
 
-    if best_phi is None:
+    if best_cost is None:
         raise TimingInfeasible("no candidate admitted a feasible assignment")
 
     final_fp = _pack(best_expr, ev.dims)

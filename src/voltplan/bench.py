@@ -116,6 +116,7 @@ def parse_spec(text):
 
     The records may come in any order, so curves and the shifter are checked
     against k after the last line; an invalid one is reported at its line.
+    Each of k, tcycle and shifter comes once, and each curve once per name.
     Every curve must stay valid with the shifter overhead added at every
     level, as the annealer adds it; the curve invariants hold between
     consecutive levels, so a run on a prefix of the levels stays valid too.
@@ -125,10 +126,14 @@ def parse_spec(text):
     curves = {}
     curve_lines = {}
     shifter = None
-    shifter_line = None
+    once = {}  # the line of each k, tcycle and shifter record
     for lineno, line in _content_lines(text):
         parts = line.split()
         kind = parts[0]
+        if kind in ("k", "tcycle", "shifter"):
+            if kind in once:
+                raise DuplicateName(f"duplicate {kind} record, first at line {once[kind]}", lineno)
+            once[kind] = lineno
         if kind == "k":
             k = _int(parts, 1, lineno, least=1)
         elif kind == "tcycle":
@@ -148,7 +153,6 @@ def parse_spec(text):
                 shifter = derive_shifter_spec(area, ratio, overhead)
             except ValidationError as exc:
                 raise ParseError(f"shifter: {exc}", lineno) from None
-            shifter_line = lineno
         else:
             raise ParseError(f"unknown record {kind!r}", lineno)
     if k is None or t_cycle is None or shifter is None:
@@ -159,13 +163,13 @@ def parse_spec(text):
         except ValidationError as exc:
             raise ParseError(f"curve {name}: {exc}", curve_lines[name]) from None
     if shifter.k != k:
-        raise ParseError(f"shifter overhead has {shifter.k} levels, k={k}", shifter_line)
+        raise ParseError(f"shifter overhead has {shifter.k} levels, k={k}", once["shifter"])
     for name, curve in curves.items():
         try:
             modify_dp_curve(curve, shifter)
         except ValidationError as exc:
             raise ParseError(
-                f"curve {name} with the shifter overhead of line {shifter_line}: {exc}",
+                f"curve {name} with the shifter overhead of line {once['shifter']}: {exc}",
                 curve_lines[name],
             ) from None
     return curves, shifter, t_cycle, k

@@ -62,7 +62,6 @@ def _add_run(sub):
     p.add_argument("--alpha", type=float)
     p.add_argument("--beta", type=int)
     p.add_argument("--accept-target", type=float)
-    p.add_argument("--ls-every", type=int)
     p.add_argument("--kappa", type=_frac)
     p.add_argument("--window", type=int)
     p.add_argument("--max-levels", type=int)

@@ -7,18 +7,18 @@ into whichever strip wastes more area modulo the shifter footprint, strips
 too narrow to hold the shifter in either orientation count as zero, and the
 capacity is the floor-sum of the two resulting areas; _whitespace applies
 it to a room's four sizes. Rooms are named by their module's index, and
-every function here, the flow network, the refresh count and the
+every function here, the flow network, the unplaced count and the
 placement alike, reads them from the floorplan's columns. Assignment of
 shifters to rooms is a min-cost max-flow over a bipartite network with
 detour costs; whatever cannot be assigned (or packed geometrically) lands
 in the fallback set and is placed on the source module's boundary.
 
-The annealer's cost reads only how many shifters land in that fallback set.
-unplaced_count gives that number without the min-cost flow whenever no room
-can receive more shifters than it has spots and a greedy fit gives every
-shifter a window room; the full assign_shifters, the one algorithm that
-matches shifters to rooms, runs on the anneal's starting and final
-floorplans and wherever either condition fails.
+The annealer's best tracking reads only how many shifters land in that
+fallback set. unplaced_count gives that number without the min-cost flow
+whenever no room can receive more shifters than it has spots and a greedy
+fit gives every shifter a window room; the full assign_shifters, the one
+algorithm that matches shifters to rooms, runs on the anneal's starting
+and final floorplans and wherever either condition fails.
 """
 
 from __future__ import annotations

@@ -434,8 +434,9 @@ class RecordingRandom(random.Random):
 def anneal_reference(netlist, spec, config, seed, rng=None):
     """Oracle: the annealer that scores every candidate in full (voltage
     solve, island count, phi) before its accept test, as the anneal did
-    before it rejected moves on a floor of phi. rng, when given, replaces
-    random.Random(seed)."""
+    before it rejected moves on a floor of phi, and that takes the
+    unplaced-shifter count of every accepted state for best tracking. rng,
+    when given, replaces random.Random(seed)."""
     rng = random.Random(seed) if rng is None else rng
     curves = modified_curves(netlist, spec)
     ev = _Evaluator(netlist, curves, config)
@@ -446,7 +447,6 @@ def anneal_reference(netlist, spec, config, seed, rng=None):
     window = default_window(fp0) if config.window is None else config.window
     per_net2 = hpwl2_per_net(fp0, netlist.nets)
     wl0 = sum(per_net2) // 2
-    stale_unplaced = 0
     try:
         asg0 = ev.voltage_for(_wire_delays(per_net2, config.kappa))
     except TimingInfeasible:
@@ -456,10 +456,10 @@ def anneal_reference(netlist, spec, config, seed, rng=None):
         phi = None
     else:
         shifters0 = required_shifters(netlist.nets, asg0.level)
-        stale_unplaced = len(assign_shifters(shifters0, fp0, spec, window=window).els)
+        unplaced0 = len(assign_shifters(shifters0, fp0, spec, window=window).els)
         islands0 = voltage_islands(fp0, asg0.level)
         weights = _default_weights(fp0.area, wl0, asg0.total_power, islands0, m)
-        phi = ev.phi(fp0, wl0, asg0, islands0, stale_unplaced, weights)
+        phi = ev.phi(fp0, wl0, asg0, islands0, weights)
     scale = weights.denominator
 
     probes = []
@@ -469,7 +469,7 @@ def anneal_reference(netlist, spec, config, seed, rng=None):
         probe_expr = perturb(probe_expr, move, rng)
         if phi is None:
             continue  # no phi to take a delta from: the probe only draws
-        cphi, _ = ev.score(_pack(probe_expr, ev.dims), weights, stale_unplaced)
+        cphi, _ = ev.score(_pack(probe_expr, ev.dims), weights)
         if cphi is not None and cphi > phi:
             probes.append((cphi - phi) / scale)
     if probes:
@@ -479,9 +479,8 @@ def anneal_reference(netlist, spec, config, seed, rng=None):
     temp = t0
 
     best_expr = expr
-    best_phi = phi
+    best_cost = None if phi is None else phi + weights.unplaced * unplaced0
     cur_phi = phi
-    accepted_total = 0
     idle_levels = 0
     for _level in range(config.max_levels):
         accepted_here = 0
@@ -489,7 +488,7 @@ def anneal_reference(netlist, spec, config, seed, rng=None):
             move = rng.randint(1, 3)
             cand = perturb(expr, move, rng)
             cand_fp = _pack(cand, ev.dims)
-            cand_phi, cand_asg = ev.score(cand_fp, weights, stale_unplaced)
+            cand_phi, cand_asg = ev.score(cand_fp, weights)
             if cand_phi is None:
                 continue
             if cur_phi is None:
@@ -503,21 +502,18 @@ def anneal_reference(netlist, spec, config, seed, rng=None):
                 expr = cand
                 cur_phi = cand_phi
                 accepted_here += 1
-                accepted_total += 1
-                if accepted_total % config.ls_every == 0:
-                    shifters = required_shifters(netlist.nets, cand_asg.level)
-                    unplaced = unplaced_count(shifters, cand_fp, spec, window)
-                    cur_phi += weights.unplaced * (unplaced - stale_unplaced)
-                    stale_unplaced = unplaced
-                if best_phi is None or cur_phi < best_phi:
-                    best_phi = cur_phi
+                shifters = required_shifters(netlist.nets, cand_asg.level)
+                unplaced = unplaced_count(shifters, cand_fp, spec, window)
+                cost = cand_phi + weights.unplaced * unplaced
+                if best_cost is None or cost < best_cost:
+                    best_cost = cost
                     best_expr = expr
         temp *= config.alpha
         idle_levels = idle_levels + 1 if accepted_here == 0 else 0
         if idle_levels >= 2 or temp < t0 * T_STOP_RATIO:
             break
 
-    if best_phi is None:
+    if best_cost is None:
         raise TimingInfeasible("no candidate admitted a feasible assignment")
 
     final_fp = _pack(best_expr, ev.dims)

@@ -354,6 +354,27 @@ class TestCli:
         assert err.count("\n") == 1
         assert err.startswith(f"error: line {at + 1}: {SPEC_ERRORS[line]}")
 
+    @pytest.mark.parametrize("record", ["k 2", "tcycle 999", "shifter"])
+    def test_repeated_spec_record_exit_2_at_its_line(self, tmp_path, capsys, record):
+        spec = self._gen(tmp_path)
+        lines = spec.read_text().splitlines()
+        kind = record.split()[0]
+        first = next(i for i, text in enumerate(lines) if text.split()[0] == kind)
+        lines.append(lines[first] if record == kind else record)
+        spec.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DuplicateName, match=f"line {len(lines)}: duplicate {kind} record"):
+            parse_spec(spec.read_text())
+        capsys.readouterr()
+        rc = main([
+            "run", "--blocks", str(DATA / "n10.blocks"),
+            "--nets", str(DATA / "n10.nets"), "--spec", str(spec),
+            "--seed", "5", "--out", str(tmp_path / "r"),
+        ])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: line {len(lines)}: duplicate {kind} record, first at line {first + 1}\n"
+        )
+
     @pytest.mark.parametrize("k", ["9", "0"])
     def test_gen_spec_k_out_of_range_exit_2(self, tmp_path, capsys, k):
         capsys.readouterr()
@@ -394,7 +415,6 @@ class TestCli:
             ("--kappa", "1/0"),
             ("--timing-slack", "1/0"),
             ("--kappa", "-1"),
-            ("--ls-every", "0"),
             ("--accept-target", "1"),
             ("--timing-slack", "-1"),
             ("--timing-slack", "3/2"),
@@ -659,7 +679,6 @@ class TestCliOptions:
         "--alpha": ("0.5", "alpha", 0.5),
         "--beta": ("3", "beta", 3),
         "--accept-target": ("0.75", "accept_target", 0.75),
-        "--ls-every": ("2", "ls_every", 2),
         "--kappa": ("1/32", "kappa", Fraction(1, 32)),
         "--window": ("7", "window", 7),
         "--max-levels": ("9", "max_levels", 9),

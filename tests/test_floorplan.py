@@ -516,8 +516,11 @@ class TestAnneal:
         "field, value",
         [
             ("kappa", float("nan")), ("kappa", float("inf")), ("kappa", "fast"), ("kappa", None),
-            ("beta", 2.5), ("ls_every", 5.0), ("max_levels", "400"), ("window", 1.5),
+            ("beta", 2.5), ("max_levels", "400"), ("window", 1.5),
             ("alpha", "0.5"), ("accept_target", None),
+            # a bool is an int, but no setting
+            ("beta", True), ("max_levels", False), ("window", True), ("kappa", True),
+            ("observer", 5),
         ],
     )
     def test_config_rejects_a_value_of_the_wrong_type(self, field, value):
@@ -594,32 +597,18 @@ class TestAnneal:
         """The anneal ranks candidates by integer phis over the weights'
         common denominator; the observer sees each as the exact rational
         cost, cost_phi with the weights as Fractions, of the metrics of the
-        candidate and the unplaced count then in use."""
+        candidate without its unplaced-shifter term."""
         netlist, spec = fixture_netlist(DATA / "n10.blocks", DATA / "n10.nets", 4, 42)
-        weights, unplaced, seen = [], [0], []
-        calibrate, assign, count = (
-            anneal_mod._default_weights, anneal_mod.assign_shifters, anneal_mod.unplaced_count
-        )
+        weights, seen = [], []
+        calibrate = anneal_mod._default_weights
 
         def calibrating(*args):
             weights.append(calibrate(*args))
             return weights[-1]
 
-        def assigning(*args, **kwargs):
-            sa = assign(*args, **kwargs)
-            unplaced[0] = len(sa.els)
-            return sa
-
-        def counting(*args):
-            unplaced[0] = count(*args)
-            return unplaced[0]
-
         monkeypatch.setattr(anneal_mod, "_default_weights", calibrating)
-        monkeypatch.setattr(anneal_mod, "assign_shifters", assigning)
-        monkeypatch.setattr(anneal_mod, "unplaced_count", counting)
         cfg = AnnealConfig(
-            kappa=kappa, max_levels=5,
-            observer=lambda fp, asg, phi: seen.append((fp, asg, phi, unplaced[0])),
+            kappa=kappa, max_levels=5, observer=lambda fp, asg, phi: seen.append((fp, asg, phi)),
         )
         anneal(netlist, spec, cfg, seed=42)
         (w,) = weights
@@ -629,22 +618,22 @@ class TestAnneal:
             for v in (w.area, w.wirelength, w.power, w.islands, w.unplaced)
         ))
         assert len(seen) > 100
-        for fp, asg, phi, stale in seen:
+        for fp, asg, phi in seen:
             if phi is None:  # rejected on its phi floor
                 continue
             assert isinstance(phi, Fraction)
             assert phi == cost_phi(
                 fp.area, hpwl(fp, netlist.nets), asg.total_power,
-                voltage_islands(fp, asg.level), stale, exact,
+                voltage_islands(fp, asg.level), 0, exact,
             )
 
     def test_patching_the_anneal_module_reaches_the_anneal(self, monkeypatch):
         # anneal_mod comes from `import voltplan.anneal as anneal_mod`
         assert inspect.ismodule(anneal_mod)
-        refreshes = self._count_calls(monkeypatch, anneal_mod, "unplaced_count")
+        counts = self._count_calls(monkeypatch, anneal_mod, "unplaced_count")
         netlist, spec = fixture_netlist(DATA / "n10.blocks", DATA / "n10.nets", 3, 77)
         anneal(netlist, spec, AnnealConfig(max_levels=5), seed=3)
-        assert len(refreshes) > 0
+        assert len(counts) > 0
 
     ORACLE_CASES = {
         "n10-kappa0": ("n10", Fraction(0)),
@@ -898,27 +887,72 @@ class TestAnneal:
         assert len(exact) == 1
         assert len(graphs) == 1 + len(exact)
 
-    def test_anneal_runs_past_a_refresh_that_raises_the_unplaced_count(self, monkeypatch):
-        """A refresh re-bases the current phi on its count. Were it kept at
-        the count it was scored with, a count that rises would leave every
-        later candidate at least weights.unplaced uphill, and the anneal
-        would stop after two idle levels at the first nonzero refresh.
-        Shifters at an eighth of the smallest block make that refresh come
-        within eight levels here."""
+    @pytest.mark.parametrize("seed", range(1, 6))
+    def test_best_takes_each_state_its_own_count(self, monkeypatch, seed):
+        """With every count after the start's read as 1, no accepted state
+        costs less than the start, whose count, 0, comes from its full
+        assignment: phi is nonnegative, and one unplaced shifter weighs ten
+        starting phis. Unpatched, the anneal leaves the start."""
+        netlist = tiny_netlist(m=8)
+        free = anneal(netlist, tiny_shifter(), AnnealConfig(), seed=seed)
+        assert free.expr != initial_expr(8)
+        counts = []
+        monkeypatch.setattr(anneal_mod, "unplaced_count", lambda *args: counts.append(args) or 1)
+        res = anneal(netlist, tiny_shifter(), AnnealConfig(), seed=seed)
+        assert res.expr == initial_expr(8)
+        assert res.metrics.els_count == 0 and len(counts) > 0
+
+    @pytest.mark.parametrize("kappa", [Fraction(0), Fraction(1, 32)], ids=["kappa0", "kappa1_32"])
+    def test_unplaced_count_changes_no_decision(self, monkeypatch, kappa):
+        """The count enters best tracking alone: read as 2 wherever it is
+        taken, the observer sees the same floorplans, assignments and phis."""
+        netlist, spec = fixture_netlist(DATA / "n10.blocks", DATA / "n10.nets", 4, 42)
+
+        def run():
+            seen = []
+            config = AnnealConfig(
+                kappa=kappa, max_levels=5, observer=lambda *shown: seen.append(shown)
+            )
+            anneal(netlist, spec, config, seed=42)
+            return seen
+
+        want = run()
+        counts = []
+        monkeypatch.setattr(anneal_mod, "unplaced_count", lambda *args: counts.append(args) or 2)
+        assert run() == want
+        assert len(want) > 100 and len(counts) > 0
+
+    def test_best_is_the_least_cost_accepted_state(self, monkeypatch):
+        """The anneal counts a state's unplaced shifters only when its phi is
+        below the best cost; the oracle counts every accepted state's. With
+        shifters at half the smallest block the oracle reads nonzero counts,
+        and both end at the same result."""
+        import conftest
+
         blocks, nets = layered_blocks_nets(30, 50)
-        area = min(w * h for _, w, h in blocks) // 8
+        area = min(w * h for _, w, h in blocks) // 2
         netlist, spec = generated_netlist(blocks, nets, 4, 50, shifter_area=area)
-        counts, count = [], anneal_mod.unplaced_count
+        lazy = self._count_calls(monkeypatch, anneal_mod, "unplaced_count")
+        counts, count = [], conftest.unplaced_count
 
         def counting(*args):
             counts.append(count(*args))
             return counts[-1]
 
-        monkeypatch.setattr(anneal_mod, "unplaced_count", counting)
-        anneal(netlist, spec, AnnealConfig(max_levels=8), seed=7)
-        first = next(i for i, n in enumerate(counts) if n > 0)
-        # each later refresh follows ls_every more accepted moves
-        assert len(counts) - 1 - first >= 10
+        monkeypatch.setattr(conftest, "unplaced_count", counting)
+        config = AnnealConfig(max_levels=8)
+        got = anneal(netlist, spec, config, seed=7)
+        assert got == anneal_reference(netlist, spec, config, seed=7)
+        assert sum(n > 0 for n in counts) > 100
+        assert 0 < len(lazy) < len(counts) // 10
+
+    def test_fixture_n10_counts_pinned(self, monkeypatch):
+        """The fixture-n10 workload's anneal at seed 42 counts unplaced
+        shifters 9 times; one count per five accepted moves took 327."""
+        counts = self._count_calls(monkeypatch, anneal_mod, "unplaced_count")
+        netlist, spec = fixture_netlist(DATA / "n10.blocks", DATA / "n10.nets", 4, 42)
+        anneal(netlist, spec, AnnealConfig(max_levels=20), seed=42)
+        assert len(counts) == 9
 
     def test_final_search_does_not_recompute_longest_paths(self, monkeypatch):
         # the exact search bounds finish times incrementally; a full longest

@@ -574,9 +574,9 @@ def test_greedy_miss_instance_falls_back_and_places_every_shifter(monkeypatch):
 
 
 def test_anneal_runs_the_flow_only_on_the_start_and_final_floorplans(tmp_path, monkeypatch):
-    """On the n10 fixture no refresh falls back, so the shifter flow runs
-    twice per run, on the starting and the final floorplan; the artifacts
-    equal those of a run whose refreshes take the count from the flow."""
+    """On the n10 fixture no unplaced count falls back, so the shifter flow
+    runs twice per run, on the starting and the final floorplan; the
+    artifacts equal those of a run whose counts come from the flow."""
     spec = tmp_path / "n10.spec"
     assert main([
         "gen-spec", "--blocks", str(DATA / "n10.blocks"), "--nets", str(DATA / "n10.nets"),
