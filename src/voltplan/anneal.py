@@ -12,8 +12,12 @@ for the wire delays and for the wirelength; the start's phi comes from the
 numbers taken to calibrate the weights. The start is packed and validated
 by pack; the other candidates come from initial_expr and perturb, which
 only build valid expressions, so they are packed without re-validation,
-into the flat columns that the scoring reads. A single module takes the
-same path, every move returning its expression unchanged.
+into the flat columns that the scoring reads. Each expression keeps the
+index its moves read (floorplan.Expr): a rejected candidate's is never
+taken, and the current state's is taken once, from its parent's, however
+often it is perturbed. It keeps the tree its pack reads too, which a move
+1 or 2 candidate takes from the current state's. A single module takes
+the same path, every move returning its expression unchanged.
 
 The start, the probes and each move until one is feasible are scored in
 full (_Evaluator.score). Any other move is decided with the least exact
@@ -131,7 +135,7 @@ class AnnealConfig:
             value = getattr(self, name)
             if not isinstance(value, int) and not (name == "window" and value is None):
                 raise ValidationError(f"{name} must be an integer, got {value!r}")
-        for name in ("alpha", "accept_target"):
+        for name in ("alpha", "accept_target", "kappa"):
             value = getattr(self, name)
             if not isinstance(value, numbers.Real):
                 raise ValidationError(f"{name} must be a number, got {value!r}")

@@ -3,15 +3,20 @@
 A floorplan is a slicing tree over the modules, encoded as a normalized
 postfix (Polish) expression: a tuple of tokens, each a module index or one
 of two cut operators. 'H' stacks its children vertically (widths max,
-heights add), 'V' puts them side by side. Packing combines dimensions
-bottom-up, then distributes slack top-down so the rooms tile the chip
-exactly; the extra space always goes to the right/top child. A packed
-Floorplan is flat per-module columns, the one form every metric, artifact
-and shifter placement reads.
+heights add), 'V' puts them side by side. initial_expr and perturb build
+Expr, a tuple that keeps the operand positions, operator chains and
+operator counts its moves read, so a move never rescans the expression,
+and the tree packing reads, which a move 1 or 2 child shares. Packing
+combines dimensions bottom-up, then distributes slack top-down, in int
+columns, so the rooms tile the chip exactly; the extra space always
+goes to the right/top child. A packed Floorplan is flat per-module
+columns, the one form every metric, artifact and shifter placement reads;
+voltage_islands indexes its rooms by edge line.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -29,7 +34,7 @@ def initial_expr(m: int) -> tuple:
     for i in range(1, m):
         tokens.append(i)
         tokens.append(OPS[i % 2])
-    return tuple(tokens)
+    return Expr(tokens)
 
 
 def check_expr(tokens, m: int | None = None):
@@ -120,49 +125,50 @@ def _pack(expr, dims) -> Floorplan:
     initial_expr or perturb built over len(dims) modules; the floorplan
     shares dims, which must not change afterwards.
 
-    A forward sweep sizes each subtree (an operator's right child is the
-    token before it, its left child the stack entry below that), and a
-    backward sweep hands out the boxes, since in postfix order a node comes
-    after its children. Each leaf's box goes straight into the module's
-    columns.
+    It reads the expression's tree (_tree_of). A forward sweep sizes each
+    leaf, then each operator from its two children, and a backward sweep
+    over the operators hands out the boxes through four int columns, since
+    in postfix order a node comes after its children: bx and by take each
+    node's box origin, and ws and hs, once the parent has read them, its
+    box size. Each leaf's box then goes into its module's columns.
     """
+    operands, ops, lefts = _tree_of(expr)
     n = len(expr)
-    ws, hs, lefts = [0] * n, [0] * n, [0] * n
-    stack = []  # the subtrees not yet combined
-    for i, t in enumerate(expr):
-        if t == "H":
-            stack.pop()  # the right child, i - 1
-            left = lefts[i] = stack[-1]
+    ws, hs = [0] * n, [0] * n
+    for i in operands:
+        ws[i], hs[i] = dims[expr[i]]
+    for i in ops:
+        left = lefts[i]
+        if expr[i] == "H":
             a, b = ws[left], ws[i - 1]
             ws[i] = a if a > b else b
             hs[i] = hs[left] + hs[i - 1]
-            stack[-1] = i
-        elif t == "V":
-            stack.pop()
-            left = lefts[i] = stack[-1]
+        else:
             ws[i] = ws[left] + ws[i - 1]
             a, b = hs[left], hs[i - 1]
             hs[i] = a if a > b else b
-            stack[-1] = i
+    chip_w, chip_h = ws[-1], hs[-1]
+    bx, by = [0] * n, [0] * n
+    for i in reversed(ops):
+        left = lefts[i]
+        if expr[i] == "H":
+            y, dh = by[i], hs[left]
+            bx[left] = bx[i - 1] = bx[i]
+            by[left], by[i - 1] = y, y + dh
+            ws[left] = ws[i - 1] = ws[i]
+            hs[i - 1] = hs[i] - dh
         else:
-            ws[i], hs[i] = dims[t]
-            stack.append(i)
+            x, dw = bx[i], ws[left]
+            bx[left], bx[i - 1] = x, x + dw
+            by[left] = by[i - 1] = by[i]
+            hs[left] = hs[i - 1] = hs[i]
+            ws[i - 1] = ws[i] - dw
     m = len(dims)
     xs, ys, room_w, room_h = [0] * m, [0] * m, [0] * m, [0] * m
-    boxes = [None] * n
-    boxes[-1] = (0, 0, ws[-1], hs[-1])
-    for i in range(n - 1, -1, -1):
-        x, y, w, h = boxes[i]
+    for i in operands:
         t = expr[i]
-        if t == "H":
-            dh = hs[lefts[i]]
-            boxes[lefts[i]], boxes[i - 1] = (x, y, w, dh), (x, y + dh, w, h - dh)
-        elif t == "V":
-            dw = ws[lefts[i]]
-            boxes[lefts[i]], boxes[i - 1] = (x, y, dw, h), (x + dw, y, w - dw, h)
-        else:
-            xs[t], ys[t], room_w[t], room_h[t] = x, y, w, h
-    return Floorplan(ws[-1], hs[-1], xs, ys, room_w, room_h, dims)
+        xs[t], ys[t], room_w[t], room_h[t] = bx[i], by[i], ws[i], hs[i]
+    return Floorplan(chip_w, chip_h, xs, ys, room_w, room_h, dims)
 
 
 def hpwl(floorplan: Floorplan, nets) -> int:
@@ -190,38 +196,41 @@ def voltage_islands(floorplan: Floorplan, levels) -> int:
     Two rooms are adjacent when they share a boundary segment of positive
     length. Rooms are indexed by their left and bottom edge lines, so each
     room only tests the rooms whose left (bottom) edge lies on its own right
-    (top) edge line. Holds for any set of rooms of positive size, slicing or
-    not.
+    (top) edge line, their level before their overlap, and joins each
+    adjacent one of its level at once. Holds for any set of rooms of
+    positive size, slicing or not.
     """
     xs, ys, ws, hs = floorplan.xs, floorplan.ys, floorplan.ws, floorplan.hs
     m = len(xs)
-    # edge line -> (level, span start, span end, room) per room on it
-    by_left = {}
+    by_left = {}  # edge line -> the rooms on it
     by_bottom = {}
-    for i, x, y, w, h, level in zip(range(m), xs, ys, ws, hs, levels):
-        by_left.setdefault(x, []).append((level, y, y + h, i))
-        by_bottom.setdefault(y, []).append((level, x, x + w, i))
-    pairs = []
-    for i, x, y, w, h, level in zip(range(m), xs, ys, ws, hs, levels):
-        right = x + w
-        top = y + h
-        for lv, lo, hi, j in by_left.get(right, ()):
-            if lv == level and lo < top and y < hi:
-                pairs.append((i, j))
-        for lv, lo, hi, j in by_bottom.get(top, ()):
-            if lv == level and lo < right and x < hi:
-                pairs.append((i, j))
-
+    for i, x, y in zip(range(m), xs, ys):
+        by_left.setdefault(x, []).append(i)
+        by_bottom.setdefault(y, []).append(i)
     parent = list(range(m))
     islands = m
-    for i, j in pairs:
-        while parent[i] != i:
-            parent[i] = i = parent[parent[i]]
-        while parent[j] != j:
-            parent[j] = j = parent[parent[j]]
-        if i != j:
-            parent[i] = j
-            islands -= 1
+    for i, x, y, w, h, level in zip(range(m), xs, ys, ws, hs, levels):
+        right, top = x + w, y + h
+        for j in by_left.get(right, ()):
+            if levels[j] == level and ys[j] < top and y < ys[j] + hs[j]:
+                a = i
+                while parent[a] != a:
+                    parent[a] = a = parent[parent[a]]
+                while parent[j] != j:
+                    parent[j] = j = parent[parent[j]]
+                if a != j:
+                    parent[a] = j
+                    islands -= 1
+        for j in by_bottom.get(top, ()):
+            if levels[j] == level and xs[j] < right and x < xs[j] + ws[j]:
+                a = i
+                while parent[a] != a:
+                    parent[a] = a = parent[parent[a]]
+                while parent[j] != j:
+                    parent[j] = j = parent[parent[j]]
+                if a != j:
+                    parent[a] = j
+                    islands -= 1
     return islands
 
 
@@ -266,42 +275,129 @@ def whitespace_percent(floorplan: Floorplan) -> Fraction:
     return Fraction(floorplan.area - used, floorplan.area) * 100
 
 
-def _chains(tokens):
-    """Maximal runs of consecutive operators as (start, end) index pairs."""
-    runs = []
-    i = 0
-    n = len(tokens)
-    while i < n:
-        if isinstance(tokens[i], str):
-            j = i
-            while j + 1 < n and isinstance(tokens[j + 1], str):
-                j += 1
-            runs.append((i, j))
-            i = j + 1
+class Expr(tuple):
+    """A normalized postfix expression built by initial_expr or perturb: a
+    tuple of its tokens that keeps the index perturb reads, so that no move
+    rescans it. The index is (operands, los, his, before): the operand
+    positions in order, the first and last position of each maximal
+    operator chain in order, and per position the number of operators
+    before it. It is taken when the expression is first perturbed: a move
+    1 or 2 child shares its parent's, a move 3 child derives its own from
+    the parent's at the swapped pair, and any other is scanned once. It
+    keeps _pack's tree (_tree_of) too, which a move 1 or 2 child also
+    shares. Equality, hash and repr are the tuple's.
+    """
+
+    _index = None  # the index, once taken
+    _swapped = None  # (the parent's index, i) for a move 3 child
+    _tree = None  # _pack's tree, once taken
+
+
+def _tree_of(expr):
+    """The tree _pack reads, of a valid normalized expression: the operand
+    positions, the operator positions and, at each operator's position,
+    the root of its left child (its right child is the token before it).
+    An Expr keeps its tree once taken; a move 1 or 2 child, whose
+    operators sit where its parent's do, starts with its parent's."""
+    tree = expr._tree if expr.__class__ is Expr else None
+    if tree is None:
+        lefts = [0] * len(expr)
+        operands, ops = [], []
+        stack = []  # the subtrees not yet combined
+        for i, t in enumerate(expr):
+            if t.__class__ is str:
+                stack.pop()  # the right child, i - 1
+                lefts[i] = stack[-1]
+                stack[-1] = i
+                ops.append(i)
+            else:
+                operands.append(i)
+                stack.append(i)
+        tree = operands, ops, lefts
+        if expr.__class__ is Expr:
+            expr._tree = tree
+    return tree
+
+
+def _index_of(expr: Expr):
+    """expr's index, taken on the first call."""
+    index = expr._index
+    if index is None:
+        if expr._swapped is None:
+            index = _scan(expr)
         else:
-            i += 1
-    return runs
+            index = _swap_index(expr, *expr._swapped)
+        expr._index = index
+    return index
 
 
-def _complement(op):
-    return "V" if op == "H" else "H"
+def _scan(tokens):
+    """The index Expr keeps, of a valid normalized expression."""
+    operands, los, his, before = [], [], [], []
+    ops = 0
+    for i, t in enumerate(tokens):
+        before.append(ops)
+        if isinstance(t, str):
+            if not los or his[-1] != i - 1:
+                los.append(i)
+                his.append(i)
+            else:
+                his[-1] = i
+            ops += 1
+        else:
+            operands.append(i)
+    return operands, los, his, before
 
 
-def _can_swap(tokens, i) -> bool:
-    """Whether swapping tokens i and i + 1 of a valid normalized expression,
-    an operand and an operator in either order, leaves it valid and
-    normalized."""
-    a, b = tokens[i], tokens[i + 1]
-    if isinstance(a, str):
-        # the operator moves right, next to the token after the operand
-        # (there is one: a valid expression ends with an operator)
-        return not isinstance(b, str) and tokens[i + 2] != a
-    if not isinstance(b, str):
-        return False
-    # the operator moves left: it needs two more operands than operators
-    # before it, and a different token before it
-    ops_before = sum(isinstance(t, str) for t in tokens[:i])
-    return i - 2 * ops_before >= 2 and tokens[i - 1] != b
+def _swap_index(tokens, index, i):
+    """The index of tokens, which swapped the operand and operator at i and
+    i + 1 of an expression with this index. The operand keeps its rank
+    i - before[i], before changes at i + 1 alone, and the operator leaves
+    one chain's end and joins, or starts, the chain on its other side."""
+    operands, los, his, before = index
+    operands, los, his, before = operands[:], los[:], his[:], before[:]
+    rank = i - before[i]
+    if isinstance(tokens[i], str):
+        # the operator moved left, from the head of chain j
+        operands[rank] = i + 1
+        before[i + 1] += 1
+        j = bisect_left(los, i + 1)
+        if his[j] == i + 1:
+            del los[j], his[j]
+        else:
+            los[j] = i + 2
+        if j and his[j - 1] == i - 1:
+            his[j - 1] = i
+        else:
+            los.insert(j, i)
+            his.insert(j, i)
+    else:
+        # the operator moved right, from the tail of chain j
+        operands[rank] = i
+        before[i + 1] -= 1
+        j = bisect_left(his, i)
+        if los[j] == i:
+            del los[j], his[j]
+        else:
+            his[j] = i - 1
+            j += 1
+        if j < len(los) and los[j] == i + 2:
+            los[j] = i + 1
+        else:
+            los.insert(j, i + 1)
+            his.insert(j, i + 1)
+    return operands, los, his, before
+
+
+def _child(tokens, parent):
+    """The Expr of tokens, a move 1 or 2 child of parent sharing its index
+    and its tree."""
+    child = Expr(tokens)
+    child._index, child._tree = parent._index, parent._tree
+    return child
+
+
+_COMPLEMENT = {"H": "V", "V": "H"}
 
 
 def perturb(expr: tuple, move: int, rng) -> tuple:
@@ -309,32 +405,49 @@ def perturb(expr: tuple, move: int, rng) -> tuple:
 
     move 1 swaps two adjacent operands, move 2 complements one operator
     chain, move 3 swaps an adjacent operand/operator pair where legal
-    (falls back to move 1 after a few failed tries).
+    (falls back to move 1 after a few failed tries). Each reads expr's
+    index (Expr), and returns an Expr unless nothing can move.
     """
-    tokens = list(expr)
+    expr = expr if expr.__class__ is Expr else Expr(expr)
+    index = _index_of(expr)
+    operands, los, his, before = index
     if move == 3:
-        if len(tokens) < 2:
+        n = len(expr)
+        if n < 2:
             return expr
         for _ in range(16):
-            i = rng.randrange(len(tokens) - 1)
-            if _can_swap(expr, i):
-                tokens[i], tokens[i + 1] = tokens[i + 1], tokens[i]
-                return tuple(tokens)
+            i = rng.randrange(n - 1)
+            a, b = expr[i], expr[i + 1]
+            if isinstance(a, str):
+                # the operator moves right, next to the token after the
+                # operand (there is one: a valid expression ends with an
+                # operator)
+                if isinstance(b, str) or expr[i + 2] == a:
+                    continue
+            # the operator moves left: it needs two more operands than
+            # operators before it, and a different token before it
+            elif not isinstance(b, str) or i - 2 * before[i] < 2 or expr[i - 1] == b:
+                continue
+            tokens = list(expr)
+            tokens[i], tokens[i + 1] = b, a
+            child = Expr(tokens)
+            child._swapped = (index, i)
+            return child
         move = 1
     if move == 1:
-        operands = [i for i, t in enumerate(tokens) if not isinstance(t, str)]
         if len(operands) < 2:
             return expr
         i = rng.randrange(len(operands) - 1)
         a, b = operands[i], operands[i + 1]
+        tokens = list(expr)
         tokens[a], tokens[b] = tokens[b], tokens[a]
-        return tuple(tokens)
+        return _child(tokens, expr)
     if move == 2:
-        runs = _chains(tokens)
-        if not runs:
+        if not los:
             return expr
-        lo, hi = runs[rng.randrange(len(runs))]
-        for i in range(lo, hi + 1):
-            tokens[i] = _complement(tokens[i])
-        return tuple(tokens)
+        j = rng.randrange(len(los))
+        lo, hi = los[j], his[j] + 1
+        tokens = list(expr)
+        tokens[lo:hi] = map(_COMPLEMENT.__getitem__, tokens[lo:hi])
+        return _child(tokens, expr)
     raise ValueError(f"unknown move {move}")

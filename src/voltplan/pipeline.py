@@ -13,6 +13,7 @@ The report is written and read by report.emit_report / report.parse_report.
 
 from __future__ import annotations
 
+import os
 import time
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -38,6 +39,21 @@ class RunConfig(AnnealConfig):
     dataset: str = ""
     k: int | None = None  # None: use the spec file's k; smaller k truncates
     t_cycle: int | None = None  # override the spec file's budget
+
+    def __post_init__(self):
+        super().__post_init__()
+        for name in ("blocks_path", "nets_path", "spec_path", "out_dir"):
+            value = getattr(self, name)
+            if not isinstance(value, (str, os.PathLike)):
+                raise ValidationError(f"{name} must be a path, got {value!r}")
+        for name in ("seed", "k", "t_cycle"):
+            value = getattr(self, name)
+            if value is None and name != "seed":
+                continue
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValidationError(f"{name} must be an integer, got {value!r}")
+        if not isinstance(self.dataset, str):
+            raise ValidationError(f"dataset must be a string, got {self.dataset!r}")
 
 
 def read_input(path) -> str:

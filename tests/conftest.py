@@ -257,6 +257,73 @@ def recursive_pack(expr, dims) -> Floorplan:
     return floorplan_of_rooms(root[3], root[4], rooms)
 
 
+def _chains(tokens):
+    """Maximal runs of consecutive operators as (start, end) index pairs."""
+    runs = []
+    i = 0
+    n = len(tokens)
+    while i < n:
+        if isinstance(tokens[i], str):
+            j = i
+            while j + 1 < n and isinstance(tokens[j + 1], str):
+                j += 1
+            runs.append((i, j))
+            i = j + 1
+        else:
+            i += 1
+    return runs
+
+
+def _can_swap(tokens, i) -> bool:
+    """Whether swapping tokens i and i + 1 of a valid normalized expression,
+    an operand and an operator in either order, leaves it valid and
+    normalized."""
+    a, b = tokens[i], tokens[i + 1]
+    if isinstance(a, str):
+        # the operator moves right, next to the token after the operand
+        # (there is one: a valid expression ends with an operator)
+        return not isinstance(b, str) and tokens[i + 2] != a
+    if not isinstance(b, str):
+        return False
+    # the operator moves left: it needs two more operands than operators
+    # before it, and a different token before it
+    ops_before = sum(isinstance(t, str) for t in tokens[:i])
+    return i - 2 * ops_before >= 2 and tokens[i - 1] != b
+
+
+def perturb_rescan(expr: tuple, move: int, rng) -> tuple:
+    """Oracle for floorplan.perturb: the same moves and draws, each
+    rescanning the whole expression for its operands, its operator chains
+    (_chains) or the operators before a swap (_can_swap)."""
+    tokens = list(expr)
+    if move == 3:
+        if len(tokens) < 2:
+            return expr
+        for _ in range(16):
+            i = rng.randrange(len(tokens) - 1)
+            if _can_swap(expr, i):
+                tokens[i], tokens[i + 1] = tokens[i + 1], tokens[i]
+                return tuple(tokens)
+        move = 1
+    if move == 1:
+        operands = [i for i, t in enumerate(tokens) if not isinstance(t, str)]
+        if len(operands) < 2:
+            return expr
+        i = rng.randrange(len(operands) - 1)
+        a, b = operands[i], operands[i + 1]
+        tokens[a], tokens[b] = tokens[b], tokens[a]
+        return tuple(tokens)
+    if move == 2:
+        runs = _chains(tokens)
+        if not runs:
+            return expr
+        lo, hi = runs[rng.randrange(len(runs))]
+        for i in range(lo, hi + 1):
+            tokens[i] = "V" if tokens[i] == "H" else "H"
+        return tuple(tokens)
+    raise ValueError(f"unknown move {move}")
+
+
 def whitespace_parts(room: Room):
     """Oracle: the three whitespace rectangles (x, y, w, h) of a room, the
     right strip, the top strip and the corner; zero-sized parts allowed."""

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import inspect
 import itertools
@@ -17,9 +18,12 @@ from voltplan.cli import main
 from voltplan.errors import MalformedExpression, TimingInfeasible, ValidationError
 from voltplan.floorplan import (
     Floorplan,
+    Expr,
     PhiWeights,
-    _can_swap,
+    _index_of,
     _pack,
+    _scan,
+    _tree_of,
     check_expr,
     cost_phi,
     hpwl,
@@ -38,12 +42,14 @@ from conftest import (
     DATA,
     RecordingRandom,
     Room,
+    _can_swap,
     anneal_reference,
     fixture_netlist,
     floorplan_of_rooms,
     generated_netlist,
     layered_blocks_nets,
     longest_path_delay,
+    perturb_rescan,
     phi_weights,
     recursive_pack,
     rooms_of,
@@ -200,6 +206,28 @@ class TestColumns:
             assert rooms_of(fp) == rooms_of(want)
             assert fp == want and hash(fp) == hash(want) and repr(fp) == repr(want)
 
+    def test_a_kept_tree_packs_as_a_fresh_one(self, rng):
+        """Walks that pack every candidate, as the anneal does: a move 1 or
+        2 child packs from the tree its parent kept, and every candidate
+        packs as its plain tuple, whose tree is taken afresh, and as the
+        recursive packer."""
+        moves = shared = 0
+        for _ in range(100):
+            m = rng.randint(1, 60)
+            dims = tuple((rng.randint(1, 20), rng.randint(1, 20)) for _ in range(m))
+            expr = initial_expr(m)
+            _pack(expr, dims)
+            for _ in range(rng.randint(1, 4 * m)):
+                cand = perturb(expr, rng.randint(1, 3), rng)
+                moves += 1
+                shared += cand._tree is not None
+                fp = _pack(cand, dims)
+                assert fp == _pack(tuple(cand), dims) == recursive_pack(cand, dims)
+                assert cand._tree == _tree_of(tuple(cand))
+                if rng.random() < 0.5:
+                    expr = cand
+        assert 2 * shared > moves > 4000
+
     def test_equality_goes_by_the_chip_size_and_every_column_entry(self):
         """Changing the chip size or any one entry of a column makes two
         floorplans unequal; equal ones hash equal, lists and tuples alike."""
@@ -315,6 +343,20 @@ class TestVoltageIslands:
         # the anneal's floor of phi counts a candidate's distinct levels
         fp, levels = case
         assert voltage_islands(fp, levels) >= len(set(levels))
+
+    def test_matches_pairwise_scan_at_up_to_four_levels(self, rng):
+        """voltage_islands equals the pairwise scan on random packed
+        floorplans of 1 to 60 modules at 1 to 4 levels."""
+        for _ in range(200):
+            m = rng.randint(1, 60)
+            dims = [(rng.randint(1, 6), rng.randint(1, 6)) for _ in range(m)]
+            expr = initial_expr(m)
+            for _ in range(rng.randint(0, 4 * m)):
+                expr = perturb(expr, rng.randint(1, 3), rng)
+            fp = pack(expr, dims)
+            k = rng.randint(1, 4)
+            levels = [rng.randint(1, k) for _ in range(m)]
+            assert voltage_islands(fp, levels) == islands_pairwise(fp, levels)
 
     def test_pinwheel(self):
         check_tiling(PINWHEEL)
@@ -436,6 +478,38 @@ class TestPerturb:
                 swaps += 1
         assert swaps > 20_000
 
+    def test_indexed_moves_follow_the_rescanning_oracle(self, rng):
+        """Random walks of all three moves over 1 to 60 modules: perturb,
+        reading the index kept with each expression, gives the expression
+        of conftest's perturb_rescan and leaves the generator in the same
+        state after every move, whether the walk goes on from the candidate
+        or stays where it is, and the index it kept is a rescan's."""
+        moves = fallbacks = stays = 0
+        while moves < 12_000:
+            m = rng.randint(1, 60)
+            expr = initial_expr(m)
+            seed = rng.getrandbits(32)
+            got_rng, want_rng = random.Random(seed), random.Random(seed)
+            for _ in range(rng.randint(1, 120)):
+                move = rng.randint(1, 3)
+                if move == 3 and len(expr) >= 2:
+                    # the oracle's 16 tries, drawn on a copy of its generator
+                    tries = random.Random()
+                    tries.setstate(want_rng.getstate())
+                    fallbacks += not any(
+                        _can_swap(expr, tries.randrange(len(expr) - 1)) for _ in range(16)
+                    )
+                want = perturb_rescan(expr, move, want_rng)
+                got = perturb(expr, move, got_rng)
+                assert got == want and got_rng.getstate() == want_rng.getstate()
+                assert expr.__class__ is Expr and _index_of(expr) == _scan(expr)
+                moves += 1
+                if rng.random() < 0.5:
+                    expr = got
+                else:
+                    stays += 1
+        assert fallbacks >= 50 and stays >= 4000
+
     def test_move_sequence_is_pinned(self):
         """2,000 seeded moves from initial_expr(30) visit a fixed sequence of
         expressions: the moves, and the random draws each one makes, stay
@@ -520,17 +594,27 @@ class TestAnneal:
             ("alpha", "0.5"), ("accept_target", None),
             # a bool is an int, but no setting
             ("beta", True), ("max_levels", False), ("window", True), ("kappa", True),
-            ("observer", 5),
+            ("observer", 5), ("kappa", "1/32"),
+            # RunConfig's own fields
+            ("k", "2"), ("k", True), ("k", 2.0), ("t_cycle", 2.5), ("t_cycle", False),
+            ("seed", 1.5), ("seed", "7"), ("seed", None), ("seed", True), ("dataset", 5),
+            ("dataset", None), ("blocks_path", 5), ("spec_path", None), ("out_dir", 1.5),
         ],
     )
     def test_config_rejects_a_value_of_the_wrong_type(self, field, value):
+        if field in {f.name for f in dataclasses.fields(AnnealConfig)}:
+            with pytest.raises(ValidationError, match=field):
+                AnnealConfig(**{field: value})
+        required = dict(blocks_path="b", nets_path="n", spec_path="s", seed=1, out_dir="o")
         with pytest.raises(ValidationError, match=field):
-            AnnealConfig(**{field: value})
-        with pytest.raises(ValidationError, match=field):
-            RunConfig(
-                blocks_path="b", nets_path="n", spec_path="s", seed=1, out_dir="o",
-                **{field: value},
-            )
+            RunConfig(**{**required, field: value})
+
+    def test_run_config_takes_its_optional_fields_unset_or_whole(self):
+        required = dict(blocks_path="b", nets_path="n", spec_path="s", seed=1, out_dir="o")
+        config = RunConfig(**required)
+        assert (config.k, config.t_cycle, config.dataset) == (None, None, "")
+        config = RunConfig(**required, k=2, t_cycle=70, dataset="n10")
+        assert (config.k, config.t_cycle, config.dataset) == (2, 70, "n10")
 
     def test_deterministic_across_runs(self):
         nl = tiny_netlist()
