@@ -13,11 +13,11 @@ numbers taken to calibrate the weights. The start is packed and validated
 by pack; the other candidates come from initial_expr and perturb, which
 only build valid expressions, so they are packed without re-validation,
 into the flat columns that the scoring reads. Each expression keeps the
-index its moves read (floorplan.Expr): a rejected candidate's is never
-taken, and the current state's is taken once, from its parent's, however
-often it is perturbed. It keeps the tree its pack reads too, which a move
-1 or 2 candidate takes from the current state's. A single module takes
-the same path, every move returning its expression unchanged.
+one tree its pack and its moves read (floorplan.Expr): a candidate's is
+taken by its pack, or shared from the current state's by a move 1 or 2
+candidate, so the current state is never rescanned, however often it is
+perturbed. A single module takes the same path, every move returning its
+expression unchanged.
 
 The start, the probes and each move until one is feasible are scored in
 full (_Evaluator.score). Any other move is decided with the least exact
@@ -59,9 +59,11 @@ The starting temperature is calibrated from uphill probe moves, skipped
 when max_levels is 0 and no level reads it. A start with no feasible
 assignment has no phi to take a probe's delta from: its probes draw their
 moves, so every later draw is that of scored probes, but none is packed or
-scored, and the temperature starts at 1. At kappa > 0 such a start is
-first checked against a floor: when the all-fastest finish with every net
-at the wire delay of its shortest packed length misses the cycle time, no
+scored, and the temperature starts at 1. Such a start raises its own
+TimingInfeasible at kappa 0, where every candidate has its wire delays, and
+when max_levels is 0, where no candidate is drawn. Otherwise it is first
+checked against a floor: when the all-fastest finish with every net at the
+wire delay of its shortest packed length misses the cycle time, no
 floorplan meets it, and the anneal raises TimingInfeasible before its
 first candidate. Fully deterministic for a given seed.
 """
@@ -404,8 +406,8 @@ def anneal(netlist: Netlist, spec: ShifterSpec, config: AnnealConfig, seed: int)
     try:
         asg0 = ev.voltage_for(_wire_delays(per_net2, config.kappa))
     except TimingInfeasible:
-        if config.kappa == 0:
-            raise  # every candidate has these zero wire delays
+        if config.kappa == 0 or config.max_levels == 0:
+            raise  # every candidate has these zero wire delays, or none is drawn
         ev.raise_if_no_floorplan_fits()
         weights = _default_weights(fp0.area, wl0, 0, 1, m)
         phi = None

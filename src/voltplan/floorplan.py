@@ -4,14 +4,14 @@ A floorplan is a slicing tree over the modules, encoded as a normalized
 postfix (Polish) expression: a tuple of tokens, each a module index or one
 of two cut operators. 'H' stacks its children vertically (widths max,
 heights add), 'V' puts them side by side. initial_expr and perturb build
-Expr, a tuple that keeps the operand positions, operator chains and
-operator counts its moves read, so a move never rescans the expression,
-and the tree packing reads, which a move 1 or 2 child shares. Packing
-combines dimensions bottom-up, then distributes slack top-down, in int
-columns, so the rooms tile the chip exactly; the extra space always
-goes to the right/top child. A packed Floorplan is flat per-module
-columns, the one form every metric, artifact and shifter placement reads;
-voltage_islands indexes its rooms by edge line.
+Expr, a tuple that keeps the one tree its packing and its moves read (the
+operand and operator positions, each operator's left child), taken once,
+which a move 1 or 2 child shares. Packing combines dimensions bottom-up,
+then distributes slack top-down, in int columns, so the rooms tile the
+chip exactly; the extra space always goes to the right/top child. A
+packed Floorplan is flat per-module columns, the one form every metric,
+artifact and shifter placement reads; voltage_islands indexes its rooms
+by edge line.
 """
 
 from __future__ import annotations
@@ -277,28 +277,30 @@ def whitespace_percent(floorplan: Floorplan) -> Fraction:
 
 class Expr(tuple):
     """A normalized postfix expression built by initial_expr or perturb: a
-    tuple of its tokens that keeps the index perturb reads, so that no move
-    rescans it. The index is (operands, los, his, before): the operand
-    positions in order, the first and last position of each maximal
-    operator chain in order, and per position the number of operators
-    before it. It is taken when the expression is first perturbed: a move
-    1 or 2 child shares its parent's, a move 3 child derives its own from
-    the parent's at the swapped pair, and any other is scanned once. It
-    keeps _pack's tree (_tree_of) too, which a move 1 or 2 child also
-    shares. Equality, hash and repr are the tuple's.
+    tuple of its tokens that keeps its tree (_tree_of), the one structure
+    its pack and its moves read. The tree is taken by the first pack or
+    move that reads it; a move 1 or 2 child, whose operators sit where its
+    parent's do, shares its parent's. Equality, hash and repr are the
+    tuple's.
     """
 
-    _index = None  # the index, once taken
-    _swapped = None  # (the parent's index, i) for a move 3 child
-    _tree = None  # _pack's tree, once taken
+    _tree = None  # the tree, once taken
+
+
+class _Tree(tuple):
+    """(operands, ops, lefts), the tree _tree_of takes. Once a move 2 has
+    read them, it keeps the first position of each maximal operator chain
+    in order (heads), which the Exprs that share the tree share too.
+    Equality is the tuple's: heads take no part in it."""
+
+    heads = None
 
 
 def _tree_of(expr):
-    """The tree _pack reads, of a valid normalized expression: the operand
-    positions, the operator positions and, at each operator's position,
-    the root of its left child (its right child is the token before it).
-    An Expr keeps its tree once taken; a move 1 or 2 child, whose
-    operators sit where its parent's do, starts with its parent's."""
+    """The tree _pack and perturb read, of a valid normalized expression:
+    the operand positions, the operator positions and, at each operator's
+    position, the root of its left child (its right child is the token
+    before it). An Expr keeps its tree once taken."""
     tree = expr._tree if expr.__class__ is Expr else None
     if tree is None:
         lefts = [0] * len(expr)
@@ -313,87 +315,16 @@ def _tree_of(expr):
             else:
                 operands.append(i)
                 stack.append(i)
-        tree = operands, ops, lefts
+        tree = _Tree((operands, ops, lefts))
         if expr.__class__ is Expr:
             expr._tree = tree
     return tree
 
 
-def _index_of(expr: Expr):
-    """expr's index, taken on the first call."""
-    index = expr._index
-    if index is None:
-        if expr._swapped is None:
-            index = _scan(expr)
-        else:
-            index = _swap_index(expr, *expr._swapped)
-        expr._index = index
-    return index
-
-
-def _scan(tokens):
-    """The index Expr keeps, of a valid normalized expression."""
-    operands, los, his, before = [], [], [], []
-    ops = 0
-    for i, t in enumerate(tokens):
-        before.append(ops)
-        if isinstance(t, str):
-            if not los or his[-1] != i - 1:
-                los.append(i)
-                his.append(i)
-            else:
-                his[-1] = i
-            ops += 1
-        else:
-            operands.append(i)
-    return operands, los, his, before
-
-
-def _swap_index(tokens, index, i):
-    """The index of tokens, which swapped the operand and operator at i and
-    i + 1 of an expression with this index. The operand keeps its rank
-    i - before[i], before changes at i + 1 alone, and the operator leaves
-    one chain's end and joins, or starts, the chain on its other side."""
-    operands, los, his, before = index
-    operands, los, his, before = operands[:], los[:], his[:], before[:]
-    rank = i - before[i]
-    if isinstance(tokens[i], str):
-        # the operator moved left, from the head of chain j
-        operands[rank] = i + 1
-        before[i + 1] += 1
-        j = bisect_left(los, i + 1)
-        if his[j] == i + 1:
-            del los[j], his[j]
-        else:
-            los[j] = i + 2
-        if j and his[j - 1] == i - 1:
-            his[j - 1] = i
-        else:
-            los.insert(j, i)
-            his.insert(j, i)
-    else:
-        # the operator moved right, from the tail of chain j
-        operands[rank] = i
-        before[i + 1] -= 1
-        j = bisect_left(his, i)
-        if los[j] == i:
-            del los[j], his[j]
-        else:
-            his[j] = i - 1
-            j += 1
-        if j < len(los) and los[j] == i + 2:
-            los[j] = i + 1
-        else:
-            los.insert(j, i + 1)
-            his.insert(j, i + 1)
-    return operands, los, his, before
-
-
-def _child(tokens, parent):
-    """The Expr of tokens, a move 1 or 2 child of parent sharing its index
-    and its tree."""
+def _child(tokens, tree):
+    """The Expr of tokens, a move 1 or 2 child sharing its parent's tree."""
     child = Expr(tokens)
-    child._index, child._tree = parent._index, parent._tree
+    child._tree = tree
     return child
 
 
@@ -406,11 +337,11 @@ def perturb(expr: tuple, move: int, rng) -> tuple:
     move 1 swaps two adjacent operands, move 2 complements one operator
     chain, move 3 swaps an adjacent operand/operator pair where legal
     (falls back to move 1 after a few failed tries). Each reads expr's
-    index (Expr), and returns an Expr unless nothing can move.
+    tree (Expr), and returns an Expr unless nothing can move.
     """
     expr = expr if expr.__class__ is Expr else Expr(expr)
-    index = _index_of(expr)
-    operands, los, his, before = index
+    tree = _tree_of(expr)
+    operands, ops, _ = tree
     if move == 3:
         n = len(expr)
         if n < 2:
@@ -426,13 +357,11 @@ def perturb(expr: tuple, move: int, rng) -> tuple:
                     continue
             # the operator moves left: it needs two more operands than
             # operators before it, and a different token before it
-            elif not isinstance(b, str) or i - 2 * before[i] < 2 or expr[i - 1] == b:
+            elif not isinstance(b, str) or i - 2 * bisect_left(ops, i) < 2 or expr[i - 1] == b:
                 continue
             tokens = list(expr)
             tokens[i], tokens[i + 1] = b, a
-            child = Expr(tokens)
-            child._swapped = (index, i)
-            return child
+            return Expr(tokens)
         move = 1
     if move == 1:
         if len(operands) < 2:
@@ -441,13 +370,18 @@ def perturb(expr: tuple, move: int, rng) -> tuple:
         a, b = operands[i], operands[i + 1]
         tokens = list(expr)
         tokens[a], tokens[b] = tokens[b], tokens[a]
-        return _child(tokens, expr)
+        return _child(tokens, tree)
     if move == 2:
-        if not los:
+        heads = tree.heads
+        if heads is None:
+            # a chain starts at each operator after an operand
+            heads = tree.heads = [i for i in ops if not isinstance(expr[i - 1], str)]
+        if not heads:
             return expr
-        j = rng.randrange(len(los))
-        lo, hi = los[j], his[j] + 1
+        lo = hi = heads[rng.randrange(len(heads))]
+        while hi < len(expr) and isinstance(expr[hi], str):
+            hi += 1
         tokens = list(expr)
         tokens[lo:hi] = map(_COMPLEMENT.__getitem__, tokens[lo:hi])
-        return _child(tokens, expr)
+        return _child(tokens, tree)
     raise ValueError(f"unknown move {move}")

@@ -517,7 +517,7 @@ def anneal_reference(netlist, spec, config, seed, rng=None):
     try:
         asg0 = ev.voltage_for(_wire_delays(per_net2, config.kappa))
     except TimingInfeasible:
-        if config.kappa == 0:
+        if config.kappa == 0 or config.max_levels == 0:
             raise
         weights = _default_weights(fp0.area, wl0, 0, 1, m)
         phi = None

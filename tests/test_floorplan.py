@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import voltplan.anneal as anneal_mod
+import voltplan.floorplan as floorplan_mod
 from voltplan.anneal import AnnealConfig, anneal
 from voltplan.cli import main
 from voltplan.errors import MalformedExpression, TimingInfeasible, ValidationError
@@ -20,9 +21,7 @@ from voltplan.floorplan import (
     Floorplan,
     Expr,
     PhiWeights,
-    _index_of,
     _pack,
-    _scan,
     _tree_of,
     check_expr,
     cost_phi,
@@ -480,10 +479,10 @@ class TestPerturb:
 
     def test_indexed_moves_follow_the_rescanning_oracle(self, rng):
         """Random walks of all three moves over 1 to 60 modules: perturb,
-        reading the index kept with each expression, gives the expression
+        reading the tree kept with each expression, gives the expression
         of conftest's perturb_rescan and leaves the generator in the same
         state after every move, whether the walk goes on from the candidate
-        or stays where it is, and the index it kept is a rescan's."""
+        or stays where it is, and the tree it kept is a rescan's."""
         moves = fallbacks = stays = 0
         while moves < 12_000:
             m = rng.randint(1, 60)
@@ -502,13 +501,40 @@ class TestPerturb:
                 want = perturb_rescan(expr, move, want_rng)
                 got = perturb(expr, move, got_rng)
                 assert got == want and got_rng.getstate() == want_rng.getstate()
-                assert expr.__class__ is Expr and _index_of(expr) == _scan(expr)
+                assert expr.__class__ is Expr and expr._tree == _tree_of(tuple(expr))
                 moves += 1
                 if rng.random() < 0.5:
                     expr = got
                 else:
                     stays += 1
         assert fallbacks >= 50 and stays >= 4000
+
+    def test_each_expression_is_scanned_once(self, rng, monkeypatch):
+        """Walks that pack every candidate, as the anneal does, and perturb
+        a state again and again: no expression's tokens are enumerated
+        twice, whether to pack it or to move it."""
+        scanned = []  # each Expr enumerated, kept alive so ids stay unique
+
+        def recording(tokens, *args):
+            if tokens.__class__ is Expr:
+                scanned.append(tokens)
+            return enumerate(tokens, *args)
+
+        monkeypatch.setattr(floorplan_mod, "enumerate", recording, raising=False)
+        moves = 0
+        for _ in range(60):
+            m = rng.randint(1, 40)
+            dims = tuple((rng.randint(1, 20), rng.randint(1, 20)) for _ in range(m))
+            expr = initial_expr(m)
+            _pack(expr, dims)
+            for _ in range(rng.randint(1, 4 * m)):
+                cand = perturb(expr, rng.randint(1, 3), rng)
+                _pack(cand, dims)
+                moves += 1
+                if rng.random() < 0.3:
+                    expr = cand
+        assert moves > 1000 and len(scanned) > 100
+        assert len({id(scan) for scan in scanned}) == len(scanned)
 
     def test_move_sequence_is_pinned(self):
         """2,000 seeded moves from initial_expr(30) visit a fixed sequence of
@@ -883,6 +909,22 @@ class TestAnneal:
         netlist, spec = generated_netlist(*layered_blocks_nets(50, 50), 4, 50)
         with pytest.raises(TimingInfeasible, match="no candidate admitted"):
             anneal(netlist, spec, AnnealConfig(kappa=Fraction(1, 32)), seed=7)
+
+    @pytest.mark.parametrize("annealer", [anneal, anneal_reference], ids=["anneal", "reference"])
+    def test_zero_levels_raise_the_infeasible_starts_own_error(self, annealer):
+        """The layered-wiredelay instance at kappa 1/32 has no feasible
+        assignment at its start: with no level no candidate is drawn, so
+        the start's TimingInfeasible, with its critical path, is raised;
+        one level finds a feasible floorplan."""
+        netlist, spec = generated_netlist(*layered_blocks_nets(20, 50), 4, 50, Fraction(3, 4))
+        config = AnnealConfig(kappa=Fraction(1, 32), beta=3, max_levels=0)
+        with pytest.raises(TimingInfeasible) as raised:
+            annealer(netlist, spec, config, seed=5)
+        assert "no candidate admitted" not in str(raised.value)
+        path = raised.value.critical_path
+        assert len(path) > 1 and all(net in netlist.nets for net in zip(path, path[1:]))
+        res = annealer(netlist, spec, dataclasses.replace(config, max_levels=1), seed=5)
+        assert res.metrics.power > 0
 
     # the layered-wiredelay instance's result at anneal seed 42, recorded
     # while the anneal still scored the probes of a start with no feasible

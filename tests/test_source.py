@@ -210,21 +210,13 @@ def _public_def(name, node):
     return isinstance(node, _DEFS) and not name.startswith("_")
 
 
-def test_every_public_name_has_a_user():
-    """Each public top-level def or class under src/voltplan is used by the
-    package itself (outside its own body), exported by __init__, or used by
-    the benchmark harness; what only the tests need lives in the tests."""
-    assert _unread(_public_def, _trees(), _harness_reads()) == []
-
-
-def test_every_private_name_has_a_user():
-    """Each private top-level def, class or constant under src/voltplan is
-    read by the package outside its own definition or by the benchmark
-    harness: a helper whose last caller went is deleted with it."""
-    unread = _unread(
-        lambda name, node: name.startswith("_") and not name.startswith("__"),
-        _trees(), _harness_reads(),
-    )
+def test_every_top_level_name_has_a_user():
+    """Each top-level def, class or constant under src/voltplan, public or
+    private (dunders aside), is read by the package outside its own
+    definition, exported by __init__, or read by the benchmark harness:
+    what only the tests need lives in the tests, and a helper whose last
+    caller went is deleted with it."""
+    unread = _unread(lambda name, node: not name.startswith("__"), _trees(), _harness_reads())
     assert unread == []
 
 
